@@ -4,8 +4,8 @@ Subpackages by role:
 
 - qfunc: q-deformed special functions (Pochhammer, q-Gamma, q-exponential,
   and the single/pair integrand weights).
-- quad: contour descriptions and deterministic 1-D / tensor-product
-  quadrature.
+- quad: the quadrature layer: trapezoid circle axes, Gauss-Legendre
+  panels, contour radii, and the tensor-product engine.
 - sim: event-driven simulator and an exact finite-window CTMC oracle.
 - exact: the moment and generating-function evaluators plus identity checks.
 - bose: attractive delta-interaction moment formulas (continuum limit).

@@ -69,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qfunc import DomainError
-from .quad import Ray, Segment, piece_nodes
+from .quad import gl_panels, panel_count
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 INV_CBRT2 = 2.0 ** (-1.0 / 3.0)
@@ -166,11 +166,9 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _unit_panels(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes on (0,1) with plain dt weights (the 1/(2 pi i) of piece_nodes
-    # is stripped so callers can attach their own direction factors)
-    z, w = piece_nodes(Segment(z0=0.0, z1=1.0), n)
-    t = np.real(z)
-    wt = np.real(w * 2.0j * math.pi)
+    # nodes on (0,1) with plain dt weights; callers attach their own
+    # direction factors
+    t, wt = gl_panels(0.0, 1.0, panel_count(1.0, n))
     t.setflags(write=False)
     wt.setflags(write=False)
     return t, wt
@@ -224,14 +222,17 @@ def _route(x: float) -> str:
 def _wedge_axis(
     base: float, angle: float, length: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    zin, win = piece_nodes(
-        Ray(origin=base, angle=-angle, length=length, direction=-1), n
-    )
-    zout, wout = piece_nodes(
-        Ray(origin=base, angle=angle, length=length, direction=1), n
-    )
-    z = np.concatenate([zin, zout])
-    w = np.concatenate([win, wout])
+    # incoming ray base + s e^{-i angle} traversed inward (direction -1,
+    # nodes reversed), then the outgoing ray base + s e^{i angle}; weights
+    # carry the 1/(2 pi i) prefactor
+    s, ws = gl_panels(0.0, length, panel_count(length, n))
+    zs, wts = [], []
+    for direction in (-1, 1):
+        e = np.exp(1j * (direction * angle))
+        zs.append((base + s * e)[::direction])
+        wts.append((direction * ws * e / (2j * math.pi))[::direction])
+    z = np.concatenate(zs)
+    w = np.concatenate(wts)
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w
@@ -367,13 +368,9 @@ def fredholm_det(kernel, grid: NystromGrid) -> float:
 
 @lru_cache(maxsize=4)
 def _airy2_tail_panels(smax: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    # unit-width Gauss-Legendre panels on [0, smax]; the integrand
-    # Ai(xi+t)Ai(eta+t) is smooth with at most sqrt|xi| oscillation
-    base, weights = _leggauss(16)
-    width = smax / panels
-    offsets = width * np.arange(panels)
-    t = (offsets[:, None] + 0.5 * width * (base[None, :] + 1.0)).reshape(-1)
-    wt = np.broadcast_to(0.5 * width * weights, (panels, 16)).reshape(-1).copy()
+    # Gauss-Legendre panels on [0, smax]; the integrand Ai(xi+t)Ai(eta+t)
+    # is smooth with at most sqrt|xi| oscillation
+    t, wt = gl_panels(0.0, smax, panels)
     t.setflags(write=False)
     wt.setflags(write=False)
     return t, wt

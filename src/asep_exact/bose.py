@@ -16,7 +16,7 @@ Four evaluators, cross-checking each other:
   chamber and compares with the collapsed formula.
 
 All vertical lines are truncated where the Gaussian factor has decayed
-below the rule's tail cut, with node density driven by the oscillation
+below TAIL_CUT, with node density driven by the oscillation
 frequency of the linear phase.  Gamma ratios are assembled in log space
 from an in-package Lanczos evaluator so that only exp() of differences is
 ever taken.
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import DEFAULT_MAX_POINTS, _round_even, _tensor_result, compositions
+from .exact import compositions
 from .qfunc import DomainError, PoleError
-from .quad import MomentResult, QuadratureRule, Segment, piece_nodes
+from .quad import MomentResult, QuadratureRule, gl_panels, panel_count, tensor_result
 
 __all__ = [
     "LADDER_MARGIN",
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 LADDER_MARGIN = 1e-6
+
+# Lines are truncated where the Gaussian envelope falls below this.
+TAIL_CUT = 1e-16
 
 # Lanczos rational approximation, g = 7, 9 terms; ~1e-13 relative accuracy
 # right of the reflection line.
@@ -167,19 +170,21 @@ def _line_axis(alpha: float, half_len: float, freq: float, gauss: float, rule: Q
     The coarse twin halves the panel density (a valid rule in itself, used
     for the error estimate).
     """
+    # 2 ceil(y / 2) is the smallest even count >= y.
     n = max(
         rule.nodes_per_piece,
-        _round_even(int(math.ceil(8.0 * (1.0 + freq)))),
-        _round_even(int(math.ceil(44.0 * math.sqrt(max(gauss, 0.0))))),
+        2 * math.ceil(4.0 * (1.0 + freq)),
+        2 * math.ceil(22.0 * math.sqrt(max(gauss, 0.0))),
     )
-    seg = Segment(z0=alpha - 1j * half_len, z1=alpha + 1j * half_len)
-    z, w = piece_nodes(seg, n)
-    zc, wc = piece_nodes(seg, max(n // 2, 16))
+    z0, dz = alpha - 1j * half_len, 2j * half_len
+
+    def nodes(n_nodes):
+        u, wu = gl_panels(0.0, 1.0, panel_count(abs(dz), n_nodes))
+        return z0 + u * dz, wu * dz / (2j * math.pi)
+
+    z, w = nodes(n)
+    zc, wc = nodes(max(n // 2, 16))
     return {"z": z, "w": w, "z_half": zc, "w_half": wc}
-
-
-def _tail(rule: QuadratureRule) -> float:
-    return rule.tail_cut if rule.tail_cut > 0.0 else 1e-16
 
 
 def _check_time(t: float) -> None:
@@ -234,7 +239,7 @@ def delta_bose_moment(
             f"exp({offset:.0f}) and the result is ill-conditioned",
             RuntimeWarning,
         )
-    half_len = math.sqrt(2.0 * math.log(1.0 / _tail(rule)) / t) + abs(theta) + 4.0
+    half_len = math.sqrt(2.0 * math.log(1.0 / TAIL_CUT) / t) + abs(theta) + 4.0
     axes = [
         _line_axis(ladder[a], half_len, abs(t * (ladder[a] - theta) + xs[a]), 0.5 * t, rule)
         for a in range(k)
@@ -246,7 +251,7 @@ def delta_bose_moment(
     def pair(a, b, za, zb):
         return (za - zb) / (za - zb - 1.0) * (za + zb - 1.0) / (za + zb)
 
-    return _tensor_result(axes, diag, pair, 1.0, "tilted_lines", DEFAULT_MAX_POINTS)
+    return tensor_result(axes, diag, pair, 1.0, "tilted_lines")
 
 
 def narrow_wedge_moment(xs, t: float, rule: QuadratureRule | None = None) -> MomentResult:
@@ -264,7 +269,7 @@ def narrow_wedge_moment(xs, t: float, rule: QuadratureRule | None = None) -> Mom
     def diag(a, z):
         return np.exp(0.5 * t * z * z + z * xs[a])
 
-    return _tensor_result(axes, diag, _free_pair, 1.0, "free_lines", DEFAULT_MAX_POINTS)
+    return tensor_result(axes, diag, _free_pair, 1.0, "free_lines")
 
 
 def _free_pair(a, b, za, zb):
@@ -274,7 +279,7 @@ def _free_pair(a, b, za, zb):
 def _free_axes(k: int, t: float, x_scale: float, rule: QuadratureRule) -> list[dict]:
     """Line axes for the point-mass-start integrand, reused by the chamber check."""
     ladder = default_ladder(k, 0.0)
-    half_len = math.sqrt(2.0 * math.log(1.0 / _tail(rule)) / t) + 4.0
+    half_len = math.sqrt(2.0 * math.log(1.0 / TAIL_CUT) / t) + 4.0
     return [
         _line_axis(ladder[a], half_len, abs(t * ladder[a]) + x_scale, 0.5 * t, rule)
         for a in range(k)
@@ -298,12 +303,11 @@ def _pole_line_distance(abscissa: float) -> float:
 def _collapsed_term(parts, x, t, theta, alpha, rule) -> MomentResult:
     """One string composition's integral over equal-abscissa lines."""
     ell = len(parts)
-    tail = _tail(rule)
     axes = []
     numerator_lines = [2.0 * alpha]
     for a in range(ell):
         n_a = parts[a]
-        half_len = math.sqrt(2.0 * math.log(1.0 / tail) / (t * n_a)) + abs(theta) + 4.0
+        half_len = math.sqrt(2.0 * math.log(1.0 / TAIL_CUT) / (t * n_a)) + abs(theta) + 4.0
         freq = n_a * abs(t * (alpha - theta) + x)
         axes.append(_line_axis(alpha, half_len, freq, 0.5 * t * n_a, rule))
         for b in range(a + 1, ell):
@@ -343,7 +347,7 @@ def _collapsed_term(parts, x, t, theta, alpha, rule) -> MomentResult:
         ) * (np.sin(np.pi * (base - s)) / np.pi)
         return cross * ratio
 
-    return _tensor_result(axes, diag, pair, 1.0, "collapsed_strings", DEFAULT_MAX_POINTS)
+    return tensor_result(axes, diag, pair, 1.0, "collapsed_strings")
 
 
 def she_halfflat_moment_collapsed(
@@ -374,7 +378,6 @@ def she_halfflat_moment_collapsed(
         return MomentResult(value=1.0 + 0j, err_estimate=0.0, method="collapsed_strings", node_counts=())
     total = 0j
     err = 0.0
-    counts: list[int] = []
     pref_k = 2.0**k * math.factorial(k)
     for ell in range(1, k + 1):
         scale = pref_k / math.factorial(ell)
@@ -382,9 +385,9 @@ def she_halfflat_moment_collapsed(
             res = _collapsed_term(comp.parts, x, t, theta, alpha, rule)
             total += scale * res.value
             err += scale * res.err_estimate
-            counts.extend(res.node_counts)
+    # The last term, k strings of length one, has the most axes.
     return MomentResult(
-        value=total, err_estimate=err, method="collapsed_strings", node_counts=tuple(counts)
+        value=total, err_estimate=err, method="collapsed_strings", node_counts=res.node_counts
     )
 
 
@@ -393,15 +396,8 @@ def she_halfflat_moment_collapsed(
 
 
 def _chamber_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point GL nodes on [lo, hi], ~1.5-unit panels."""
-    panels = max(3, int(math.ceil((hi - lo) / 1.5)))
-    edges = np.linspace(lo, hi, panels + 1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    y = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    wy = (half[:, None] * gl_w[None, :]).ravel()
-    return y, wy
+    """Gauss-Legendre nodes on [lo, hi], ~1.5-unit panels."""
+    return gl_panels(lo, hi, max(3, math.ceil((hi - lo) / 1.5)))
 
 
 def weyl_linearity_check(

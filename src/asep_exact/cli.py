@@ -745,7 +745,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args.command, args)
         return _DISPATCH[args.command](cfg)
-    except (DomainError, PoleError, CostGuardError, ConsistencyError, ValueError) as exc:
+    except (DomainError, PoleError, CostGuardError, ConsistencyError, ValueError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

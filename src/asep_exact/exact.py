@@ -43,11 +43,15 @@ from .qfunc import (
     q_factorial,
 )
 from .quad import (
-    CostGuardError,
+    DEFAULT_MAX_POINTS,
     MomentResult,
     QuadratureRule,
     c1_rho_radius,
+    circle_axis,
+    gl_panels,
     nested_radii,
+    tensor_result,
+    tensor_sums,
 )
 
 __all__ = [
@@ -73,9 +77,6 @@ __all__ = [
     "duality_identity_check",
     "symmetrization_checks",
 ]
-
-DEFAULT_MAX_POINTS = 1 << 30
-
 
 @dataclass(frozen=True)
 class Composition:
@@ -249,10 +250,6 @@ def _essential_nodes(amp: float, tol: float) -> int:
     raise ArithmeticError("essential-singularity node count diverged")
 
 
-def _round_even(n: int) -> int:
-    return n + (n % 2)
-
-
 def _c1_nodes(params: ModelParams, rho: float, t: float, tol: float, floor: int) -> int:
     tau = params.tau
     ratios = [
@@ -262,107 +259,26 @@ def _c1_nodes(params: ModelParams, rho: float, t: float, tol: float, floor: int)
     ]
     n = max(_auto_nodes(r, tol) for r in ratios if 0 < r < 1)
     amp = t * params.q * (1.0 - tau + tau * rho) / rho
-    return _round_even(max(floor, n, _essential_nodes(amp, tol)))
+    return max(floor, n, _essential_nodes(amp, tol))
 
 
 def _gamma_m10_nodes(params: ModelParams, radius: float, tol: float, floor: int) -> int:
     tau = params.tau
     ratios = [1.0 / radius, radius * tau**0.5, radius * radius * tau]
     n = max(_auto_nodes(r, tol) for r in ratios if 0 < r < 1)
-    return _round_even(max(floor, n))
-
-
-def _gamma_mtau0_nodes(params: ModelParams, tol: float, floor: int) -> int:
-    tau = params.tau
-    n = _auto_nodes(tau**0.25, tol)
-    return _round_even(max(floor, n))
-
-
-# ---------------------------------------------------------------------------
-# Tensor-product evaluation over circle axes.
-
-
-def _circle_nodes(center: complex, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = 2.0 * np.pi * np.arange(n) / n
-    z = center + radius * np.exp(1j * theta)
-    return z, (z - center) / n
-
-
-def _axis_nodes(pieces: list[tuple[complex, float, int]]) -> dict:
-    """Concatenated trapezoid nodes for a union of circles, plus a half grid."""
-    zs, ws, zh, wh = [], [], [], []
-    for center, radius, n in pieces:
-        n = _round_even(n)
-        z, w = _circle_nodes(center, radius, n)
-        zs.append(z)
-        ws.append(w)
-        zh.append(z[::2])
-        wh.append(2.0 * w[::2])
-    return {
-        "z": np.concatenate(zs),
-        "w": np.concatenate(ws),
-        "z_half": np.concatenate(zh),
-        "w_half": np.concatenate(wh),
-    }
-
-
-_EINSUM_LETTERS = "ijklm"
-
-
-def _grid_eval(axes, diag_fn, pair_fn, max_points: int, half: bool) -> complex:
-    """Sum over the tensor grid of prod_a diag_a prod_{a<b} pair_ab.
-
-    axes: list of node dicts from _axis_nodes; diag_fn(a, z) -> 1-D factor;
-    pair_fn(a, b, za, zb) -> 2-D factor on the (a, b) subgrid.
-    """
-    k = len(axes)
-    if k > len(_EINSUM_LETTERS):
-        raise CostGuardError(f"tensor evaluation supports at most {len(_EINSUM_LETTERS)} axes, got {k}")
-    key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
-    sizes = [axes[a][key_z].size for a in range(k)]
-    if math.prod(sizes) > max_points:
-        raise CostGuardError(
-            f"tensor grid of {math.prod(sizes)} points exceeds budget {max_points} "
-            f"(axes: {sizes})"
-        )
-    operands = []
-    subs = []
-    for a in range(k):
-        operands.append(diag_fn(a, axes[a][key_z]) * axes[a][key_w])
-        subs.append(_EINSUM_LETTERS[a])
-    for a in range(k):
-        for b in range(a + 1, k):
-            za = axes[a][key_z][:, None]
-            zb = axes[b][key_z][None, :]
-            operands.append(pair_fn(a, b, za, zb))
-            subs.append(_EINSUM_LETTERS[a] + _EINSUM_LETTERS[b])
-    if k == 1:
-        return complex(np.sum(operands[0]))
-    expr = ",".join(subs) + "->"
-    return complex(np.einsum(expr, *operands, optimize=True))
-
-
-def _tensor_result(axes, diag_fn, pair_fn, prefactor: complex, method: str, max_points: int) -> MomentResult:
-    value = prefactor * _grid_eval(axes, diag_fn, pair_fn, max_points, half=False)
-    coarse = prefactor * _grid_eval(axes, diag_fn, pair_fn, max_points, half=True)
-    return MomentResult(
-        value=value,
-        err_estimate=abs(value - coarse),
-        method=method,
-        node_counts=tuple(axes[a]["z"].size for a in range(len(axes))),
-    )
+    return max(floor, n)
 
 
 # ---------------------------------------------------------------------------
 # Ordered-site product moments (circle around 1).
 
 
-def _qtilde_kernel(ev: EvalParams, xs, t: float):
+def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
     params = ev.params
     tau = params.tau
     rho = c1_rho_radius(params)
     n = _c1_nodes(params, rho, t, ev.trunc.tol, ev.rule.nodes_per_piece)
-    axes = [_axis_nodes([(1.0 + 0j, rho, n)]) for _ in xs]
+    axes = [circle_axis([(1.0 + 0j, rho, n)])] * len(xs)
 
     def diag(a, z):
         ratio = (1.0 - tau * z) / (1.0 - z)
@@ -372,12 +288,7 @@ def _qtilde_kernel(ev: EvalParams, xs, t: float):
         return (za - zb) / (za - tau * zb) * (1.0 - za * zb) / (1.0 - tau * za * zb)
 
     prefactor = tau ** (len(xs) * (len(xs) - 1) / 2.0)
-    return axes, diag, pair, prefactor
-
-
-def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
-    axes, diag, pair, pref = _qtilde_kernel(ev, xs, t)
-    return _tensor_result(axes, diag, pair, pref, "c1_tensor", ev.max_points)
+    return tensor_result(axes, diag, pair, prefactor, "c1_tensor", ev.max_points)
 
 
 def qtilde_moments(xs, t: float, ev: EvalParams) -> MomentResult:
@@ -505,7 +416,7 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
             _essential_nodes(amp_res / s[a], tol),
             floor,
         )
-        axes.append(_axis_nodes([(0j, float(r[a]), n0), (-tau + 0j, float(s[a]), ns)]))
+        axes.append(circle_axis([(0j, float(r[a]), n0), (-tau + 0j, float(s[a]), ns)]))
 
     def diag(a, y):
         return _nested_weight(y, site, t, params) / y
@@ -514,7 +425,7 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         return (ya - yb) / (ya - tau * yb) * (1.0 - ya * yb / tau**2) / (1.0 - ya * yb / tau)
 
     prefactor = tau ** (k * (k - 1) / 2.0)
-    return _tensor_result(axes, diag, pair, prefactor, "nested_tensor", ev.max_points)
+    return tensor_result(axes, diag, pair, prefactor, "nested_tensor", ev.max_points)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +447,14 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     site = x + 1
     amp_res = t * params.q * tau * (1.0 - tau)
     n = max(
-        _gamma_mtau0_nodes(params, tol, ev.rule.nodes_per_piece),
+        ev.rule.nodes_per_piece,
+        _auto_nodes(tau**0.25, tol),
         _essential_nodes(amp_res / (radius - tau), tol),
     )
-    axis = _axis_nodes([(0j, radius, n)])
+    axis = circle_axis([(0j, radius, n)])
 
     total = 0j
     total_coarse = 0j
-    counts: list[int] = []
     for lam in partitions_of(k):
         ell = lam.length
         mult_factor = 1.0
@@ -575,17 +486,18 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
                     out = out * (1.0 - z / tau**2) / (1.0 - z / tau)
             return out
 
-        total += pref * _grid_eval(axes, diag, pair, ev.max_points, half=False)
-        total_coarse += pref * _grid_eval(axes, diag, pair, ev.max_points, half=True)
-        counts.append(axis["z"].size)
+        fine, coarse = tensor_sums(axes, diag, pair, ev.max_points)
+        total += pref * fine
+        total_coarse += pref * coarse
 
     kfact = q_factorial(k, tau)
     value = kfact * total
+    # The all-ones partition spans the most axes: k copies of the shared one.
     return MomentResult(
         value=value,
         err_estimate=abs(value - kfact * total_coarse),
         method="partition_tensor",
-        node_counts=tuple(counts),
+        node_counts=(axis["z"].size,) * k,
     )
 
 
@@ -602,17 +514,18 @@ def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     return sorted(groups.items(), reverse=True)
 
 
-def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex, float]:
+def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex, float, tuple[int, ...]]:
+    """Order-k term of the composition expansion: value, error, axis sizes."""
     params = ev.params
     tau = params.tau
     if k == 0:
-        return (1.0 + 0j, 0.0) if m == 0 else (0j, 0.0)
+        return (1.0 + 0j, 0.0, ()) if m == 0 else (0j, 0.0, ())
     if m < k:
-        return 0j, 0.0
+        return 0j, 0.0, ()
     tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
     radius = 0.5 * (1.0 + tau**-0.5)
     n = _gamma_m10_nodes(params, radius, tol, ev.rule.nodes_per_piece)
-    axis = _axis_nodes([(0j, radius, n)])
+    axis = circle_axis([(0j, radius, n)])
     site = x + 1
 
     total = 0j
@@ -634,12 +547,12 @@ def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex,
             cross = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
             return cross * germ_h(wa, wb, na, nb, tau, ev.trunc)
 
-        axes = [axis] * k
-        total += count * _grid_eval(axes, diag, pair, ev.max_points, half=False)
-        total_coarse += count * _grid_eval(axes, diag, pair, ev.max_points, half=True)
+        fine, coarse = tensor_sums([axis] * k, diag, pair, ev.max_points)
+        total += count * fine
+        total_coarse += count * coarse
     scale = 1.0 / math.factorial(k)
     value = scale * total
-    return value, abs(value - scale * total_coarse)
+    return value, abs(value - scale * total_coarse), (axis["z"].size,) * k
 
 
 def halfflat_nu(k: int, m: int, x: int, t: float, ev: EvalParams) -> complex:
@@ -660,18 +573,17 @@ def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     tau = ev.params.tau
     total = 0j
     err = 0.0
-    counts = []
     for k in range(m + 1):
-        val, e = _nu_eval(k, m, x, t, ev)
+        val, e, counts = _nu_eval(k, m, x, t, ev)
         total += val
         err += e
-        counts.append(k)
+    # counts now holds the axis sizes of the order-m grid, the largest one.
     mfact = q_factorial(m, tau)
     return MomentResult(
         value=mfact * total,
         err_estimate=mfact * err,
         method="gamma_tensor",
-        node_counts=tuple(counts),
+        node_counts=counts,
     )
 
 
@@ -716,19 +628,13 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
 
 
 def _mb_line_nodes(half_width: float, panel_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre panels on Re s = 1/2, weights for ds/(2 pi i).
+    """Gauss-Legendre panels on Re s = 1/2, weights for ds/(2 pi i).
 
     The q-Pochhammer factors of the integrand have s-plane poles a distance
     ~0.24 from the line (at Re s = 2 log R / log(1/tau) for the w-circle
-    radius R), so the node spacing must stay well below that.
+    radius R), so the panel width must stay well below that.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    panels = int(math.ceil(2.0 * half_width / panel_width))
-    edges = np.linspace(-half_width, half_width, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    y = (mid[:, None] + hw[:, None] * gl_x[None, :]).ravel()
-    wy = (hw[:, None] * gl_w[None, :]).ravel()
+    y, wy = gl_panels(-half_width, half_width, math.ceil(2.0 * half_width / panel_width))
     return 0.5 + 1j * y, wy / (2.0 * math.pi)
 
 
@@ -748,14 +654,13 @@ def _mb_diag_grid(zeta, x, t, ev, tol, panel_width):
     tau = params.tau
     s_nodes, s_weights = _mb_line_nodes(_mb_half_width(zeta, tol), panel_width)
     radius = 0.5 * (1.0 + tau**-0.25)
-    n_w = _round_even(
-        max(
-            _auto_nodes(1.0 / radius, tol),
-            _auto_nodes(radius * tau**0.25, tol),
-            ev.rule.nodes_per_piece,
-        )
+    n_w = max(
+        _auto_nodes(1.0 / radius, tol),
+        _auto_nodes(radius * tau**0.25, tol),
+        ev.rule.nodes_per_piece,
     )
-    w_nodes, w_weights = _circle_nodes(0j, radius, n_w)
+    w_axis = circle_axis([(0j, radius, n_w)])
+    w_nodes, w_weights = w_axis["z"], w_axis["w"]
     sine = np.pi / np.sin(-np.pi * s_nodes)
     power = np.exp(s_nodes * np.log(-zeta))
     tau_s = np.exp(s_nodes * math.log(tau))

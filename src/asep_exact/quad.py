@@ -1,17 +1,22 @@
-"""Contour descriptions and deterministic quadrature.
+"""The quadrature layer: node builders, contour radii and the tensor engine.
 
-Closed circles use the trapezoid rule (spectrally accurate for analytic
-integrands); open pieces (segments, rays, arcs) use composite 16-point
-Gauss-Legendre panels.  Tensor-product k-fold integrals evaluate over a fixed
-node grid with a deterministic pairwise-tree reduction, so results are
-bit-identical for a given rule no matter how the work is chunked.
+Two rules cover every contour the evaluators integrate over.  Circles use
+the trapezoid rule, which converges exponentially for analytic integrands;
+its every-other-node half grid gives the error estimate.  Lines, rays and
+real intervals use composite 16-point Gauss-Legendre panels, which callers
+map onto their own vertical lines, wedge rays and chamber axes.
 
-All integrals carry the Cauchy normalization: returned values approximate
-(1/2 pi i)^k times the raw contour integral.
+k-fold integrals of prod_a d_a(z_a) prod_{a<b} P_ab(z_a, z_b) over such axes
+go through one engine that contracts the factors with np.einsum, once on the
+full grid and once on the half grid.
+
+Circle weights carry the Cauchy normalization: sum f(z) w approximates
+(1/2 pi i) times the contour integral of f.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,37 +25,20 @@ import numpy as np
 from .qfunc import DomainError, ModelParams
 
 __all__ = [
-    "Circle",
-    "Arc",
-    "Segment",
-    "Ray",
-    "Contour",
+    "CostGuardError",
     "QuadratureRule",
     "MomentResult",
-    "CostGuardError",
-    "integrate_closed",
-    "integrate_path",
-    "integrate_path_result",
-    "integrate_product",
-    "contour_nodes",
-    "pairwise_sum",
-    "pole_clearance",
-    "nested_contours",
-    "nested_radii",
-    "standard_contours",
-    "StdContours",
-    "c1_rho",
+    "DEFAULT_MAX_POINTS",
+    "circle_axis",
+    "gl_panels",
+    "panel_count",
+    "tensor_sums",
+    "tensor_result",
     "c1_rho_radius",
-    "gamma_m10",
-    "gamma_mtau0",
-    "mb_w_circle",
-    "mb_line",
-    "mb_line_halfwidth",
-    "d_theta_m",
-    "gamma_bar",
-    "airy_wedge_in",
-    "airy_wedge_out",
+    "nested_radii",
 ]
+
+DEFAULT_MAX_POINTS = 1 << 30
 
 
 class CostGuardError(RuntimeError):
@@ -58,87 +46,12 @@ class CostGuardError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Circle:
-    center: complex
-    radius: float
-    orientation: int = 1
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise DomainError(f"need radius > 0, got {self.radius}")
-        if self.orientation not in (1, -1):
-            raise DomainError("orientation must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Circular arc traversed from angle0 to angle1 (radians)."""
-
-    center: complex
-    radius: float
-    angle0: float
-    angle1: float
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise DomainError(f"need radius > 0, got {self.radius}")
-        if self.angle0 == self.angle1:
-            raise DomainError("empty arc")
-
-
-@dataclass(frozen=True)
-class Segment:
-    z0: complex
-    z1: complex
-
-    def __post_init__(self) -> None:
-        if self.z0 == self.z1:
-            raise DomainError("degenerate segment")
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Straight piece from origin outward along exp(i angle).
-
-    direction +1 traverses origin -> origin + length*exp(i angle); -1 the
-    reverse (used for incoming halves of wedges and vertical lines).
-    """
-
-    origin: complex
-    angle: float
-    length: float
-    direction: int = 1
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise DomainError(f"need length > 0, got {self.length}")
-        if self.direction not in (1, -1):
-            raise DomainError("direction must be +1 or -1")
-
-
-Piece = Circle | Arc | Segment | Ray
-
-
-@dataclass(frozen=True)
-class Contour:
-    pieces: tuple[Piece, ...]
-    closed: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.pieces:
-            raise DomainError("contour needs at least one piece")
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     nodes_per_piece: int = 64
-    tail_cut: float = 1e-16
 
     def __post_init__(self) -> None:
         if self.nodes_per_piece < 8:
             raise DomainError(f"need nodes_per_piece >= 8, got {self.nodes_per_piece}")
-        if not (0.0 <= self.tail_cut < 1.0):
-            raise DomainError(f"need tail_cut in [0,1), got {self.tail_cut}")
 
 
 @dataclass(frozen=True)
@@ -154,242 +67,123 @@ class MomentResult:
             raise DomainError("err_estimate must be >= 0")
 
 
+# ---------------------------------------------------------------------------
+# Node builders.
+
+
+def circle_axis(pieces) -> dict:
+    """Trapezoid nodes on a union of positively oriented circles.
+
+    pieces lists (center, radius, n); each n is rounded up to even so the
+    every-other-node half grid is a valid rule.  Returns the axis as a dict
+    with keys z, w (full grid) and z_half, w_half (half grid).
+    """
+    zs, ws, zh, wh = [], [], [], []
+    for center, radius, n in pieces:
+        n = n + n % 2
+        z = center + radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+        w = (z - center) / n
+        zs.append(z)
+        ws.append(w)
+        zh.append(z[::2])
+        wh.append(2.0 * w[::2])
+    return {
+        "z": np.concatenate(zs),
+        "w": np.concatenate(ws),
+        "z_half": np.concatenate(zh),
+        "w_half": np.concatenate(wh),
+    }
+
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-PANEL_SIZE = 16
-_TWO_PI_I = 2j * math.pi
 
 
-def pairwise_sum(values) -> complex:
-    """Deterministic pairwise-tree reduction of a 1-D array of terms."""
-    arr = np.asarray(values, dtype=complex).ravel()
-    n = arr.size
-    if n == 0:
-        return 0j
-    while n > 1:
-        half = n // 2
-        arr = arr[: 2 * half : 2] + arr[1 : 2 * half : 2] if n % 2 == 0 else np.concatenate(
-            (arr[: 2 * half : 2] + arr[1 : 2 * half : 2], arr[-1:])
-        )
-        n = arr.shape[0]
-    return complex(arr[0])
+def panel_count(length: float, n_nodes: int) -> int:
+    """Panels for about n_nodes nodes on a piece of the given length.
+
+    Bounded panel width (1 unit at 64 nodes) keeps 16-point Gauss-Legendre
+    accurate on peaked or exponentially decaying factors; more nodes shrink
+    the width proportionally.
+    """
+    return max(1, math.ceil(n_nodes / 16), math.ceil(length * n_nodes / 64.0))
 
 
-def _gl_panels(length: float, n_nodes: int) -> int:
-    # Bounded panel width (1 unit at the 64-node default) keeps 16-point
-    # Gauss-Legendre accurate on peaked or exponentially decaying factors;
-    # refining the rule shrinks the width proportionally.
-    return max(1, math.ceil(n_nodes / PANEL_SIZE), math.ceil(length * n_nodes / 64.0))
-
-
-def _gl_grid(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+def gl_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss-Legendre nodes and weights on [a, b]."""
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wu = (half[:, None] * _GL_W[None, :]).ravel()
-    return u, wu
-
-
-def piece_nodes(piece: Piece, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z and weights w with sum(f(z) * w) ~ (1/2 pi i) int f dz."""
-    if isinstance(piece, Circle):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        z = piece.center + piece.radius * np.exp(1j * theta)
-        w = piece.orientation * (z - piece.center) / n
-        return z, w
-    if isinstance(piece, Arc):
-        arclen = piece.radius * abs(piece.angle1 - piece.angle0)
-        theta, wtheta = _gl_grid(piece.angle0, piece.angle1, _gl_panels(arclen, n))
-        z = piece.center + piece.radius * np.exp(1j * theta)
-        w = wtheta * 1j * piece.radius * np.exp(1j * theta) / _TWO_PI_I
-        return z, w
-    if isinstance(piece, Segment):
-        dz = piece.z1 - piece.z0
-        u, wu = _gl_grid(0.0, 1.0, _gl_panels(abs(dz), n))
-        return piece.z0 + u * dz, wu * dz / _TWO_PI_I
-    if isinstance(piece, Ray):
-        s, ws = _gl_grid(0.0, piece.length, _gl_panels(piece.length, n))
-        e = np.exp(1j * piece.angle)
-        z = piece.origin + s * e
-        w = piece.direction * ws * e / _TWO_PI_I
-        if piece.direction == -1:
-            z, w = z[::-1], w[::-1]
-        return z, w
-    raise TypeError(f"unknown piece type {type(piece)!r}")
-
-
-def contour_nodes(contour: Contour, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated nodes and weights over all pieces of a contour."""
-    zs, ws = [], []
-    for piece in contour.pieces:
-        z, w = piece_nodes(piece, rule.nodes_per_piece)
-        zs.append(z)
-        ws.append(w)
-    return np.concatenate(zs), np.concatenate(ws)
-
-
-def integrate_closed(f, circle: Circle, n: int) -> complex:
-    """(1/2 pi i) times the integral of f around a circle, n-node trapezoid."""
-    if n < 8:
-        raise DomainError(f"need n >= 8, got {n}")
-    z, w = piece_nodes(circle, n)
-    vals = np.asarray(f(z), dtype=complex)
-    if np.any(np.isnan(vals)):
-        raise ArithmeticError("integrand returned NaN on the contour")
-    return complex(np.sum(vals * w))
-
-
-def _path_eval(f, contour: Contour, rule: QuadratureRule) -> tuple[complex, tuple[int, ...], tuple[str, ...]]:
-    total = 0j
-    counts: list[int] = []
-    warnings: list[str] = []
-    for piece in contour.pieces:
-        if isinstance(piece, Ray) and rule.tail_cut > 0.0:
-            # March outward panel by panel; stop once two consecutive panels
-            # fall below tail_cut relative to the largest magnitude seen.
-            panels = _gl_panels(piece.length, rule.nodes_per_piece)
-            edges = np.linspace(0.0, piece.length, panels + 1)
-            e = np.exp(1j * piece.angle)
-            peak = 0.0
-            small_run = 0
-            acc = 0j
-            used = 0
-            reached_tail = False
-            mag = 0.0
-            for p in range(panels):
-                mid = 0.5 * (edges[p] + edges[p + 1])
-                half = 0.5 * (edges[p + 1] - edges[p])
-                s = mid + half * _GL_X
-                z = piece.origin + s * e
-                vals = np.asarray(f(z), dtype=complex)
-                if np.any(np.isnan(vals)):
-                    raise ArithmeticError("integrand returned NaN on the contour")
-                acc += np.sum(vals * (half * _GL_W)) * e / _TWO_PI_I
-                used += PANEL_SIZE
-                mag = float(np.max(np.abs(vals)))
-                peak = max(peak, mag)
-                if peak > 0 and mag < rule.tail_cut * peak:
-                    small_run += 1
-                    if small_run >= 2:
-                        reached_tail = True
-                        break
-                else:
-                    small_run = 0
-            if small_run >= 1:
-                reached_tail = True
-            if not reached_tail:
-                warnings.append(
-                    f"ray tail not reached: |f| ratio {mag / peak if peak else 0:.2e} at length {piece.length}"
-                )
-            total += piece.direction * acc
-            counts.append(used)
-        else:
-            z, w = piece_nodes(piece, rule.nodes_per_piece)
-            vals = np.asarray(f(z), dtype=complex)
-            if np.any(np.isnan(vals)):
-                raise ArithmeticError("integrand returned NaN on the contour")
-            total += np.sum(vals * w)
-            counts.append(z.size)
-    return complex(total), tuple(counts), tuple(warnings)
-
-
-def integrate_path_result(f, contour: Contour, rule: QuadratureRule) -> MomentResult:
-    value, counts, warnings = _path_eval(f, contour, rule)
-    coarse_rule = QuadratureRule(max(8, rule.nodes_per_piece // 2), rule.tail_cut)
-    coarse, _, _ = _path_eval(f, contour, coarse_rule)
-    return MomentResult(
-        value=value,
-        err_estimate=abs(value - coarse),
-        method="path_trapezoid_gl",
-        node_counts=counts,
-        warnings=warnings,
-    )
-
-
-def integrate_path(f, contour: Contour, rule: QuadratureRule) -> complex:
-    """(1/2 pi i) times the integral of f along an oriented contour."""
-    return integrate_path_result(f, contour, rule).value
-
-
-DEFAULT_MAX_POINTS = 1 << 28
-
-
-def integrate_product(
-    f,
-    contours,
-    rule: QuadratureRule,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> MomentResult:
-    """Tensor-product k-fold contour integral (1/2 pi i)^k int f.
-
-    f must accept k broadcastable complex arrays and evaluate elementwise.
-    The reduction is a fixed-shape pairwise tree over fixed-size chunks of the
-    node grid, so the value does not depend on how evaluation is scheduled.
-    """
-    contours = tuple(contours)
-    k = len(contours)
-    if k < 1 or k > 4:
-        raise CostGuardError(f"k={k} outside supported range 1..4")
-    nodes = [contour_nodes(c, rule) for c in contours]
-    n_axis = [z.size for z, _ in nodes]
-    total = math.prod(n_axis)
-    if total > max_points:
-        raise CostGuardError(
-            f"grid of {total} points exceeds budget {max_points}; "
-            f"reduce nodes_per_piece (axes: {n_axis})"
-        )
-
-    def evaluate(node_list) -> complex:
-        zs = [z for z, _ in node_list]
-        ws = [w for _, w in node_list]
-        sizes = [z.size for z in zs]
-        chunk = max(1, min(sizes[0], math.ceil((1 << 22) / max(1, math.prod(sizes[1:])))))
-        partials = []
-        rest_shape_z = [z.reshape((1,) + (1,) * i + (-1,) + (1,) * (k - 2 - i)) for i, z in enumerate(zs[1:])]
-        rest_w = 1.0
-        for i, w in enumerate(ws[1:]):
-            rest_w = rest_w * w.reshape((1,) + (1,) * i + (-1,) + (1,) * (k - 2 - i))
-        for start in range(0, sizes[0], chunk):
-            z0 = zs[0][start : start + chunk].reshape((-1,) + (1,) * (k - 1))
-            w0 = ws[0][start : start + chunk].reshape((-1,) + (1,) * (k - 1))
-            vals = np.asarray(f(z0, *rest_shape_z), dtype=complex) if k > 1 else np.asarray(f(z0), dtype=complex)
-            if np.any(np.isnan(vals)):
-                raise ArithmeticError("integrand returned NaN on the grid")
-            term = vals * w0
-            if k > 1:
-                term = term * rest_w
-            partials.append(complex(np.sum(term)))
-        return pairwise_sum(partials)
-
-    value = evaluate(nodes)
-    # Convergence probe: every-other-node subsample on trapezoid axes.
-    half_nodes = []
-    for (z, w), contour in zip(nodes, contours):
-        if all(isinstance(p, Circle) for p in contour.pieces):
-            half_nodes.append((z[::2], 2.0 * w[::2]))
-        else:
-            half_nodes.append((z, w))
-    coarse = evaluate(half_nodes)
-    return MomentResult(
-        value=value,
-        err_estimate=abs(value - coarse),
-        method="tensor_trapezoid_gl",
-        node_counts=tuple(n_axis),
-    )
-
-
-def pole_clearance(contour: Contour, points, samples_per_piece: int = 720) -> float:
-    """Minimum distance from any listed point to the contour trace."""
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if pts.size == 0:
-        return math.inf
-    rule = QuadratureRule(nodes_per_piece=samples_per_piece, tail_cut=0.0)
-    z, _ = contour_nodes(contour, rule)
-    return float(np.min(np.abs(z[:, None] - pts[None, :])))
+    x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    w = (half[:, None] * _GL_W[None, :]).ravel()
+    return x, w
 
 
 # ---------------------------------------------------------------------------
-# Standard contour families.
+# Tensor-product engine.
+
+
+_EINSUM_LETTERS = "ijklm"
+
+
+def _grid_eval(axes, diag_fn, pair_fn, max_points: int, half: bool) -> complex:
+    k = len(axes)
+    if k > len(_EINSUM_LETTERS):
+        raise CostGuardError(f"tensor evaluation supports at most {len(_EINSUM_LETTERS)} axes, got {k}")
+    key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
+    sizes = [axes[a][key_z].size for a in range(k)]
+    if math.prod(sizes) > max_points:
+        raise CostGuardError(
+            f"tensor grid of {math.prod(sizes)} points exceeds budget {max_points} "
+            f"(axes: {sizes})"
+        )
+    operands = []
+    subs = []
+    for a in range(k):
+        operands.append(diag_fn(a, axes[a][key_z]) * axes[a][key_w])
+        subs.append(_EINSUM_LETTERS[a])
+    for a in range(k):
+        for b in range(a + 1, k):
+            za = axes[a][key_z][:, None]
+            zb = axes[b][key_z][None, :]
+            operands.append(pair_fn(a, b, za, zb))
+            subs.append(_EINSUM_LETTERS[a] + _EINSUM_LETTERS[b])
+    if k == 1:
+        total = complex(np.sum(operands[0]))
+    else:
+        total = complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+    if cmath.isnan(total):
+        raise ArithmeticError("integrand returned NaN on the grid")
+    return total
+
+
+def tensor_sums(axes, diag_fn, pair_fn, max_points: int = DEFAULT_MAX_POINTS) -> tuple[complex, complex]:
+    """Full-grid and half-grid sums of prod_a diag_a prod_{a<b} pair_ab.
+
+    axes: node dicts as built by circle_axis; diag_fn(a, z) -> 1-D factor on
+    axis a; pair_fn(a, b, za, zb) -> 2-D factor on the (a, b) subgrid.
+    """
+    return (
+        _grid_eval(axes, diag_fn, pair_fn, max_points, half=False),
+        _grid_eval(axes, diag_fn, pair_fn, max_points, half=True),
+    )
+
+
+def tensor_result(
+    axes, diag_fn, pair_fn, prefactor: complex, method: str, max_points: int = DEFAULT_MAX_POINTS
+) -> MomentResult:
+    """prefactor times the tensor sum, with the half-grid gap as error."""
+    fine, coarse = tensor_sums(axes, diag_fn, pair_fn, max_points)
+    value = prefactor * fine
+    return MomentResult(
+        value=value,
+        err_estimate=abs(value - prefactor * coarse),
+        method=method,
+        node_counts=tuple(axis["z"].size for axis in axes),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Contour radii.
 
 
 def c1_rho_radius(params: ModelParams) -> float:
@@ -403,69 +197,6 @@ def c1_rho_radius(params: ModelParams) -> float:
     return 0.9 * min(tau**-0.5 - 1.0, (1.0 - tau) / (1.0 + tau))
 
 
-def c1_rho(params: ModelParams, rho: float | None = None) -> Contour:
-    """Positively oriented circle around 1 used by the ordered-site moments."""
-    tau = params.tau
-    if rho is None:
-        rho = c1_rho_radius(params)
-    if not (0.0 < rho < min(tau**-0.5 - 1.0, (1.0 - tau) / (1.0 + tau))):
-        raise DomainError(f"rho={rho} outside the admissible window for tau={tau}")
-    contour = Contour(pieces=(Circle(1.0 + 0j, rho),), closed=True)
-    # Constructive check: all excluded singular points keep clearance.
-    worst = _c1_rho_pole_clearance(contour, params)
-    if worst <= 1e-6:
-        raise DomainError(f"contour clearance {worst} too small")
-    return contour
-
-
-def _c1_rho_pole_clearance(contour: Contour, params: ModelParams) -> float:
-    tau = params.tau
-    rule = QuadratureRule(nodes_per_piece=360, tail_cut=0.0)
-    z, _ = contour_nodes(contour, rule)
-    pole_sets = [
-        np.array([tau**-0.5, -(tau**-0.5), 1.0 / tau]),
-        tau * z,
-        z / tau,
-        1.0 / (tau * z),
-    ]
-    return min(pole_clearance(contour, p) for p in pole_sets)
-
-
-def gamma_m10(params: ModelParams, radius: float | None = None) -> Contour:
-    """Origin circle enclosing -1 and 0, inside the pair-pole ring tau^{-1/2}."""
-    tau = params.tau
-    if radius is None:
-        radius = 0.5 * (1.0 + tau**-0.5)
-    if not (1.0 < radius < tau**-0.5):
-        raise DomainError(f"radius={radius} outside (1, tau^-1/2) for tau={tau}")
-    return Contour(pieces=(Circle(0j, radius),), closed=True)
-
-
-def mb_w_circle(params: ModelParams, radius: float | None = None) -> Contour:
-    """Origin circle for the Mellin-Barnes route.
-
-    With Re s = 1/2 the pair weight has a dense zero/pole ring already at
-    |w| = tau^{-1/4}, strictly inside the integer-order ring tau^{-1/2}, so
-    the default radius is (1 + tau^{-1/4})/2.
-    """
-    tau = params.tau
-    if radius is None:
-        radius = 0.5 * (1.0 + tau**-0.25)
-    if not (1.0 < radius < tau**-0.25):
-        raise DomainError(f"radius={radius} outside (1, tau^-1/4) for tau={tau}")
-    return Contour(pieces=(Circle(0j, radius),), closed=True)
-
-
-def gamma_mtau0(params: ModelParams, radius: float | None = None) -> Contour:
-    """Origin circle enclosing -tau and 0, strictly inside radius tau^{1/2}."""
-    tau = params.tau
-    if radius is None:
-        radius = tau**0.75
-    if not (tau < radius < tau**0.5):
-        raise DomainError(f"radius={radius} outside (tau, tau^1/2) for tau={tau}")
-    return Contour(pieces=(Circle(0j, radius),), closed=True)
-
-
 def nested_radii(k: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Radius schedules (around 0, around -tau) for the k nested contours.
 
@@ -474,161 +205,48 @@ def nested_radii(k: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     satisfy s_a + tau s_b < tau(1-tau), so they share one radius: shrinking
     them would blow up the integrand through the essential singularity at
     -tau (magnitude e^(c t / s)) and lose the quadrature to cancellation.
+
+    Raises DomainError when the radii underflow or fail the constructive
+    pole-exclusion checks of _validate_nested.
     """
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
     tau = params.tau
     a = np.arange(1, k + 1)
     r = 0.45 * tau * tau ** (1.5 * (k - a))
     s_flat = 0.4 * min(tau**0.5 - tau, tau * (1.0 - tau) / (1.0 + tau))
     s = np.full(k, s_flat)
+    if r[0] < 1e-12 or s[0] < 1e-12:
+        raise DomainError(f"nested radii underflow at k={k}")
+    _validate_nested(r, s, tau)
     return r, s
 
 
-def nested_contours(k: int, params: ModelParams) -> tuple[Contour, ...]:
-    """k two-piece contours (circle around 0, circle around -tau).
+def _validate_nested(r, s, tau: float) -> None:
+    """Constructive pole exclusion for the nested radius schedules.
 
-    Constraints checked constructively: +-tau^{1/2} exterior to all pieces,
-    pieces pairwise disjoint, and for a < b the image under multiplication
-    by tau of contour b stays outside contour a (pole exclusion for the
-    ordered cross factors).
+    +-tau^{1/2} stay exterior to all pieces, the two pieces of a contour are
+    disjoint, and for a < b the image of contour b under multiplication by
+    tau stays outside contour a (the ordered cross factors' poles).  Each
+    inequality must hold with relative margin 1e-6: the 0-radii shrink like
+    tau^(1.5 k), so an absolute margin would refuse valid small-tau schedules.
     """
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    tau = params.tau
-    r, s = nested_radii(k, params)
-    if r[0] < 1e-12 or s[0] < 1e-12:
-        raise DomainError(f"nested radii underflow at k={k}")
-    out = []
-    for a in range(k):
-        out.append(
-            Contour(
-                pieces=(Circle(0j, float(r[a])), Circle(-tau + 0j, float(s[a]))),
-                closed=True,
-            )
-        )
-    _validate_nested(out, r, s, params)
-    return tuple(out)
 
+    def outside(big: float, small: float, what: str) -> None:
+        if not big - small > 1e-6 * big:
+            raise DomainError(what)
 
-def _validate_nested(contours, r, s, params: ModelParams) -> None:
-    tau = params.tau
-    k = len(contours)
-    margin = 1e-6
+    k = len(r)
     for a in range(k):
-        if not (r[a] + margin < tau**0.5):
-            raise DomainError("0-circle must keep tau^{1/2} exterior")
-        if not (s[a] + margin < tau**0.5 - tau):
-            raise DomainError("-tau circle must keep -tau^{1/2} exterior")
-        if not (r[a] + s[a] + margin < tau):
-            raise DomainError("the two pieces must be disjoint")
+        outside(tau**0.5, r[a], "0-circle must keep tau^{1/2} exterior")
+        outside(tau**0.5 - tau, s[a], "-tau circle must keep -tau^{1/2} exterior")
+        outside(tau, r[a] + s[a], "the two pieces must be disjoint")
     for a in range(k):
         for b in range(a + 1, k):
             # Image of b's pieces under multiplication by tau: circle of
             # radius tau r_b around 0 and circle of radius tau s_b around
             # -tau^2.  Neither may enter contour a.
-            if not (tau * r[b] > r[a] + margin):
-                raise DomainError("image of 0-circle b must stay outside 0-circle a")
-            if not (tau * tau - tau * s[b] > r[a] + margin):
-                raise DomainError("image of -tau circle b must stay outside 0-circle a")
-            if not (tau * (1.0 - tau) > s[a] + tau * s[b] + margin):
-                raise DomainError("image of -tau circle b must stay outside -tau circle a")
-            if not (tau - tau * r[b] > s[a] + margin):
-                raise DomainError("image of 0-circle b must stay outside -tau circle a")
-
-
-def mb_line_halfwidth(tol: float = 1e-14) -> float:
-    """Truncation half-width driven by the exponential decay of 1/sin."""
-    return max(8.0, math.log(1.0 / tol) / math.pi + 4.0)
-
-
-def mb_line(delta: float = 0.5, half_width: float | None = None, tol: float = 1e-14) -> Contour:
-    """Vertical line Re s = delta traversed upward, truncated symmetrically."""
-    if half_width is None:
-        half_width = mb_line_halfwidth(tol)
-    if half_width <= 0:
-        raise DomainError(f"need half_width > 0, got {half_width}")
-    return Contour(
-        pieces=(Segment(complex(delta, -half_width), complex(delta, half_width)),),
-        closed=False,
-    )
-
-
-def d_theta_m(theta: float, m: float, im_cut: float = 40.0) -> Contour:
-    """Keyhole-shaped boundary with vertical tails at Re = m.
-
-    Six pieces: up the lower tail, left to the spine, up the spine split at
-    the real axis, right to the upper tail, and up the upper tail.
-    """
-    if theta <= 0 or m <= 0.5:
-        raise DomainError(f"need theta > 0 and m > 1/2, got theta={theta}, m={m}")
-    if im_cut <= theta:
-        raise DomainError("im_cut must exceed theta")
-    tail = im_cut - theta
-    return Contour(
-        pieces=(
-            Ray(complex(m, -theta), -math.pi / 2, tail, direction=-1),
-            Segment(complex(m, -theta), complex(0.5, -theta)),
-            Segment(complex(0.5, -theta), complex(0.5, 0.0)),
-            Segment(complex(0.5, 0.0), complex(0.5, theta)),
-            Segment(complex(0.5, theta), complex(m, theta)),
-            Ray(complex(m, theta), math.pi / 2, tail, direction=1),
-        ),
-        closed=False,
-    )
-
-
-def gamma_bar(x1: float, r1: float, x2: float, r2: float) -> Contour:
-    """Positively oriented stadium: left half-circle at x1, right at x2."""
-    if x1 >= x2:
-        raise DomainError(f"need x1 < x2, got {x1}, {x2}")
-    if r1 <= 0 or r2 <= 0:
-        raise DomainError("radii must be positive")
-    return Contour(
-        pieces=(
-            Arc(complex(x2, 0.0), r2, -math.pi / 2, math.pi / 2),
-            Segment(complex(x2, r2), complex(x1, r1)),
-            Arc(complex(x1, 0.0), r1, math.pi / 2, 3 * math.pi / 2),
-            Segment(complex(x1, -r1), complex(x2, -r2)),
-        ),
-        closed=True,
-    )
-
-
-def airy_wedge_in(vertex: complex = 1.0 + 0j, length: float = 8.0) -> Contour:
-    """Wedge through vertex at angles +-pi/3, oriented with increasing Im."""
-    return Contour(
-        pieces=(
-            Ray(vertex, -math.pi / 3, length, direction=-1),
-            Ray(vertex, math.pi / 3, length, direction=1),
-        ),
-        closed=False,
-    )
-
-
-def airy_wedge_out(vertex: complex = 0j, length: float = 8.0) -> Contour:
-    """Wedge through vertex at angles +-2pi/3, oriented with increasing Im."""
-    return Contour(
-        pieces=(
-            Ray(vertex, -2 * math.pi / 3, length, direction=-1),
-            Ray(vertex, 2 * math.pi / 3, length, direction=1),
-        ),
-        closed=False,
-    )
-
-
-@dataclass(frozen=True)
-class StdContours:
-    """Default instances of the named contour families for one parameter set."""
-
-    c1_rho: Contour
-    gamma_m10: Contour
-    gamma_mtau0: Contour
-    mb_w_circle: Contour
-
-
-def standard_contours(params: ModelParams) -> StdContours:
-    return StdContours(
-        c1_rho=c1_rho(params),
-        gamma_m10=gamma_m10(params),
-        gamma_mtau0=gamma_mtau0(params),
-        mb_w_circle=mb_w_circle(params),
-    )
+            outside(tau * r[b], r[a], "image of 0-circle b must stay outside 0-circle a")
+            outside(tau * tau - tau * s[b], r[a], "image of -tau circle b must stay outside 0-circle a")
+            outside(tau * (1.0 - tau), s[a] + tau * s[b], "image of -tau circle b must stay outside -tau circle a")
+            outside(tau - tau * r[b], s[a], "image of 0-circle b must stay outside -tau circle a")

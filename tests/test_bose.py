@@ -198,6 +198,11 @@ class TestCollapsedMoment:
         b = bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, rule)
         assert abs(a.value - b.value) < 1e-12
 
+    def test_node_counts_one_entry_per_axis(self):
+        # The k strings of length one span the largest grid: k axes.
+        assert len(bose.she_halfflat_moment_collapsed(2, 0.3, 0.6, 0.5).node_counts) == 2
+        assert len(bose.she_halfflat_moment_collapsed(3, 0.3, 0.6, 0.0).node_counts) == 3
+
     def test_values_real_positive(self):
         for k in (1, 2, 3):
             val = bose.she_halfflat_moment_collapsed(k, 0.4, 0.9, 0.0)

@@ -193,6 +193,14 @@ class TestCtmcCommand:
         assert code == 2
         assert "states" in err
 
+    def test_numerical_failure_exits_two(self, capsys):
+        # lambda t = 800 is past the range of exp(-lambda t), so the
+        # uniformization series cannot converge: a typed refusal, exit 2.
+        code, _, err = run_cli(
+            ["ctmc-oracle", "--tau", "0.5", "--window=-1,2", "--t", "800"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "converge" in err
+
     def test_window_is_required(self, capsys):
         code, _, err = run_cli(["ctmc-oracle", "--tau", "0.5", "--t", "0.1"], capsys)
         assert code == 2

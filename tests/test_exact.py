@@ -336,6 +336,19 @@ class TestHalfflatMoments:
             ex.halfflat_nu(5, 6, 2, 0.5, EV)
 
 
+class TestNodeCounts:
+    """node_counts has one entry per integration axis of the largest grid summed."""
+
+    def test_one_entry_per_integration_axis(self):
+        floor = EV.rule.nodes_per_piece
+        half = ex.halfflat_moment(2, 3, 0.7, EV).node_counts
+        part = ex.partition_moment(4, 2, 0.0, make_ev(0.3)).node_counts
+        assert len(half) == 2 and len(set(half)) == 1 and half[0] >= floor
+        assert len(part) == 4 and len(set(part)) == 1 and part[0] >= floor
+        assert len(ex.nested_moment(2, 3, 0.7, EV).node_counts) == 2
+        assert ex.halfflat_moment(0, 3, 0.7, EV).node_counts == ()
+
+
 class TestTauLaplace:
     def test_series_at_zero_argument_is_one(self):
         assert abs(ex.tau_laplace_series(0.0, 2, 0.5, 10, EV) - 1.0) < 1e-14

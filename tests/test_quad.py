@@ -1,67 +1,81 @@
-"""Tests for contour construction and deterministic quadrature."""
+"""Tests for the quadrature layer: node builders, radii and the tensor engine."""
 
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy
 
+import asep_exact
+from asep_exact import airy as am
+from asep_exact import exact as ex
+from asep_exact import quad
 from asep_exact.qfunc import DomainError, ModelParams
 from asep_exact.quad import (
-    Arc,
-    Circle,
-    Contour,
     CostGuardError,
     QuadratureRule,
-    Ray,
-    Segment,
-    airy_wedge_in,
-    airy_wedge_out,
-    c1_rho,
+    _validate_nested,
     c1_rho_radius,
-    contour_nodes,
-    d_theta_m,
-    gamma_bar,
-    gamma_m10,
-    gamma_mtau0,
-    integrate_closed,
-    integrate_path,
-    integrate_path_result,
-    integrate_product,
-    mb_line,
-    mb_w_circle,
-    nested_contours,
+    circle_axis,
+    gl_panels,
     nested_radii,
-    pairwise_sum,
-    pole_clearance,
-    standard_contours,
+    tensor_result,
 )
 
-UNIT = Circle(0j, 1.0)
-RULE = QuadratureRule()
+UNIT = circle_axis([(0j, 1.0, 64)])
+EV = ex.EvalParams(params=ModelParams.from_tau(0.5))
+
+
+def ones(a, b, za, zb):
+    return np.ones((za.shape[0], zb.shape[1]))
+
+
+def contour_sum(f, axis) -> complex:
+    """(1/2 pi i) times the integral of f over one axis, through the engine."""
+    return tensor_result([axis], lambda a, z: f(z), ones, 1.0, "probe").value
+
+
+def clearance(trace, points) -> float:
+    """Minimum distance from any listed point to the sampled contour trace."""
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    return float(np.min(np.abs(trace[:, None] - pts[None, :])))
+
+
+def production_circles(monkeypatch, call) -> list:
+    """The (center, radius, n) pieces an evaluator builds while running call()."""
+    seen = []
+
+    def record(pieces):
+        seen.extend(pieces)
+        return circle_axis(pieces)
+
+    monkeypatch.setattr(ex, "circle_axis", record)
+    call()
+    return seen
 
 
 class TestClosedCircle:
     def test_residue_of_inverse(self):
-        assert integrate_closed(lambda z: 1.0 / z, UNIT, 64) == pytest.approx(1.0, abs=1e-12)
+        assert contour_sum(lambda z: 1.0 / z, UNIT) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_integrand_vanishes(self):
-        assert integrate_closed(lambda z: z**2, UNIT, 64) == pytest.approx(0.0, abs=1e-12)
+        assert contour_sum(lambda z: z**2, UNIT) == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_pole(self):
-        val = integrate_closed(lambda z: 1.0 / (z - 0.3), UNIT, 64)
-        assert val == pytest.approx(1.0, abs=1e-12)
+        assert contour_sum(lambda z: 1.0 / (z - 0.3), UNIT) == pytest.approx(1.0, abs=1e-12)
 
     def test_orientation_flip(self):
-        cw = Circle(0j, 1.0, orientation=-1)
-        val = integrate_closed(lambda z: 1.0 / z, cw, 64)
-        assert val == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_too_few_nodes(self):
-        with pytest.raises(DomainError):
-            integrate_closed(lambda z: 1.0 / z, UNIT, 4)
+        # Nodes run counterclockwise and the weights give winding +1 on the
+        # full and the half grid; negated weights are the clockwise rule.
+        z = UNIT["z"]
+        assert np.all(np.diff(np.unwrap(np.angle(z))) > 0)
+        assert np.sum(UNIT["w"] / z) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(UNIT["w_half"] / UNIT["z_half"]) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(-UNIT["w"] / z) == pytest.approx(-1.0, abs=1e-12)
 
     def test_nan_propagates_as_evaluation_error(self):
         def bad(z):
@@ -70,152 +84,139 @@ class TestClosedCircle:
             return out
 
         with pytest.raises(ArithmeticError):
-            integrate_closed(bad, UNIT, 64)
+            contour_sum(bad, UNIT)
 
-    def test_two_residues_inside_gamma_m10(self):
-        params = ModelParams.from_tau(0.5)
-        contour = gamma_m10(params)
-        circle = contour.pieces[0]
-        val = integrate_closed(lambda z: 1.0 / z + 1.0 / (z + 1.0), circle, 256)
+    def test_two_residues_inside_gamma_m10(self, monkeypatch):
+        (piece,) = production_circles(monkeypatch, lambda: ex.halfflat_nu(1, 1, 3, 0.7, EV))
+        center, radius, _ = piece
+        axis = circle_axis([(center, radius, 256)])
+        val = contour_sum(lambda z: 1.0 / z + 1.0 / (z + 1.0), axis)
         assert val == pytest.approx(2.0, abs=1e-12)
+
+    def test_odd_counts_round_up_to_even(self):
+        axis = circle_axis([(0j, 1.0, 63), (2.0 + 0j, 0.5, 9)])
+        assert axis["z"].size == 64 + 10
+        assert axis["z_half"].size == 32 + 5
 
 
 class TestPathQuadrature:
     def test_mb_line_geometric_series(self):
+        # Panels on Re s = 1/2 with weights for ds/(2 pi i), as the
+        # Mellin-Barnes route builds them.
         zeta = -0.3
-        line = mb_line()
-
-        def f(s):
-            return np.pi / np.sin(-np.pi * s) * np.exp(s * np.log(-zeta))
-
-        val = integrate_path(f, line, RULE)
+        half_width = 14.0
+        y, wy = gl_panels(-half_width, half_width, math.ceil(2.0 * half_width / 0.8))
+        s, w = 0.5 + 1j * y, wy / (2.0 * math.pi)
+        val = np.sum(np.pi / np.sin(-np.pi * s) * np.exp(s * np.log(-zeta)) * w)
         assert val.imag == pytest.approx(0.0, abs=1e-10)
         assert val.real == pytest.approx(zeta / (1.0 - zeta), abs=1e-8)
 
-    def test_keyhole_matches_vertical_line(self):
-        zeta = -0.3
-        contour = d_theta_m(theta=0.7, m=2.5, im_cut=16.0)
-
-        def f(s):
-            return np.pi / np.sin(-np.pi * s) * np.exp(s * np.log(-zeta))
-
-        val = integrate_path(f, contour, RULE)
-        assert val.real == pytest.approx(zeta / (1.0 - zeta), abs=1e-8)
-
     def test_airy_wedge_at_origin(self):
-        contour = airy_wedge_in(vertex=1.0 + 0j, length=8.0)
-        val = integrate_path(lambda u: np.exp(u**3 / 3.0), contour, RULE)
+        z, w = am._wedge_axis(1.0, math.pi / 3.0, 8.0, 64)
+        val = np.sum(np.exp(z**3 / 3.0) * w)
         assert val.real == pytest.approx(0.3550280538878172, abs=1e-10)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_airy_wedge_against_scipy(self):
         for x in (0.5, 1.0, 2.0):
-            contour = airy_wedge_in(vertex=max(1.0, math.sqrt(x)) + 0j, length=10.0)
-            val = integrate_path(lambda u: np.exp(u**3 / 3.0 - x * u), contour, RULE)
+            z, w = am._wedge_axis(max(1.0, math.sqrt(x)), math.pi / 3.0, 10.0, 64)
+            val = np.sum(np.exp(z**3 / 3.0 - x * z) * w)
             assert val.real == pytest.approx(float(scipy_airy(x)[0]), abs=1e-11)
 
     def test_outgoing_wedge_airy_representation(self):
         # Ai(x) also arises from the exp(-v^3/3 + x v) weight on the
         # outgoing wedge traversed upward.
         x = 0.7
-        contour = airy_wedge_out(vertex=0j, length=10.0)
-        val = integrate_path(lambda v: np.exp(-(v**3) / 3.0 + x * v), contour, RULE)
+        z, w = am._wedge_axis(0.0, 2.0 * math.pi / 3.0, 10.0, 64)
+        val = np.sum(np.exp(-(z**3) / 3.0 + x * z) * w)
         assert val.real == pytest.approx(float(scipy_airy(x)[0]), abs=1e-11)
 
     def test_err_estimate_brackets_node_doubling(self):
-        params = ModelParams.from_tau(0.5)
-        contour = c1_rho(params)
+        rho = c1_rho_radius(ModelParams.from_tau(0.5))
 
         def f(z):
             return np.exp(0.7 * (1.0 - z) / (1.0 - 0.5 * z)) / (z - 1.0)
 
-        res = integrate_path_result(f, contour, RULE)
-        fine = integrate_path(f, contour, QuadratureRule(nodes_per_piece=128))
-        assert abs(fine - res.value) < 10.0 * res.err_estimate + 1e-14
+        coarse = tensor_result([circle_axis([(1.0, rho, 64)])], lambda a, z: f(z), ones, 1.0, "probe")
+        fine = contour_sum(f, circle_axis([(1.0, rho, 128)]))
+        assert abs(fine - coarse.value) < 10.0 * coarse.err_estimate + 1e-14
 
-    def test_ray_truncation_warning(self):
-        # Constant integrand never decays, so the tail cut cannot trigger.
-        contour = Contour(pieces=(Ray(0j, 0.0, 10.0),), closed=False)
-        res = integrate_path_result(lambda z: np.ones_like(z), contour, RULE)
-        assert res.warnings
-        assert "tail" in res.warnings[0]
+    def test_panels_integrate_polynomials_exactly(self):
+        x, w = gl_panels(-1.0, 2.0, 3)
+        assert x.size == 48
+        assert np.all(np.diff(x) > 0)
+        assert np.sum(w * x**31) == pytest.approx((2.0**32 - 1.0) / 32.0, rel=1e-13)
 
 
 class TestTensorProduct:
     def test_double_pole_product(self):
-        res = integrate_product(lambda a, b: 1.0 / (a * b), (Contour((UNIT,), True),) * 2, RULE)
+        res = tensor_result([UNIT] * 2, lambda a, z: 1.0 / z, ones, 1.0, "probe")
         assert res.value == pytest.approx(1.0, abs=1e-13)
+        assert res.node_counts == (64, 64)
 
     def test_antisymmetric_vanishes(self):
-        res = integrate_product(
-            lambda a, b: (a - b) / (a * b) ** 2, (Contour((UNIT,), True),) * 2, RULE
-        )
+        res = tensor_result([UNIT] * 2, lambda a, z: z**-2.0, lambda a, b, za, zb: za - zb, 1.0, "probe")
         assert abs(res.value) < 1e-13
 
     def test_triple_separable(self):
-        res = integrate_product(
-            lambda a, b, c: 1.0 / (a * b * c), (Contour((UNIT,), True),) * 3,
-            QuadratureRule(nodes_per_piece=32),
-        )
+        axis = circle_axis([(0j, 1.0, 32)])
+        res = tensor_result([axis] * 3, lambda a, z: 1.0 / z, ones, 1.0, "probe")
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_permutation_consistency(self):
         params = ModelParams.from_tau(0.5)
-        c1, c2 = nested_contours(2, params)
+        tau = params.tau
+        r, s = nested_radii(2, params)
+        c1, c2 = (circle_axis([(0j, r[a], 128), (-tau + 0j, s[a], 128)]) for a in range(2))
 
-        def f(y1, y2):
-            cross = (y1 - y2) / (y1 - params.tau * y2)
-            return cross / (y1 * y2)
+        def cross(ya, yb):
+            return (ya - yb) / (ya - tau * yb)
 
-        direct = integrate_product(f, (c1, c2), RULE).value
-        swapped = integrate_product(lambda a, b: f(b, a), (c2, c1), RULE).value
-        assert abs(direct - swapped) < 1e-13
+        def diag(a, y):
+            return 1.0 / y
+
+        direct = tensor_result([c1, c2], diag, lambda a, b, ya, yb: cross(ya, yb), 1.0, "probe")
+        swapped = tensor_result([c2, c1], diag, lambda a, b, ya, yb: cross(yb, ya), 1.0, "probe")
+        assert abs(direct.value - swapped.value) < 1e-13
 
     def test_rejects_large_order(self):
+        axis = circle_axis([(0j, 1.0, 8)])
         with pytest.raises(CostGuardError):
-            integrate_product(lambda *zs: 1.0, (Contour((UNIT,), True),) * 5, RULE)
+            tensor_result([axis] * 6, lambda a, z: 1.0 / z, ones, 1.0, "probe")
 
     def test_rejects_oversized_grid(self):
-        contours = (Contour((UNIT,), True),) * 4
+        axis = circle_axis([(0j, 1.0, 512)])
         with pytest.raises(CostGuardError) as err:
-            integrate_product(
-                lambda a, b, c, d: 1.0 / (a * b * c * d),
-                contours,
-                QuadratureRule(nodes_per_piece=512),
-                max_points=1 << 20,
-            )
+            tensor_result([axis] * 4, lambda a, z: 1.0 / z, ones, 1.0, "probe", max_points=1 << 20)
         assert "budget" in str(err.value)
 
     def test_err_estimate_tracks_node_doubling(self):
         params = ModelParams.from_tau(0.5)
-        contour = c1_rho(params)
+        rho = c1_rho_radius(params)
 
-        def f(a, b):
-            cross = (a - b) / (a - params.tau * b)
-            ess = np.exp(0.5 * (1.0 - a) / (1.0 - params.tau * a))
-            return cross * ess / ((a - 1.0) * (b - 1.0))
+        def diag(a, z):
+            if a == 0:
+                return np.exp(0.5 * (1.0 - z) / (1.0 - params.tau * z)) / (z - 1.0)
+            return 1.0 / (z - 1.0)
 
-        res = integrate_product(f, (contour, contour), QuadratureRule(nodes_per_piece=96))
-        fine = integrate_product(f, (contour, contour), QuadratureRule(nodes_per_piece=192))
+        def pair(a, b, za, zb):
+            return (za - zb) / (za - params.tau * zb)
+
+        res = tensor_result([circle_axis([(1.0, rho, 96)])] * 2, diag, pair, 1.0, "probe")
+        fine = tensor_result([circle_axis([(1.0, rho, 192)])] * 2, diag, pair, 1.0, "probe")
         assert abs(fine.value - res.value) < 10.0 * res.err_estimate + 1e-14
 
 
-class TestPairwiseSum:
-    def test_matches_plain_sum(self):
-        rng = np.random.default_rng(7)
-        vals = rng.normal(size=257) + 1j * rng.normal(size=257)
-        assert pairwise_sum(vals) == pytest.approx(complex(np.sum(vals)), abs=1e-12)
-
-    def test_empty(self):
-        assert pairwise_sum([]) == 0j
+def nested_axis(r, s, tau, n):
+    """The two-circle axis nested_moment integrates on, at n nodes per piece."""
+    return circle_axis([(0j, float(r), n), (-tau + 0j, float(s), n)])
 
 
 class TestNestedContours:
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
     def test_pieces_inside_half_power_disk(self, tau):
-        params = ModelParams.from_tau(tau)
-        (contour,) = nested_contours(1, params)
-        z, _ = contour_nodes(contour, QuadratureRule(nodes_per_piece=256))
+        r, s = nested_radii(1, ModelParams.from_tau(tau))
+        z = nested_axis(r[0], s[0], tau, 256)["z"]
         assert np.max(np.abs(z)) < tau**0.5 - 1e-6
 
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
@@ -230,148 +231,126 @@ class TestNestedContours:
 
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
     def test_image_poles_clear_inner_contours(self, tau):
-        params = ModelParams.from_tau(tau)
-        contours = nested_contours(3, params)
-        probe = QuadratureRule(nodes_per_piece=128)
+        r, s = nested_radii(3, ModelParams.from_tau(tau))
         for a in range(3):
+            trace = nested_axis(r[a], s[a], tau, 720)["z"]
             for b in range(a + 1, 3):
-                zb, _ = contour_nodes(contours[b], probe)
-                assert pole_clearance(contours[a], tau * zb) > 1e-6
+                zb = nested_axis(r[b], s[b], tau, 128)["z"]
+                assert clearance(trace, tau * zb) > 1e-6
 
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
     def test_branch_points_clear_all_contours(self, tau):
-        params = ModelParams.from_tau(tau)
-        for contour in nested_contours(3, params):
-            assert pole_clearance(contour, [tau**0.5, -(tau**0.5)]) > 1e-6
+        r, s = nested_radii(3, ModelParams.from_tau(tau))
+        for a in range(3):
+            trace = nested_axis(r[a], s[a], tau, 720)["z"]
+            assert clearance(trace, [tau**0.5, -(tau**0.5)]) > 1e-6
 
     def test_pieces_are_disjoint(self):
-        params = ModelParams.from_tau(0.5)
-        for contour in nested_contours(3, params):
-            zero_piece, tau_piece = contour.pieces
-            gap = abs(zero_piece.center - tau_piece.center)
-            assert gap > zero_piece.radius + tau_piece.radius + 1e-6
+        tau = 0.5
+        r, s = nested_radii(3, ModelParams.from_tau(tau))
+        for a in range(3):
+            assert tau > r[a] + s[a] + 1e-6
 
     def test_radius_underflow_rejected(self):
         params = ModelParams.from_tau(0.3)
         with pytest.raises(DomainError):
-            nested_contours(40, params)
+            nested_radii(40, params)
 
-    def test_enclosed_points(self):
-        # Innermost contour still winds once around 0 and once around -tau.
-        params = ModelParams.from_tau(0.5)
-        contours = nested_contours(3, params)
-        z, w = contour_nodes(contours[0], QuadratureRule(nodes_per_piece=128))
-        for pole in (0j, -params.tau + 0j):
-            winding = np.sum(w / (z - pole))
-            assert winding == pytest.approx(1.0, abs=1e-10)
+    def test_enclosed_points(self, monkeypatch):
+        # The innermost production axis still winds once around 0 and once
+        # around -tau.
+        tau = EV.params.tau
+        pieces = production_circles(monkeypatch, lambda: ex.nested_moment(3, 3, 0.7, EV))
+        axis = circle_axis(pieces[:2])
+        z, w = axis["z"], axis["w"]
+        for pole in (0j, -tau + 0j):
+            assert np.sum(w / (z - pole)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_production_route_integrates_on_validated_radii(self, monkeypatch):
+        checked = []
+
+        def spy(r, s, tau):
+            checked.append((tuple(r), tuple(s)))
+            _validate_nested(r, s, tau)
+
+        monkeypatch.setattr(quad, "_validate_nested", spy)
+        pieces = production_circles(monkeypatch, lambda: ex.nested_moment(2, 3, 0.7, EV))
+        radii = [radius for _, radius, _ in pieces]
+        assert checked == [(tuple(radii[0::2]), tuple(radii[1::2]))]
+
+    @pytest.mark.parametrize(
+        "r,s",
+        [((0.2, 0.2), (0.05, 0.05)), ((0.01, 0.02), (0.2, 0.2)), ((0.4, 0.4), (0.2, 0.2))],
+    )
+    def test_validation_refuses_overlapping_schedules(self, r, s):
+        with pytest.raises(DomainError):
+            _validate_nested(np.array(r), np.array(s), 0.5)
+
+    def test_small_tau_schedule_is_accepted(self):
+        # The 0-radii shrink like tau^(1.5 k) (about 5e-9 at tau = 0.01,
+        # k = 3), so the margins are relative; the route stays accurate.
+        ev = ex.EvalParams(params=ModelParams.from_tau(0.01))
+        a = ex.nested_moment(3, 3, 0.7, ev)
+        b = ex.partition_moment(3, 3, 0.7, ev)
+        assert abs(a.value - b.value) < 1e-6 * abs(b.value)
 
 
 class TestStandardContours:
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
     def test_c1_rho_excludes_pole_families(self, tau):
-        params = ModelParams.from_tau(tau)
-        contour = c1_rho(params)
-        z, _ = contour_nodes(contour, QuadratureRule(nodes_per_piece=360))
+        rho = c1_rho_radius(ModelParams.from_tau(tau))
+        z = circle_axis([(1.0 + 0j, rho, 360)])["z"]
+        trace = circle_axis([(1.0 + 0j, rho, 720)])["z"]
         for pts in (tau * z, z / tau, 1.0 / (tau * z), [tau**-0.5, -(tau**-0.5), 1.0 / tau]):
-            assert pole_clearance(contour, pts) > 1e-6
+            assert clearance(trace, pts) > 1e-6
 
-    def test_c1_rho_default_radius(self):
-        params = ModelParams.from_tau(0.5)
-        rho = c1_rho_radius(params)
+    def test_c1_rho_default_radius(self, monkeypatch):
+        rho = c1_rho_radius(EV.params)
         assert 0 < rho < min(0.5**-0.5 - 1.0, (1.0 - 0.5) / (1.0 + 0.5))
-        circle = c1_rho(params).pieces[0]
-        assert circle.center == 1.0 + 0j
-        assert circle.radius == pytest.approx(rho)
+        pieces = production_circles(monkeypatch, lambda: ex.qtilde_moments((2,), 0.5, EV))
+        assert [(c, r) for c, r, _ in pieces] == [(1.0 + 0j, rho)]
 
-    def test_c1_rho_rejects_out_of_window(self):
-        params = ModelParams.from_tau(0.5)
-        with pytest.raises(DomainError):
-            c1_rho(params, rho=0.45)
+    def test_gamma_m10_sandwiched(self, monkeypatch):
+        (piece,) = production_circles(monkeypatch, lambda: ex.halfflat_nu(1, 1, 3, 0.7, EV))
+        assert piece[0] == 0j
+        assert 1.0 < piece[1] < 0.5**-0.5
 
-    def test_gamma_m10_sandwiched(self):
-        params = ModelParams.from_tau(0.5)
-        circle = gamma_m10(params).pieces[0]
-        assert 1.0 < circle.radius < 0.5**-0.5
-        with pytest.raises(DomainError):
-            gamma_m10(params, radius=2.0)
+    def test_mb_w_circle_inside_quarter_power(self, monkeypatch):
+        (piece,) = production_circles(
+            monkeypatch, lambda: ex._mb_diag_grid(-0.3, 3, 0.7, EV, 1e-9, panel_width=0.8)
+        )
+        assert piece[0] == 0j
+        assert 1.0 < piece[1] < 0.5**-0.25
 
-    def test_mb_w_circle_inside_quarter_power(self):
-        params = ModelParams.from_tau(0.5)
-        circle = mb_w_circle(params).pieces[0]
-        assert 1.0 < circle.radius < 0.5**-0.25
-
-    def test_gamma_mtau0_sandwiched(self):
-        params = ModelParams.from_tau(0.5)
-        circle = gamma_mtau0(params).pieces[0]
-        assert params.tau < circle.radius < params.tau**0.5
-        val = integrate_closed(lambda z: 1.0 / z + 1.0 / (z + params.tau), circle, 320)
+    def test_gamma_mtau0_sandwiched(self, monkeypatch):
+        tau = EV.params.tau
+        (piece,) = production_circles(monkeypatch, lambda: ex.partition_moment(1, 3, 0.7, EV))
+        center, radius, _ = piece
+        assert tau < radius < tau**0.5
+        val = contour_sum(lambda z: 1.0 / z + 1.0 / (z + tau), circle_axis([(center, radius, 320)]))
         assert val == pytest.approx(2.0, abs=1e-12)
 
-    def test_standard_bundle(self):
-        params = ModelParams.from_tau(0.4)
-        std = standard_contours(params)
-        assert std.c1_rho.closed and std.gamma_m10.closed
-        assert std.gamma_mtau0.closed and std.mb_w_circle.closed
-
-    def test_keyhole_piece_chain(self):
-        contour = d_theta_m(theta=1.0, m=3.0, im_cut=20.0)
-        assert len(contour.pieces) == 6
-        ray_lo, seg_a, seg_b, seg_c, seg_d, ray_hi = contour.pieces
-        assert isinstance(ray_lo, Ray) and ray_lo.direction == -1
-        assert seg_a.z0 == 3.0 - 1.0j and seg_a.z1 == 0.5 - 1.0j
-        assert seg_b.z0 == 0.5 - 1.0j and seg_b.z1 == 0.5 + 0.0j
-        assert seg_c.z0 == 0.5 + 0.0j and seg_c.z1 == 0.5 + 1.0j
-        assert seg_d.z0 == 0.5 + 1.0j and seg_d.z1 == 3.0 + 1.0j
-        assert isinstance(ray_hi, Ray) and ray_hi.direction == 1
-
-    def test_keyhole_rejects_bad_window(self):
-        with pytest.raises(DomainError):
-            d_theta_m(theta=0.0, m=3.0)
-        with pytest.raises(DomainError):
-            d_theta_m(theta=1.0, m=0.4)
-        with pytest.raises(DomainError):
-            d_theta_m(theta=10.0, m=3.0, im_cut=5.0)
-
-    def test_stadium_contour_winding(self):
-        contour = gamma_bar(-1.0, 0.4, 0.5, 0.3)
-        assert contour.closed
-        z, w = contour_nodes(contour, QuadratureRule(nodes_per_piece=96))
-        for pole, expect in ((-1.0 + 0j, 1.0), (0.5 + 0j, 1.0), (2.0 + 0j, 0.0)):
-            winding = np.sum(w / (z - pole))
-            assert winding == pytest.approx(expect, abs=1e-9)
-
-    def test_stadium_rejects_bad_geometry(self):
-        with pytest.raises(DomainError):
-            gamma_bar(1.0, 0.3, -1.0, 0.3)
-        with pytest.raises(DomainError):
-            gamma_bar(-1.0, -0.3, 1.0, 0.3)
-
     def test_wedge_orientations(self):
-        inc = airy_wedge_in(vertex=1.0 + 0j, length=5.0)
-        z, _ = contour_nodes(inc, QuadratureRule(nodes_per_piece=32))
+        z, _ = am._wedge_axis(1.0, math.pi / 3.0, 5.0, 32)
         assert np.all(np.diff(z.imag) > 0)
-        out = airy_wedge_out(vertex=0j, length=5.0)
-        z, _ = contour_nodes(out, QuadratureRule(nodes_per_piece=32))
+        z, _ = am._wedge_axis(0.0, 2.0 * math.pi / 3.0, 5.0, 32)
         assert np.all(np.diff(z.imag) > 0)
 
 
 class TestPieceValidation:
-    def test_rejects_zero_radius(self):
-        with pytest.raises(DomainError):
-            Circle(0j, 0.0)
-
-    def test_rejects_empty_arc(self):
-        with pytest.raises(DomainError):
-            Arc(0j, 1.0, 0.3, 0.3)
-
-    def test_rejects_degenerate_segment(self):
-        with pytest.raises(DomainError):
-            Segment(1j, 1j)
-
     def test_rejects_bad_rule(self):
         with pytest.raises(DomainError):
             QuadratureRule(nodes_per_piece=4)
 
-    def test_rejects_empty_contour(self):
-        with pytest.raises(DomainError):
-            Contour(pieces=())
+
+class TestLayerScope:
+    def test_every_export_has_a_production_user(self):
+        # quad holds only what the evaluators use: a helper that only tests
+        # import does not belong here.
+        package = Path(asep_exact.__file__).parent
+        sources = [p.read_text() for p in package.glob("*.py") if p.name != "quad.py"]
+        unused = [
+            name for name in quad.__all__
+            if not any(re.search(rf"\b{re.escape(name)}\b", src) for src in sources)
+        ]
+        assert unused == []
