@@ -7,8 +7,11 @@ real intervals use composite 16-point Gauss-Legendre panels, which callers
 map onto their own vertical lines, wedge rays and chamber axes.
 
 k-fold integrals of prod_a d_a(z_a) prod_{a<b} P_ab(z_a, z_b) over such axes
-go through one engine that contracts the factors with np.einsum, once on the
-full grid and once on the half grid.
+go through one engine, once on the full grid and once on the half grid.  It
+contracts the weighted diagonals d_a and the pair matrices P_ab with BLAS
+matrix products: k = 2 is d_0 P_01 d_1, k = 3 is one GEMM, and k >= 4 loops
+over the nodes of one axis down to k = 3.  On N nodes per axis that is
+O(N^k) flops in O(k^2 N^2) memory; no N^3 intermediate is ever built.
 
 Circle weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
@@ -38,6 +41,8 @@ __all__ = [
     "nested_radii",
 ]
 
+# Bounds the grid points, and so the flops, of one tensor sum; memory is only
+# the N x N pair matrices.
 DEFAULT_MAX_POINTS = 1 << 30
 
 
@@ -122,13 +127,36 @@ def gl_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
 # Tensor-product engine.
 
 
-_EINSUM_LETTERS = "ijklm"
+MAX_AXES = 5
+
+
+def _contract(d, pairs) -> complex:
+    """Sum of prod_a d[a] prod_{a<b} pairs[a, b] over the grid, by BLAS products.
+
+    k <= 3 axes take at most one GEMM; k >= 4 loops over the nodes of axis 0,
+    folds row i of each pairs[0, a] into d[a], and recurses on the rest, so
+    N^k multiply-adds run as N^(k-3) GEMMs with only N x N temporaries.
+    """
+    k = len(d)
+    if k == 1:
+        return np.sum(d[0])
+    if k == 2:
+        return d[0] @ pairs[0, 1] @ d[1]
+    if k == 3:
+        outer = d[0][:, None] * pairs[0, 1] * d[1][None, :]
+        return np.sum(outer * ((pairs[0, 2] * d[2]) @ pairs[1, 2].T))
+    folded = [d[a] * pairs[0, a] for a in range(1, k)]
+    rest = {(a - 1, b - 1): p for (a, b), p in pairs.items() if a > 0}
+    total = 0j
+    for i in range(d[0].size):
+        total += d[0][i] * _contract([f[i] for f in folded], rest)
+    return total
 
 
 def _grid_eval(axes, diag_fn, pair_fn, max_points: int, half: bool) -> complex:
     k = len(axes)
-    if k > len(_EINSUM_LETTERS):
-        raise CostGuardError(f"tensor evaluation supports at most {len(_EINSUM_LETTERS)} axes, got {k}")
+    if k > MAX_AXES:
+        raise CostGuardError(f"tensor evaluation supports at most {MAX_AXES} axes, got {k}")
     key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
     sizes = [axes[a][key_z].size for a in range(k)]
     if math.prod(sizes) > max_points:
@@ -136,21 +164,13 @@ def _grid_eval(axes, diag_fn, pair_fn, max_points: int, half: bool) -> complex:
             f"tensor grid of {math.prod(sizes)} points exceeds budget {max_points} "
             f"(axes: {sizes})"
         )
-    operands = []
-    subs = []
-    for a in range(k):
-        operands.append(diag_fn(a, axes[a][key_z]) * axes[a][key_w])
-        subs.append(_EINSUM_LETTERS[a])
-    for a in range(k):
-        for b in range(a + 1, k):
-            za = axes[a][key_z][:, None]
-            zb = axes[b][key_z][None, :]
-            operands.append(pair_fn(a, b, za, zb))
-            subs.append(_EINSUM_LETTERS[a] + _EINSUM_LETTERS[b])
-    if k == 1:
-        total = complex(np.sum(operands[0]))
-    else:
-        total = complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+    d = [diag_fn(a, axes[a][key_z]) * axes[a][key_w] for a in range(k)]
+    pairs = {
+        (a, b): pair_fn(a, b, axes[a][key_z][:, None], axes[b][key_z][None, :])
+        for a in range(k)
+        for b in range(a + 1, k)
+    }
+    total = complex(_contract(d, pairs))
     if cmath.isnan(total):
         raise ArithmeticError("integrand returned NaN on the grid")
     return total

@@ -262,6 +262,15 @@ class TestPartitionMoment:
         val = ex.partition_moment(5, 2, 0.0, ev)
         assert abs(val.value - 0.2**5) < 1e-6
 
+    def test_depth_five_matches_generator_oracle(self):
+        # tau=0.1 keeps the shared axis at 64 nodes, so the 64^5 grid fits the
+        # default budget; the oracle solves the generator on the window.
+        ev = make_ev(0.1)
+        val = ex.partition_moment(5, 0, 1.0, ev)
+        oracle = ctmc_exact_expectation(Observable.tau_pow_N(5, 0), 1.0, ev.params, (-12, 14))
+        assert val.node_counts == (64,) * 5
+        assert abs(val.value - oracle) < 1e-8
+
     def test_depth_five_refused_at_default_budget(self):
         with pytest.raises(CostGuardError, match="budget"):
             ex.partition_moment(5, 2, 0.0, make_ev(0.2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from pathlib import Path
@@ -178,6 +179,44 @@ class TestTensorProduct:
         direct = tensor_result([c1, c2], diag, lambda a, b, ya, yb: cross(ya, yb), 1.0, "probe")
         swapped = tensor_result([c2, c1], diag, lambda a, b, ya, yb: cross(yb, ya), 1.0, "probe")
         assert abs(direct.value - swapped.value) < 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_brute_force_sum(self, k):
+        # Random complex factors on axes of distinct sizes, with non-symmetric
+        # pair matrices, so a transposed pair factor or a swapped axis changes
+        # the sum.  Factors are keyed by axis size, which differs between the
+        # full and the half grid.
+        rng = np.random.default_rng(k)
+        axes = [circle_axis([(0j, 1.0, 2 * n)]) for n in (3, 4, 5, 6, 7)[:k]]
+        diag, pair = {}, {}
+        for half in (False, True):
+            sizes = [axis["z_half" if half else "z"].size for axis in axes]
+            for a, n in enumerate(sizes):
+                diag[a, n] = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for a, b in itertools.combinations(range(k), 2):
+                shape = (sizes[a], sizes[b])
+                pair[a, b, shape] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        def brute_force(half):
+            key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
+            sizes = [axis[key_z].size for axis in axes]
+            d = [diag[a, n] * axes[a][key_w] for a, n in enumerate(sizes)]
+            total = 0j
+            for idx in itertools.product(*(range(n) for n in sizes)):
+                term = math.prod(d[a][idx[a]] for a in range(k))
+                for a, b in itertools.combinations(range(k), 2):
+                    term *= pair[a, b, (sizes[a], sizes[b])][idx[a], idx[b]]
+                total += term
+            return total
+
+        sums = quad.tensor_sums(
+            axes,
+            lambda a, z: diag[a, z.size],
+            lambda a, b, za, zb: pair[a, b, (za.shape[0], zb.shape[1])],
+        )
+        for half in (False, True):
+            expected = brute_force(half)
+            assert abs(sums[half] - expected) < 1e-12 * abs(expected)
 
     def test_rejects_large_order(self):
         axis = circle_axis([(0j, 1.0, 8)])
