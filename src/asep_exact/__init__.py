@@ -2,11 +2,11 @@
 
 Subpackages by role:
 
-- qfunc: q-deformed special functions (Pochhammer, q-Gamma, q-exponential,
-  and the single/pair integrand weights).
+- qfunc: q-deformed special functions (Pochhammer, q-factorial, q-binomial,
+  q-exponential, and the single/pair integrand weights).
 - quad: the quadrature layer: trapezoid circle axes, Gauss-Legendre
   panels, contour radii, and the tensor-product engine.
-- sim: event-driven simulator and an exact finite-window CTMC oracle.
+- sim: block Monte Carlo simulator and an exact finite-window CTMC oracle.
 - exact: the moment and generating-function evaluators plus identity checks.
 - bose: attractive delta-interaction moment formulas (continuum limit).
 - airy: the crossover kernel, its Fredholm determinant, and limit oracles.

@@ -85,9 +85,7 @@ __all__ = [
     "NystromGrid",
     "airy_ai",
     "airy_oracles",
-    "fredholm_det",
     "halfflat_limit_cdf",
-    "k2to1",
 ]
 
 
@@ -297,38 +295,6 @@ def _kernel_matrix(
     return kernel
 
 
-def k2to1(lam, lam_prime, spec: KernelSpec):
-    """Crossover kernel K(lambda, lambda') as a double contour integral.
-
-    For x < -2.5 the returned values are a determinant-equivalent conjugate
-    of the direct-contour kernel (the conjugation factor e^{a(lam-lam')}
-    is dropped); Fredholm determinants are unaffected.
-
-    Parameters
-    ----------
-    lam, lam_prime : float or array_like
-        Kernel arguments; broadcast against each other.
-    spec : KernelSpec
-        Contour settings, including the spatial parameter x.
-
-    Returns
-    -------
-    complex or numpy.ndarray
-        Kernel values; the imaginary part is roundoff (conjugate-symmetric
-        node set).
-    """
-    lam_b, lamp_b = np.broadcast_arrays(
-        np.asarray(lam, dtype=float), np.asarray(lam_prime, dtype=float)
-    )
-    lam_u, inv_i = np.unique(lam_b.reshape(-1), return_inverse=True)
-    lamp_u, inv_j = np.unique(lamp_b.reshape(-1), return_inverse=True)
-    matrix = _kernel_matrix(lam_u, lamp_u, spec)
-    flat = matrix[inv_i, inv_j]
-    if lam_b.ndim == 0:
-        return complex(flat[0])
-    return flat.reshape(lam_b.shape)
-
-
 def _nystrom_det(kernel_matrix: np.ndarray, weights: np.ndarray) -> float:
     root = np.sqrt(weights)
     m = root[:, None] * kernel_matrix * root[None, :]
@@ -338,32 +304,6 @@ def _nystrom_det(kernel_matrix: np.ndarray, weights: np.ndarray) -> float:
             f"determinant imaginary part {det.imag:.3e} exceeds {IMAG_TOL}"
         )
     return float(det.real)
-
-
-def fredholm_det(kernel, grid: NystromGrid) -> float:
-    """Nystrom Fredholm determinant det(I - K) on [lower, lower + span].
-
-    Parameters
-    ----------
-    kernel : callable
-        Vectorized two-argument kernel; called once with broadcastable
-        column/row node arrays and must return the full matrix.
-    grid : NystromGrid
-        Quadrature discretization of the truncated domain.
-
-    Returns
-    -------
-    float
-        Real part of det(I - sqrt(w_i) K(x_i, x_j) sqrt(w_j)).
-
-    Raises
-    ------
-    ConsistencyError
-        If the determinant's imaginary part is at least 1e-8.
-    """
-    xi, w = grid.nodes()
-    matrix = np.asarray(kernel(xi[:, None], xi[None, :]), dtype=complex)
-    return _nystrom_det(matrix, w)
 
 
 @lru_cache(maxsize=4)

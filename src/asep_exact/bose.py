@@ -37,7 +37,6 @@ from .quad import MomentResult, QuadratureRule, gl_panels, panel_count, tensor_r
 __all__ = [
     "LADDER_MARGIN",
     "BoseParams",
-    "GammaEval",
     "log_gamma",
     "default_ladder",
     "delta_bose_moment",
@@ -93,27 +92,8 @@ def log_gamma(z):
 
 
 @dataclass(frozen=True)
-class GammaEval:
-    """Accuracy contract for the log-Gamma evaluator."""
-
-    tol: float = 1e-12
-
-    def self_check(self, samples: int = 200, seed: int = 0) -> float:
-        """Max relative residual of the recurrence and reflection identities."""
-        rng = np.random.default_rng(seed)
-        z = rng.uniform(-4.0, 6.0, size=samples) + 1j * rng.uniform(-8.0, 8.0, size=samples)
-        z = z[np.abs(z.imag) > 0.05]
-        rec = np.exp(log_gamma(z + 1.0) - log_gamma(z))
-        refl = np.exp(log_gamma(z) + log_gamma(1.0 - z))
-        target = np.pi / np.sin(np.pi * z)
-        gap_rec = np.abs(rec - z) / np.abs(z)
-        gap_refl = np.abs(refl - target) / np.abs(target)
-        return float(max(gap_rec.max(), gap_refl.max()))
-
-
-@dataclass(frozen=True)
 class BoseParams:
-    """Tilt and contour abscissas for the point-interaction evaluators.
+    """Contour abscissas for the point-interaction evaluators.
 
     alpha_ladder overrides the vertical-line abscissas of the ordered-point
     formula; entries must descend with gaps above one and end positive,
@@ -121,13 +101,10 @@ class BoseParams:
     abscissa of the collapsed equal-point formula.
     """
 
-    theta: float = 0.0
     alpha_ladder: tuple[float, ...] | None = None
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise DomainError(f"need theta >= 0, got {self.theta}")
         if self.alpha < LADDER_MARGIN:
             raise DomainError(f"need alpha > 0, got {self.alpha}")
         if self.alpha_ladder is not None:
@@ -381,8 +358,8 @@ def she_halfflat_moment_collapsed(
     pref_k = 2.0**k * math.factorial(k)
     for ell in range(1, k + 1):
         scale = pref_k / math.factorial(ell)
-        for comp in compositions(k, ell):
-            res = _collapsed_term(comp.parts, x, t, theta, alpha, rule)
+        for parts in compositions(k, ell):
+            res = _collapsed_term(parts, x, t, theta, alpha, rule)
             total += scale * res.value
             err += scale * res.err_estimate
     # The last term, k strings of length one, has the most axes.

@@ -535,7 +535,7 @@ def _cmd_bose(cfg: dict) -> int:
     if kind == "tilted":
         bose = None
         if cfg["ladder"] is not None:
-            bose = BoseParams(theta=theta, alpha_ladder=cfg["ladder"], alpha=cfg["alpha"])
+            bose = BoseParams(alpha_ladder=cfg["ladder"], alpha=cfg["alpha"])
         res = delta_bose_moment(xs, t, theta, bose, rule)
     elif kind == "narrow-wedge":
         if theta != 0.0:
@@ -545,7 +545,7 @@ def _cmd_bose(cfg: dict) -> int:
         if len(xs) != 1:
             raise DomainError("halfflat-collapsed takes a single point in --x")
         res = she_halfflat_moment_collapsed(
-            k, xs[0], t, theta, BoseParams(theta=theta, alpha=cfg["alpha"]), rule)
+            k, xs[0], t, theta, BoseParams(alpha=cfg["alpha"]), rule)
     value, err = _real_with_residual(res.value, res.err_estimate)
     rows = [{"kind": kind, "k": k, "xs": ",".join(_fmt_float(v) for v in xs), "t": t,
              "theta": theta, "value": value, "err": err,

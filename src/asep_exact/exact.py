@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -55,8 +56,6 @@ from .quad import (
 )
 
 __all__ = [
-    "Composition",
-    "Partition",
     "EvalParams",
     "AnsatzReport",
     "compositions",
@@ -64,13 +63,11 @@ __all__ = [
     "eps",
     "eps_tilde",
     "eps_hat",
-    "cauchy_det",
-    "cauchy_det_lu",
     "qtilde_moments",
+    "qtilde_initial",
     "verify_ansatz",
     "nested_moment",
     "partition_moment",
-    "halfflat_nu",
     "halfflat_moment",
     "tau_laplace_series",
     "tau_laplace_mb",
@@ -78,59 +75,17 @@ __all__ = [
     "symmetrization_checks",
 ]
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of positive integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise DomainError(f"composition parts must be >= 1, got {self.parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Nonincreasing positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise DomainError(f"partition parts must be >= 1, got {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise DomainError(f"partition parts must be nonincreasing, got {self.parts}")
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-
-def compositions(m: int, k: int) -> list[Composition]:
+def compositions(m: int, k: int) -> list[tuple[int, ...]]:
     """All ordered k-tuples of positive integers summing to m, lexicographic."""
     if m < 0 or k < 0:
         raise DomainError("need m, k >= 0")
     if k == 0:
-        return [Composition(parts=())] if m == 0 else []
-    out: list[Composition] = []
+        return [()] if m == 0 else []
+    out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], rest: int, slots: int) -> None:
         if slots == 1:
-            out.append(Composition(parts=prefix + (rest,)))
+            out.append(prefix + (rest,))
             return
         for first in range(1, rest - slots + 2):
             rec(prefix + (first,), rest - first, slots - 1)
@@ -140,17 +95,17 @@ def compositions(m: int, k: int) -> list[Composition]:
     return out
 
 
-def partitions_of(k: int) -> list[Partition]:
+def partitions_of(k: int) -> list[tuple[int, ...]]:
     """All partitions of k, parts nonincreasing, lexicographically descending."""
     if k < 0:
         raise DomainError("need k >= 0")
     if k == 0:
-        return [Partition(parts=())]
-    out: list[Partition] = []
+        return [()]
+    out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], rest: int, cap: int) -> None:
         if rest == 0:
-            out.append(Partition(parts=prefix))
+            out.append(prefix)
             return
         for first in range(min(cap, rest), 0, -1):
             rec(prefix + (first,), rest - first, first)
@@ -199,32 +154,6 @@ def eps_tilde(z, params: ModelParams):
 def eps_hat(y, params: ModelParams):
     """eps_tilde evaluated at -y/tau."""
     return eps_tilde(-np.asarray(y, dtype=complex) / params.tau, params)
-
-
-# ---------------------------------------------------------------------------
-# Cauchy determinants det[-1/(u_a - w_b)].
-
-
-def cauchy_det(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Closed-form det[-1/(u_a - w_b)] over the trailing axis of u, w."""
-    u = np.asarray(u, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    k = u.shape[-1]
-    out = np.full(u.shape[:-1], (-1.0) ** k, dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            out = out / (u[..., a] - w[..., b])
-            if b > a:
-                out = out * (u[..., a] - u[..., b]) * (w[..., b] - w[..., a])
-    return out
-
-
-def cauchy_det_lu(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same determinant via LU on explicitly assembled matrices."""
-    u = np.asarray(u, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    mats = -1.0 / (u[..., :, None] - w[..., None, :])
-    return np.linalg.det(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +384,12 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 
     total = 0j
     total_coarse = 0j
-    for lam in partitions_of(k):
-        ell = lam.length
+    for parts in partitions_of(k):
         mult_factor = 1.0
-        for m_a in lam.multiplicities().values():
+        for m_a in Counter(parts).values():
             mult_factor *= math.factorial(m_a)
         pref = (1.0 - tau) ** k / mult_factor
-        axes = [axis] * ell
-        parts = lam.parts
+        axes = [axis] * len(parts)
 
         def diag(a, w, parts=parts):
             la = parts[a]
@@ -507,21 +434,16 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 
 def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     """Composition multisets with their permutation counts."""
-    groups: dict[tuple[int, ...], int] = {}
-    for comp in compositions(m, k):
-        key = tuple(sorted(comp.parts, reverse=True))
-        groups[key] = groups.get(key, 0) + 1
+    groups = Counter(tuple(sorted(comp, reverse=True)) for comp in compositions(m, k))
     return sorted(groups.items(), reverse=True)
 
 
 def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex, float, tuple[int, ...]]:
-    """Order-k term of the composition expansion: value, error, axis sizes."""
+    """Order-k term (k <= m) of the expansion of E[tau^(m N_x)]: value, error, axis sizes."""
     params = ev.params
     tau = params.tau
     if k == 0:
         return (1.0 + 0j, 0.0, ()) if m == 0 else (0j, 0.0, ())
-    if m < k:
-        return 0j, 0.0, ()
     tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
     radius = 0.5 * (1.0 + tau**-0.5)
     n = _gamma_m10_nodes(params, radius, tol, ev.rule.nodes_per_piece)
@@ -553,15 +475,6 @@ def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex,
     scale = 1.0 / math.factorial(k)
     value = scale * total
     return value, abs(value - scale * total_coarse), (axis["z"].size,) * k
-
-
-def halfflat_nu(k: int, m: int, x: int, t: float, ev: EvalParams) -> complex:
-    """One order-k term of the composition expansion of E[tau^(m N_x)]."""
-    if k < 0 or m < 0 or k > 4 or m > 16:
-        raise DomainError(f"need 0 <= k <= 4 and 0 <= m <= 16, got k={k}, m={m}")
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
-    return _nu_eval(k, m, x, t, ev)[0]
 
 
 def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:

@@ -18,10 +18,9 @@ __all__ = [
     "ModelParams",
     "QTruncation",
     "DEFAULT_TRUNC",
+    "MAX_TERMS",
     "poch_inf",
     "poch_finite",
-    "poch_tail_bound",
-    "q_gamma",
     "q_factorial",
     "q_binomial",
     "q_exp",
@@ -82,16 +81,17 @@ class QTruncation:
     """Truncation control for infinite q-products."""
 
     tol: float = 1e-14
-    max_terms: int = 4096
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tol < 1.0):
             raise DomainError(f"need 0 < tol < 1, got {self.tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"need max_terms >= 1, got {self.max_terms}")
 
 
 DEFAULT_TRUNC = QTruncation()
+
+# Most factors one infinite product may take; a tail bound that needs more
+# is refused rather than truncated.
+MAX_TERMS = 4096
 
 
 def _num_terms(a_max: float, q: float, trunc: QTruncation) -> int:
@@ -99,14 +99,12 @@ def _num_terms(a_max: float, q: float, trunc: QTruncation) -> int:
     if a_max == 0.0:
         return 1
     n = math.ceil(math.log(trunc.tol * (1.0 - q) / max(1.0, a_max)) / math.log(q))
-    return int(min(max(n, 1) + 2, trunc.max_terms))
-
-
-def poch_tail_bound(a, q: float, n_terms: int) -> float:
-    """Upper bound on the relative truncation error of an n_terms product."""
-    a_max = float(np.max(np.abs(a))) if np.ndim(a) else abs(a)
-    r = a_max * q**n_terms / (1.0 - q)
-    return math.expm1(r) if r < 1.0 else math.inf
+    n = max(n, 1) + 2
+    if n > MAX_TERMS:
+        raise ArithmeticError(
+            f"q-product at q={q:.6g} needs {n} terms for tol={trunc.tol}, cap is {MAX_TERMS}"
+        )
+    return n
 
 
 def poch_inf(a, q: float, trunc: QTruncation = DEFAULT_TRUNC):
@@ -119,8 +117,13 @@ def poch_inf(a, q: float, trunc: QTruncation = DEFAULT_TRUNC):
     q : float
         Base, strictly inside (0, 1).
     trunc : QTruncation
-        Tolerance and term cap; the product stops once the geometric tail
-        bound drops below trunc.tol.
+        Tolerance; the product stops once the geometric tail bound drops
+        below trunc.tol.
+
+    Raises
+    ------
+    ArithmeticError
+        If that bound needs more than MAX_TERMS factors.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"need 0 < q < 1, got {q}")
@@ -146,34 +149,6 @@ def poch_finite(a, q: float, n: int):
         out = out * (1.0 - qj * arr)
         qj *= q
     return out if np.ndim(a) else complex(out)
-
-
-def q_gamma(x, q: float, trunc: QTruncation = DEFAULT_TRUNC):
-    """q-Gamma function (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf.
-
-    The two infinite products are evaluated jointly in log space; the ratio
-    terms decay like q^n |q^x - q| so the evaluation stays finite even as
-    q -> 1, where each product alone underflows.
-    """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"need 0 < q < 1, got {q}")
-    xarr = np.asarray(x, dtype=complex)
-    qx = np.exp(xarr * math.log(q))
-    scale = float(np.max(np.abs(qx - q))) if xarr.size else 0.0
-    if scale == 0.0:
-        n = 1
-    else:
-        n = math.ceil(math.log(trunc.tol * (1.0 - q) / scale) / math.log(q))
-        n = int(min(max(n, 1) + 2, 500_000))
-    ns = np.arange(n, dtype=float)
-    qn = np.exp(ns * math.log(q))
-    num_factors = -np.expm1((ns + 1.0) * math.log(q))  # 1 - q^{n+1}, exact near 1
-    den_factors = 1.0 - qx[..., None] * qn if xarr.ndim else 1.0 - qx * qn
-    if np.any(np.abs(den_factors) < 1e-13):
-        raise PoleError(f"q_gamma pole at x={x}")
-    log_ratio = np.sum(np.log(num_factors) - np.log(den_factors), axis=-1)
-    out = np.asarray(np.exp((1.0 - xarr) * math.log(1.0 - q) + log_ratio))
-    return out if np.ndim(x) else complex(out)
 
 
 def q_factorial(m: int, q: float) -> float:

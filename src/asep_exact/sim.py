@@ -1,4 +1,4 @@
-"""Event-driven exclusion-process simulator and exact finite-window oracle.
+"""Exclusion-process Monte Carlo and exact finite-window oracle.
 
 Dynamics: each particle carries an exponential clock of total rate one and
 attempts a right jump with probability p, left with probability q = 1 - p;
@@ -6,11 +6,19 @@ attempts blocked by the exclusion rule or the closed window boundary consume
 time (thinning), which realizes the generator exactly.  Half-flat initial
 data occupies every positive even site.
 
-Two independent evaluators of the same dynamics are provided: a Monte Carlo
-engine over splittable counter-based random streams, and an exact
-continuous-time Markov chain expectation on small windows computed by
-uniformization of the truncated generator.  Both serve as ground truth for
-the contour-integral formulas in the exact module.
+Two independent evaluators of the same dynamics:
+
+- mc_expectation steps blocks of MC_BLOCK replicas together, each block on
+  its own counter-based random stream derived from (seed, block), and
+  tracks every replica's net current across the bond between sites 1 and 0
+  for the height observable;
+- ctmc_exact_expectation builds the generator on all configurations of a
+  small closed window and uniformizes it, with Poisson weights taken from a
+  left truncation point so that large lambda t neither underflows nor
+  loses mass.
+
+Both serve as ground truth for the contour-integral formulas in the exact
+module.
 """
 
 from __future__ import annotations
@@ -25,10 +33,7 @@ from scipy import sparse
 from .qfunc import DomainError, ModelParams, q_exp
 
 __all__ = [
-    "LatticeState",
     "Observable",
-    "init_halfflat",
-    "run_until",
     "default_window",
     "mc_expectation",
     "ctmc_exact_expectation",
@@ -38,36 +43,6 @@ __all__ = [
 
 MC_BLOCK = 1 << 16
 CTMC_STATE_CAP = 2_000_000
-
-
-@dataclass
-class LatticeState:
-    """Occupancies on the integer window [left, right] plus the net current.
-
-    flux0 counts signed crossings of the bond between sites 1 and 0: jumps
-    1 -> 0 add one, jumps 0 -> 1 subtract one.
-    """
-
-    left: int
-    right: int
-    occ: np.ndarray
-    flux0: int = 0
-
-    def __post_init__(self) -> None:
-        if self.left >= self.right:
-            raise DomainError(f"need left < right, got [{self.left}, {self.right}]")
-        if self.occ.shape != (self.right - self.left + 1,):
-            raise DomainError("occupancy length must match the window")
-        if np.any((self.occ != 0) & (self.occ != 1)):
-            raise DomainError("occupancies must be 0 or 1")
-
-    def positions(self) -> np.ndarray:
-        """Sorted lattice coordinates of all particles."""
-        return np.flatnonzero(self.occ).astype(np.int64) + self.left
-
-    def count_leq(self, x: int) -> int:
-        """Number of particles at or to the left of x."""
-        return int(np.sum(self.positions() <= x))
 
 
 @dataclass(frozen=True)
@@ -122,66 +97,6 @@ def _check_observable_window(obs: Observable, left: int, right: int) -> None:
         lo = left + 1 if obs.kind == "qtilde_product" else left
         if not (lo <= x <= right):
             raise DomainError(f"observable site {x} outside window [{left}, {right}]")
-
-
-def init_halfflat(window: tuple[int, int]) -> LatticeState:
-    """Occupy every positive even site of the window; empty elsewhere."""
-    left, right = int(window[0]), int(window[1])
-    if not (left <= 0 <= right):
-        raise DomainError(f"window [{left}, {right}] must contain the origin")
-    occ = np.zeros(right - left + 1, dtype=np.int8)
-    for x in range(2, right + 1, 2):
-        occ[x - left] = 1
-    return LatticeState(left=left, right=right, occ=occ, flux0=0)
-
-
-def run_until(
-    state: LatticeState,
-    t: float,
-    params: ModelParams,
-    rng_stream: np.random.Generator,
-    check: bool = False,
-) -> LatticeState:
-    """Evolve one replica in place up to time t and return it.
-
-    The event count over [0, t] is Poisson with mean (number of particles)
-    times t because every particle attempts jumps at total rate one,
-    including suppressed attempts.
-    """
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
-    pos = state.positions()
-    n_part = pos.size
-    if n_part == 0 or t == 0.0:
-        return state
-    n_events = int(rng_stream.poisson(n_part * t))
-    if n_events == 0:
-        return state
-    picks = rng_stream.integers(0, n_part, size=n_events)
-    rights = rng_stream.random(size=n_events) < params.p
-    flux = state.flux0
-    for i in range(n_events):
-        j = picks[i]
-        here = pos[j]
-        if rights[i]:
-            tgt = here + 1
-            blocked = tgt > state.right or (j + 1 < n_part and pos[j + 1] == tgt)
-        else:
-            tgt = here - 1
-            blocked = tgt < state.left or (j > 0 and pos[j - 1] == tgt)
-        if blocked:
-            continue
-        pos[j] = tgt
-        if here == 1 and tgt == 0:
-            flux += 1
-        elif here == 0 and tgt == 1:
-            flux -= 1
-        if check:
-            assert np.all(np.diff(pos) > 0), "exclusion violated"
-    state.occ[:] = 0
-    state.occ[pos - state.left] = 1
-    state.flux0 = flux
-    return state
 
 
 def default_window(obs: Observable, t: float) -> tuple[int, int]:
@@ -346,6 +261,28 @@ def _ranks(configs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
+    """The left truncation point first and the Poisson(mu) weights of first..last.
+
+    Each tail outside [first, last] holds less than 1e-13 (Chernoff bounds
+    exp(-d^2 / (2 mu)) below and exp(-d^2 / (2 (mu + d/3))) above).  The
+    first weight is taken in log space and the rest by the ratio mu / n,
+    then the vector is normalized by its sum (Fox & Glynn, "Computing
+    Poisson probabilities", CACM 1988).  exp(-mu) alone underflows once mu
+    passes about 708; a log-space start is off by about 1e-16 * first *
+    log(mu) relative, which can keep a 1 - 1e-12 mass rule from ever being
+    met, and the normalization removes that error.
+    """
+    spread = math.sqrt(60.0 * mu)
+    first = max(0, math.floor(mu - spread))
+    last = math.ceil(mu + spread + 20.0)
+    weights = np.empty(last - first + 1)
+    weights[0] = math.exp(first * math.log(mu) - mu - math.lgamma(first + 1))
+    for i in range(1, weights.size):
+        weights[i] = weights[i - 1] * (mu / (first + i))
+    return first, weights / weights.sum()
+
+
 def ctmc_exact_expectation(
     obs: Observable,
     t: float,
@@ -355,8 +292,9 @@ def ctmc_exact_expectation(
     """Exact expectation on a closed window via uniformization.
 
     The full generator on all particle configurations of the window is built
-    sparsely; the Poisson series of the uniformized chain is truncated once
-    its cumulative weight reaches 1 - 1e-12.  Deterministic.
+    sparsely; the Poisson series of the uniformized chain starts at the left
+    truncation point of _poisson_weights and stops once its cumulative
+    weight reaches 1 - 1e-12.  Deterministic.
     """
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
@@ -414,17 +352,15 @@ def ctmc_exact_expectation(
     v = np.zeros(n_states, dtype=np.float64)
     v[init_rank] = 1.0
 
-    mu = lam * t
-    weight = math.exp(-mu)
-    acc = weight * float(v @ values)
-    cum = weight
-    n_term = 0
-    while cum < 1.0 - 1e-12:
-        n_term += 1
+    first, weights = _poisson_weights(lam * t)
+    for _ in range(first):
         v = kernel.T @ v
-        weight *= mu / n_term
+    acc = 0.0
+    cum = 0.0
+    for weight in weights.tolist():
         acc += weight * float(v @ values)
         cum += weight
-        if n_term > 100 * (mu + 10):
-            raise ArithmeticError("uniformization series failed to converge")
-    return acc
+        if cum >= 1.0 - 1e-12:
+            return acc
+        v = kernel.T @ v
+    raise ArithmeticError("uniformization series failed to converge")

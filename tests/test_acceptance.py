@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from asep_exact.airy import CBRT2, KernelSpec, NystromGrid, airy_oracles, fredholm_det, halfflat_limit_cdf, k2to1
+from asep_exact.airy import CBRT2, KernelSpec, NystromGrid, airy_oracles, halfflat_limit_cdf
 from asep_exact.bose import (
     delta_bose_moment,
     narrow_wedge_moment,
@@ -218,9 +218,8 @@ def test_criterion_7_continuum_moment_checks():
 def test_criterion_8_crossover_determinant_properties():
     start = time.monotonic()
 
-    spec0 = KernelSpec(x=0.0)
-    unit_gap = abs(fredholm_det(lambda a, b: k2to1(a, b, spec0),
-                                NystromGrid(lower=20.0)) - 1.0)
+    # r = 20 / 2^{1/3} puts the Nystrom grid on [20, 30].
+    unit_gap = abs(halfflat_limit_cdf(0.0, 20.0 / CBRT2) - 1.0)
 
     worst_decrease = 0.0
     for x in (-4.0, 0.0, 4.0):

@@ -138,6 +138,16 @@ class TestMomentCommand:
         assert code == 2
 
 
+    def test_numerical_failure_exits_two(self, capsys):
+        # At tau = 0.999 one q-product would need 39,127 factors, past the
+        # cap: a typed refusal, exit 2, not a truncated value.
+        code, out, err = run_cli(
+            ["moment", "--tau", "0.999", "--k", "1", "--x=0", "--t", "0.5",
+             "--method", "halfflat"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cap is 4096" in err
+
+
 class TestSimulateCommand:
     def test_time_zero_is_deterministic(self, capsys):
         code, out, _ = run_cli(
@@ -193,13 +203,14 @@ class TestCtmcCommand:
         assert code == 2
         assert "states" in err
 
-    def test_numerical_failure_exits_two(self, capsys):
-        # lambda t = 800 is past the range of exp(-lambda t), so the
-        # uniformization series cannot converge: a typed refusal, exit 2.
-        code, _, err = run_cli(
+    def test_large_lambda_t_reaches_stationary_law(self, capsys):
+        # lambda t = 800 is past the range of exp(-lambda t); one particle
+        # on [-1, 2] has relaxed to pi(x) ~ tau^x, where E[tau^(N_0)] = 0.6.
+        code, out, _ = run_cli(
             ["ctmc-oracle", "--tau", "0.5", "--window=-1,2", "--t", "800"], capsys)
-        assert code == 2
-        assert err.startswith("error:") and "converge" in err
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert abs(float(rows[0]["mean"]) - 0.6) < 1e-9
 
     def test_window_is_required(self, capsys):
         code, _, err = run_cli(["ctmc-oracle", "--tau", "0.5", "--t", "0.1"], capsys)

@@ -81,8 +81,7 @@ class TestRates:
 
 class TestEnumeration:
     def test_compositions_lexicographic(self):
-        got = [c.parts for c in ex.compositions(4, 2)]
-        assert got == [(1, 3), (2, 2), (3, 1)]
+        assert ex.compositions(4, 2) == [(1, 3), (2, 2), (3, 1)]
 
     def test_composition_counts(self):
         for m in range(1, 8):
@@ -90,12 +89,12 @@ class TestEnumeration:
                 assert len(ex.compositions(m, k)) == math.comb(m - 1, k - 1)
 
     def test_compositions_degenerate(self):
-        assert [c.parts for c in ex.compositions(0, 0)] == [()]
+        assert ex.compositions(0, 0) == [()]
         assert ex.compositions(3, 0) == []
         assert ex.compositions(2, 3) == []
 
     def test_partitions_descending(self):
-        got = [p.parts for p in ex.partitions_of(5)]
+        got = ex.partitions_of(5)
         assert got[0] == (5,)
         assert got[-1] == (1, 1, 1, 1, 1)
         assert len(got) == 7
@@ -103,37 +102,11 @@ class TestEnumeration:
         assert got == sorted(got, reverse=True)
 
     def test_partitions_of_zero(self):
-        assert [p.parts for p in ex.partitions_of(0)] == [()]
-
-    def test_partition_accessors(self):
-        lam = ex.Partition(parts=(2, 2, 1))
-        assert lam.length == 3
-        assert lam.weight == 5
-        assert lam.multiplicities() == {2: 2, 1: 1}
+        assert ex.partitions_of(0) == [()]
 
     def test_invalid_parts_rejected(self):
         with pytest.raises(DomainError):
-            ex.Composition(parts=(2, 0))
-        with pytest.raises(DomainError):
-            ex.Partition(parts=(1, 2))
-        with pytest.raises(DomainError):
             ex.compositions(-1, 2)
-
-
-class TestCauchyDeterminant:
-    def test_closed_form_matches_lu(self):
-        rng = np.random.default_rng(7)
-        for k in (2, 3, 4):
-            u = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
-            w = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
-            a = ex.cauchy_det(u, w)
-            b = ex.cauchy_det_lu(u, w)
-            assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
-
-    def test_scalar_case(self):
-        u = np.array([2.0 + 1j])
-        w = np.array([0.5 - 1j])
-        assert abs(ex.cauchy_det(u, w) - (-1.0 / (u[0] - w[0]))) < 1e-15
 
 
 class TestQtildeMoments:
@@ -283,11 +256,6 @@ class TestPartitionMoment:
 
 
 class TestHalfflatMoments:
-    def test_expansion_term_degenerate_cases(self):
-        assert ex.halfflat_nu(0, 0, 2, 0.5, EV) == pytest.approx(1.0)
-        assert ex.halfflat_nu(0, 3, 2, 0.5, EV) == 0.0
-        assert ex.halfflat_nu(3, 2, 2, 0.5, EV) == 0.0
-
     @pytest.mark.parametrize("tau", [0.3, 0.6])
     def test_time_zero_exactness_grid(self, tau):
         ev = make_ev(tau)
@@ -341,8 +309,6 @@ class TestHalfflatMoments:
             ex.halfflat_moment(5, 2, 0.5, EV)
         with pytest.raises(DomainError):
             ex.halfflat_moment(2, 2, -0.5, EV)
-        with pytest.raises(DomainError):
-            ex.halfflat_nu(5, 6, 2, 0.5, EV)
 
 
 class TestNodeCounts:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from asep_exact.qfunc import (
     DEFAULT_TRUNC,
+    MAX_TERMS,
     DomainError,
     ModelParams,
     PoleError,
@@ -24,7 +25,6 @@ from asep_exact.qfunc import (
     q_binomial,
     q_exp,
     q_factorial,
-    q_gamma,
 )
 
 RNG = np.random.default_rng(20260825)
@@ -72,33 +72,15 @@ class TestPochInf:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
 
     def test_loose_truncation_still_bounded(self):
-        trunc = QTruncation(tol=1e-6, max_terms=64)
+        trunc = QTruncation(tol=1e-6)
         got = poch_inf(0.5, 0.5, trunc)
         assert abs(got - brute_poch(0.5, 0.5, 200)) < 1e-6
 
-
-class TestQGamma:
-    def test_at_one(self):
-        assert q_gamma(1.0, 0.5) == pytest.approx(1.0, abs=1e-14)
-
-    def test_at_two(self):
-        assert q_gamma(2.0, 0.5) == pytest.approx(1.0, abs=1e-14)
-
-    def test_classical_limit(self):
-        assert q_gamma(3.0, 0.999) == pytest.approx(2.0, abs=1e-2)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            q_gamma(0.0, 0.5)
-        with pytest.raises(PoleError):
-            q_gamma(-2.0, 0.5)
-
-    @given(x=st.floats(min_value=0.05, max_value=5.0), q=st.sampled_from([0.3, 0.5, 0.8]))
-    @settings(max_examples=60, deadline=None)
-    def test_functional_equation(self, x, q):
-        lhs = q_gamma(x + 1.0, q)
-        rhs = (1.0 - q**x) / (1.0 - q) * q_gamma(x, q)
-        assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
+    def test_term_cap_refuses_instead_of_truncating(self):
+        # At q = 0.999 the tail bound needs 39,127 factors, far past the cap.
+        assert MAX_TERMS == 4096
+        with pytest.raises(ArithmeticError, match="needs 39127 terms"):
+            poch_inf(0.5, 0.999)
 
 
 class TestQFactorialBinomial:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import itertools
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestClosedCircle:
             contour_sum(bad, UNIT)
 
     def test_two_residues_inside_gamma_m10(self, monkeypatch):
-        (piece,) = production_circles(monkeypatch, lambda: ex.halfflat_nu(1, 1, 3, 0.7, EV))
+        (piece,) = production_circles(monkeypatch, lambda: ex.halfflat_moment(1, 3, 0.7, EV))
         center, radius, _ = piece
         axis = circle_axis([(center, radius, 256)])
         val = contour_sum(lambda z: 1.0 / z + 1.0 / (z + 1.0), axis)
@@ -350,7 +351,7 @@ class TestStandardContours:
         assert [(c, r) for c, r, _ in pieces] == [(1.0 + 0j, rho)]
 
     def test_gamma_m10_sandwiched(self, monkeypatch):
-        (piece,) = production_circles(monkeypatch, lambda: ex.halfflat_nu(1, 1, 3, 0.7, EV))
+        (piece,) = production_circles(monkeypatch, lambda: ex.halfflat_moment(1, 3, 0.7, EV))
         assert piece[0] == 0j
         assert 1.0 < piece[1] < 0.5**-0.5
 
@@ -382,14 +383,48 @@ class TestPieceValidation:
             QuadratureRule(nodes_per_piece=4)
 
 
+def _uses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name a module loads, reads as an attribute or imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((alias.name, node.lineno) for alias in node.names)
+    return found
+
+
 class TestLayerScope:
-    def test_every_export_has_a_production_user(self):
-        # quad holds only what the evaluators use: a helper that only tests
-        # import does not belong here.
+    # eps, the jump-rate symbol itself, is the reference that test_exact
+    # compares eps_tilde and eps_hat against; the evaluators use those two.
+    EXEMPT = {"exact": {"eps"}}
+
+    @pytest.mark.parametrize("layer", ["qfunc", "quad", "exact", "bose", "airy", "sim"])
+    def test_every_export_has_a_production_user(self, layer):
+        # src/ holds only what the commands run: every name a module exports
+        # is used somewhere in the package beyond its own definition (a
+        # docstring mention does not count), and every public function or
+        # class is exported, so nothing escapes this check.
         package = Path(asep_exact.__file__).parent
-        sources = [p.read_text() for p in package.glob("*.py") if p.name != "quad.py"]
+        trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+        home = trees[layer]
+        module = importlib.import_module(f"asep_exact.{layer}")
+        defs = {
+            node.name: range(node.lineno, node.end_lineno + 1)
+            for node in home.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        unlisted = [n for n in defs if not n.startswith("_") and n not in module.__all__]
+        assert unlisted == []
+        uses = [(mod, name, line) for mod, tree in trees.items() for name, line in _uses(tree)]
         unused = [
-            name for name in quad.__all__
-            if not any(re.search(rf"\b{re.escape(name)}\b", src) for src in sources)
+            name for name in module.__all__
+            if name not in self.EXEMPT.get(layer, set())
+            and not any(
+                used == name and (mod != layer or line not in defs.get(name, ()))
+                for mod, used, line in uses
+            )
         ]
         assert unused == []

@@ -2,93 +2,54 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from asep_exact.qfunc import DomainError, ModelParams, q_exp
 from asep_exact.sim import (
-    LatticeState,
     Observable,
     ctmc_exact_expectation,
     default_window,
-    init_halfflat,
     mc_expectation,
-    run_until,
 )
 
 PARAMS = ModelParams.from_tau(0.5)
 
 
-def flux_height(state: LatticeState, x: int) -> int:
-    """Height at x built from the tracked current and signed occupancies."""
-    hat = 2 * state.occ.astype(int) - 1
-    if x > 0:
-        span = hat[1 - state.left : x + 1 - state.left]
-        return 2 * state.flux0 + int(np.sum(span))
-    if x == 0:
-        return 2 * state.flux0
-    span = hat[x + 1 - state.left : 1 - state.left]
-    return 2 * state.flux0 - int(np.sum(span))
+def both_oracles(obs: Observable, t: float, window: tuple[int, int]) -> tuple[float, float]:
+    """Monte Carlo mean and CTMC value of obs on the same window."""
+    mean, _ = mc_expectation(obs, t, PARAMS, 200, seed=1, window=window)
+    return mean, ctmc_exact_expectation(obs, t, PARAMS, window)
 
 
 class TestInitHalfflat:
+    """Half-flat initial data, as both simulators build it independently."""
+
     def test_positive_evens_occupied(self):
-        state = init_halfflat((-4, 6))
-        assert list(state.positions()) == [2, 4, 6]
-        assert state.flux0 == 0
+        # eta_x tau^(N_{x-1}) at t = 0 is tau^(x/2 - 1) on positive even
+        # sites and 0 elsewhere.
+        for x in range(-3, 7):
+            expected = 0.5 ** (x // 2 - 1) if x > 0 and x % 2 == 0 else 0.0
+            for got in both_oracles(Observable.qtilde_product((x,)), 0.0, (-4, 6)):
+                assert got == pytest.approx(expected, abs=1e-15)
 
     def test_small_window_has_no_particles(self):
-        state = init_halfflat((-2, 1))
-        assert state.positions().size == 0
+        for got in both_oracles(Observable.tau_pow_N(1, 0), 0.5, (-2, 1)):
+            assert got == 1.0
 
     def test_initial_counts_follow_floor(self):
-        state = init_halfflat((-6, 9))
         for x in range(0, 10):
-            assert state.count_leq(x) == x // 2
+            for got in both_oracles(Observable.tau_pow_N(1, x), 0.0, (-6, 9)):
+                assert got == pytest.approx(0.5 ** (x // 2), abs=1e-15)
 
     def test_window_must_contain_origin(self):
+        obs = Observable.tau_pow_N(1, 3)
         with pytest.raises(DomainError):
-            init_halfflat((1, 5))
-
-
-class TestRunUntil:
-    def test_zero_time_is_identity(self):
-        state = init_halfflat((-4, 6))
-        before = state.occ.copy()
-        run_until(state, 0.0, PARAMS, np.random.default_rng(3))
-        assert np.array_equal(state.occ, before)
-        assert state.flux0 == 0
-
-    def test_left_only_drift_reaches_boundary(self):
-        # With the right rate ~0, the single particle at 2 walks to the
-        # closed left boundary, crossing the 1 -> 0 bond exactly once.
-        params = ModelParams(p=1e-12, q=1.0 - 1e-12)
-        state = init_halfflat((-2, 2))
-        run_until(state, 60.0, params, np.random.default_rng(11))
-        assert list(state.positions()) == [-2]
-        assert state.flux0 == 1
-
-    def test_exclusion_preserved_over_many_events(self):
-        state = init_halfflat((-8, 10))
-        rng = np.random.default_rng(5)
-        run_until(state, 2e5, PARAMS, rng, check=True)
-        assert int(np.sum(state.occ)) == 5
-        assert np.all(state.occ <= 1)
-
-    def test_flux_height_identity_pathwise(self):
-        # All particles start right of the origin, so the current-based
-        # height coincides with 2 N_x - x at every site and sampled time.
-        rng = np.random.default_rng(17)
-        for t in (0.3, 0.9, 2.0):
-            state = init_halfflat((-20, 22))
-            run_until(state, t, PARAMS, rng)
-            for x in range(-6, 9):
-                assert flux_height(state, x) == 2 * state.count_leq(x) - x
-
-    def test_negative_time_rejected(self):
-        state = init_halfflat((-4, 6))
+            mc_expectation(obs, 0.5, PARAMS, 200, seed=1, window=(1, 5))
         with pytest.raises(DomainError):
-            run_until(state, -1.0, PARAMS, np.random.default_rng(0))
+            ctmc_exact_expectation(obs, 0.5, PARAMS, (1, 5))
 
 
 class TestMCExpectation:
@@ -132,6 +93,25 @@ class TestMCExpectation:
     def test_site_outside_window_rejected(self):
         with pytest.raises(DomainError):
             mc_expectation(Observable.tau_pow_N(1, 12), 1.0, PARAMS, 200, seed=0, window=(-6, 6))
+
+    def test_negative_time_rejected(self):
+        obs = Observable.tau_pow_N(1, 0)
+        with pytest.raises(DomainError):
+            mc_expectation(obs, -1.0, PARAMS, 200, seed=0)
+        with pytest.raises(DomainError):
+            ctmc_exact_expectation(obs, -1.0, PARAMS, (-4, 6))
+
+    def test_left_only_drift_crosses_origin_bond(self):
+        # With the right rate ~0, the single particle at 2 walks to the
+        # closed left boundary, crossing the 1 -> 0 bond exactly once, so
+        # every replica has N_{-2} = 1 and height 2 * current = 2 at 0.
+        params = ModelParams(p=1e-12, q=1.0 - 1e-12)
+        window = (-2, 2)
+        mean, stderr = mc_expectation(Observable.tau_pow_N(1, -2), 60.0, params, 200, 11, window)
+        assert mean == pytest.approx(params.tau, rel=1e-12) and stderr < 1e-20
+        for threshold, expected in ((2.0, 1.0), (3.0, 0.0)):
+            obs = Observable.height_indicator(0, threshold)
+            assert mc_expectation(obs, 60.0, params, 200, 11, window)[0] == expected
 
     def test_default_window_scales_with_time(self):
         lo, hi = default_window(Observable.tau_pow_N(1, 3), 2.0)
@@ -178,16 +158,17 @@ class TestCTMCOracle:
         mean, stderr = mc_expectation(obs, 0.4, PARAMS, 40000, seed=3, window=window)
         assert abs(mean - exact_val) < 4.0 * max(stderr, 1e-4)
 
-
-class TestLatticeState:
-    def test_rejects_bad_window(self):
-        with pytest.raises(DomainError):
-            LatticeState(left=3, right=3, occ=np.zeros(1, dtype=np.int8))
-
-    def test_rejects_double_occupancy(self):
-        with pytest.raises(DomainError):
-            LatticeState(left=0, right=2, occ=np.array([0, 2, 0], dtype=np.int8))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(DomainError):
-            LatticeState(left=0, right=2, occ=np.zeros(5, dtype=np.int8))
+    def test_large_lambda_t_matches_stationary_law(self):
+        # 4 particles, so lambda t = 1600: exp(-lambda t) underflows, and
+        # the chain has relaxed to its reversible law pi ~ tau^(sum of
+        # positions), brute-forced here over all C(15, 4) = 1,365 states.
+        tau = PARAMS.tau
+        weight = total = 0.0
+        for sites in itertools.combinations(range(-6, 9), 4):
+            pi = tau ** sum(sites)
+            weight += pi
+            total += pi * tau ** sum(1 for y in sites if y <= 0)
+        stationary = total / weight
+        assert stationary == pytest.approx(0.06979583117160558, rel=1e-14)
+        got = ctmc_exact_expectation(Observable.tau_pow_N(1, 0), 400.0, PARAMS, (-6, 8))
+        assert abs(got - stationary) < 1e-9
