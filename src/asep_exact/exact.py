@@ -456,9 +456,13 @@ def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex,
 
         def diag(a, w, parts=parts):
             na = parts[a]
+            # germ_g at integer order: (-w;tau)_na / (tau^na w^2;tau)_na.
+            g_den = poch_finite(tau**na * w**2, tau, na)
+            if np.any(np.abs(g_den) < 1e-250):
+                raise PoleError(f"germ_g pole at n={na}")
             return (
                 germ_f(w, na, site, t, params)
-                * germ_g(w, na, tau, ev.trunc)
+                * (poch_finite(-w, tau, na) / g_den)
                 * (-1.0 / (w * (tau**na - 1.0)))
             )
 
@@ -467,7 +471,7 @@ def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex,
             ua = tau**na * wa
             ub = tau**nb * wb
             cross = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
-            return cross * germ_h(wa, wb, na, nb, tau, ev.trunc)
+            return cross * germ_h(wa, wb, na, nb, tau)
 
         fine, coarse = tensor_sums([axis] * k, diag, pair, ev.max_points)
         total += count * fine
@@ -577,8 +581,9 @@ def _mb_diag_grid(zeta, x, t, ev, tol, panel_width):
     sine = np.pi / np.sin(-np.pi * s_nodes)
     power = np.exp(s_nodes * np.log(-zeta))
     tau_s = np.exp(s_nodes * math.log(tau))
-    f_grid = germ_f(w_nodes[None, :], s_nodes[:, None], x + 1, t, params)
+    # germ_g first: its first q-product is w-only, so a cap refusal precedes the grids.
     g_grid = germ_g(w_nodes[None, :], s_nodes[:, None], tau, ev.trunc)
+    f_grid = germ_f(w_nodes[None, :], s_nodes[:, None], x + 1, t, params)
     det_diag = -1.0 / (w_nodes[None, :] * (tau_s[:, None] - 1.0))
     a_grid = (
         (sine * power * s_weights)[:, None] * f_grid * g_grid * det_diag * w_weights[None, :]

@@ -27,7 +27,6 @@ __all__ = [
     "germ_f",
     "germ_g",
     "germ_h",
-    "germ_h0",
 ]
 
 
@@ -138,10 +137,14 @@ def poch_inf(a, q: float, trunc: QTruncation = DEFAULT_TRUNC):
     return out if np.ndim(a) else complex(out)
 
 
+def _check_order(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"need an integer order n >= 0, got {n!r}")
+
+
 def poch_finite(a, q: float, n: int):
     """Finite q-Pochhammer symbol prod_{j=0}^{n-1} (1 - q^j a)."""
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
+    _check_order(n)
     arr = np.asarray(a)
     out = np.ones_like(arr, dtype=complex)
     qj = 1.0
@@ -228,24 +231,16 @@ def germ_g(w, n, tau: float, trunc: QTruncation = DEFAULT_TRUNC):
     return out if (np.ndim(w) or np.ndim(n)) else complex(out)
 
 
-def germ_h0(z, n1, n2, tau: float, trunc: QTruncation = DEFAULT_TRUNC):
-    """Pair weight in its single-argument form.
+def germ_h(w1, w2, n1: int, n2: int, tau: float):
+    """Pair weight (z;tau)_{n1} / (tau^{n2} z;tau)_{n1} with z = w1 w2.
 
-    (z;tau)_inf (tau^{n1+n2} z;tau)_inf
-    / ((tau^{n1} z;tau)_inf (tau^{n2} z;tau)_inf).
+    For nonnegative integer orders this equals the ratio, symmetric in
+    (n1, n2), (z;tau)_inf (tau^{n1+n2} z;tau)_inf
+    / ((tau^{n1} z;tau)_inf (tau^{n2} z;tau)_inf), with n1 factors over n1.
     """
-    zarr = np.asarray(z, dtype=complex)
-    t1 = _tau_pow(n1, tau)
-    t2 = _tau_pow(n2, tau)
-    num = poch_inf(zarr, tau, trunc) * poch_inf(t1 * t2 * zarr, tau, trunc)
-    den = poch_inf(t1 * zarr, tau, trunc) * poch_inf(t2 * zarr, tau, trunc)
+    _check_order(n2)
+    z = np.asarray(w1, dtype=complex) * np.asarray(w2, dtype=complex)
+    den = poch_finite(tau**n2 * z, tau, n1)
     if np.any(np.abs(den) < 1e-250):
-        raise PoleError(f"germ_h0 pole at z={z}")
-    out = np.asarray(num / den)
-    scalar = not (np.ndim(z) or np.ndim(n1) or np.ndim(n2))
-    return complex(out) if scalar else out
-
-
-def germ_h(w1, w2, n1, n2, tau: float, trunc: QTruncation = DEFAULT_TRUNC):
-    """Pair weight; depends on its two w arguments only through w1*w2."""
-    return germ_h0(np.asarray(w1, dtype=complex) * np.asarray(w2, dtype=complex), n1, n2, tau, trunc)
+        raise PoleError(f"germ_h pole at n1={n1}, n2={n2}")
+    return poch_finite(z, tau, n1) / den

@@ -139,11 +139,12 @@ class TestMomentCommand:
 
 
     def test_numerical_failure_exits_two(self, capsys):
-        # At tau = 0.999 one q-product would need 39,127 factors, past the
-        # cap: a typed refusal, exit 2, not a truncated value.
+        # At tau = 0.999 the Mellin-Barnes route's complex-order q-product
+        # would need 39,127 factors, past the cap: a typed refusal, exit 2,
+        # not a truncated value.
         code, out, err = run_cli(
-            ["moment", "--tau", "0.999", "--k", "1", "--x=0", "--t", "0.5",
-             "--method", "halfflat"], capsys)
+            ["laplace", "--tau", "0.999", "--zeta=-0.2", "--x", "0", "--t", "0.5",
+             "--rep", "mb", "--k-max", "1"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "cap is 4096" in err
 

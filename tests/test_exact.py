@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asep_exact import exact as ex
+from asep_exact import qfunc
 from asep_exact.qfunc import (
     DomainError,
     ModelParams,
@@ -309,6 +310,40 @@ class TestHalfflatMoments:
             ex.halfflat_moment(5, 2, 0.5, EV)
         with pytest.raises(DomainError):
             ex.halfflat_moment(2, 2, -0.5, EV)
+
+
+class TestHalfflatNearOne:
+    """Integer-order weights are finite products, so tau near 1 stays cheap.
+
+    An infinite q-product at tau = 0.999 would need 39,127 factors; the
+    composition route needs at most m per weight.
+    """
+
+    @pytest.mark.parametrize("k,tau,x,t", [(1, 0.999, 0, 0.5), (2, 0.97, 3, 0.7)])
+    def test_three_routes_agree(self, k, tau, x, t):
+        ev = make_ev(tau)
+        vals = [f(k, x, t, ev).value
+                for f in (ex.halfflat_moment, ex.nested_moment, ex.partition_moment)]
+        scale = max(abs(v) for v in vals)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert abs(vals[i] - vals[j]) <= 1e-8 * scale
+
+    def test_composition_route_takes_no_infinite_product(self, monkeypatch):
+        calls = []
+        real = qfunc.poch_inf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qfunc, "poch_inf", counted)
+        monkeypatch.setattr(ex, "poch_inf", counted, raising=False)
+        ex.halfflat_moment(3, 3, 0.893, make_ev(0.7))
+        assert calls == []
+        # The counter is live: a complex-order weight still takes the products.
+        qfunc.germ_g(0.3, 0.5 + 1j, 0.7)
+        assert len(calls) == 4
 
 
 class TestNodeCounts:

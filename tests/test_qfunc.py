@@ -19,7 +19,6 @@ from asep_exact.qfunc import (
     germ_f,
     germ_g,
     germ_h,
-    germ_h0,
     poch_finite,
     poch_inf,
     q_binomial,
@@ -35,6 +34,16 @@ def brute_poch(a: complex, q: float, terms: int) -> complex:
     for n in range(terms):
         out *= 1.0 - q**n * a
     return out
+
+
+def four_poch_pair(z, s1, s2, tau: float) -> complex:
+    """The pair weight as its ratio of four infinite products, for real orders.
+
+    (z;tau)_inf (tau^(s1+s2) z;tau)_inf / ((tau^s1 z;tau)_inf (tau^s2 z;tau)_inf)
+    """
+    t1, t2 = tau**s1, tau**s2
+    num = poch_inf(z, tau) * poch_inf(t1 * t2 * z, tau)
+    return num / (poch_inf(t1 * z, tau) * poch_inf(t2 * z, tau))
 
 
 class TestPochInf:
@@ -81,6 +90,20 @@ class TestPochInf:
         assert MAX_TERMS == 4096
         with pytest.raises(ArithmeticError, match="needs 39127 terms"):
             poch_inf(0.5, 0.999)
+
+
+class TestPochFinite:
+    def test_against_brute_product(self):
+        assert poch_finite(0.5, 0.5, 3) == pytest.approx(brute_poch(0.5, 0.5, 3), abs=1e-15)
+        assert poch_finite(0.5, 0.5, 0) == 1.0
+
+    def test_numpy_integer_order_accepted(self):
+        assert poch_finite(0.5, 0.5, np.int64(3)) == poch_finite(0.5, 0.5, 3)
+
+    @pytest.mark.parametrize("n", [2.0, 0.5, -1, np.float64(2.0)])
+    def test_non_integer_or_negative_order_rejected(self, n):
+        with pytest.raises(DomainError):
+            poch_finite(0.5, 0.5, n)
 
 
 class TestQFactorialBinomial:
@@ -212,15 +235,24 @@ class TestGermH:
         assert germ_h(0.0, 0.7, 2, 4, 0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_finite_rewrite(self):
-        # (z;tau)_{n1} / (tau^{n2} z;tau)_{n1} for integer orders.
+        # (z;tau)_{n1} / (tau^{n2} z;tau)_{n1} is the four-product ratio at
+        # integer orders.
         tau = 0.5
         for _ in range(10):
             z = 1.2 * np.exp(2j * np.pi * RNG.uniform())
             n1, n2 = int(RNG.integers(1, 5)), int(RNG.integers(1, 5))
-            expect = complex(poch_finite(z, tau, n1)) / complex(
-                poch_finite(tau**n2 * z, tau, n1)
-            )
-            assert abs(germ_h0(z, n1, n2, tau) - expect) < 1e-12
+            expect = four_poch_pair(z, n1, n2, tau)
+            assert abs(germ_h(z / 1j, 1j, n1, n2, tau) - expect) < 1e-12
+
+    @pytest.mark.parametrize("n1, n2", [(0.5, 1), (1, 0.5), (-1, 2), (2, -1)])
+    def test_non_integer_order_rejected(self, n1, n2):
+        with pytest.raises(DomainError):
+            germ_h(0.3, 0.2, n1, n2, 0.5)
+
+    def test_pole_raises(self):
+        # (tau^{n2} z;tau)_{n1} vanishes at z = tau^{-n2}.
+        with pytest.raises(PoleError):
+            germ_h(4.0, 1.0, 1, 2, 0.5)
 
     @given(
         re1=st.floats(-0.9, 0.9),
@@ -255,7 +287,7 @@ class TestConcavityProperties:
     def test_profile(self, tau, s):
         s1, s2 = s
         xs = np.linspace(0.0, 1.0, 41)
-        vals = np.array([germ_h0(x, s1, s2, tau) for x in xs])
+        vals = np.array([four_poch_pair(x, s1, s2, tau) for x in xs])
         assert np.max(np.abs(vals.imag)) < 1e-12
         g = vals.real
         assert g[0] == pytest.approx(1.0, abs=1e-14)
@@ -266,7 +298,7 @@ class TestConcavityProperties:
     @pytest.mark.parametrize("tau", [0.3, 0.6])
     def test_concave_at_extreme_parameters(self, tau):
         xs = np.linspace(0.0, 1.0, 41)
-        g = np.array([germ_h0(x, 0.5, 0.5, tau) for x in xs]).real
+        g = np.array([four_poch_pair(x, 0.5, 0.5, tau) for x in xs]).real
         second = g[2:] - 2 * g[1:-1] + g[:-2]
         assert np.all(second <= 1e-8)
 
@@ -275,8 +307,8 @@ class TestConcavityProperties:
         tau, s1, s2 = 0.5, 0.8, 1.7
         a1, a2 = tau**s1, tau**s2
         h = 1e-6
-        g0 = germ_h0(0.0, s1, s2, tau).real
-        g1 = germ_h0(h, s1, s2, tau).real
+        g0 = four_poch_pair(0.0, s1, s2, tau).real
+        g1 = four_poch_pair(h, s1, s2, tau).real
         slope = (g1 - g0) / h
         assert slope == pytest.approx((1 - a1) * (1 - a2) / (tau - 1), abs=1e-5)
 
