@@ -49,13 +49,12 @@ Three evaluation routes keep the integrand well conditioned:
   1e-14 at the route boundary);
 * split_pos (x > 3.0): the v contour is rebased to -(a+1) with
   a = 2^{-1/3} x, sweeping the pole at v = -u; the swept residue equals
-  2^{-1/3} Ai(2^{-1/3}(lambda+lambda')) and is added back via the
-  wedge-contour Airy evaluator.
+  2^{-1/3} Ai(2^{-1/3}(lambda+lambda')) and is added back via airy_ai.
 
-The Airy function itself is evaluated by the same kind of wedge contour
-(rays at +-pi/3 through an argument-adapted base), and the independent
-comparison oracles build the Airy2 kernel from quadrature over products of
-those Airy values rather than from the crossover contour machinery.
+The Airy function itself comes from scipy.special.airy, and the comparison
+oracles build the Airy2 kernel in closed form from Ai and Ai' (as Bornemann,
+Math. Comp. 2010, evaluates F2), so they share no quadrature with the
+crossover contour machinery.
 """
 
 from __future__ import annotations
@@ -162,22 +161,8 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@lru_cache(maxsize=8)
-def _unit_panels(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes on (0,1) with plain dt weights; callers attach their own
-    # direction factors
-    t, wt = gl_panels(0.0, 1.0, panel_count(1.0, n))
-    t.setflags(write=False)
-    wt.setflags(write=False)
-    return t, wt
-
-
 def airy_ai(s):
-    """Airy function Ai on the real line via a wedge contour integral.
-
-    The contour consists of rays at angles +-pi/3 through an
-    argument-adapted base point max(0.7, sqrt(s)); weights carry the
-    1/(2 pi i) prefactor. Vectorized over array input.
+    """Airy function Ai on the real line, from scipy.special.airy.
 
     Parameters
     ----------
@@ -187,25 +172,14 @@ def airy_ai(s):
     Returns
     -------
     float or numpy.ndarray
-        Ai(s), real; for large positive s the result is accurate in an
-        absolute sense (the value underflows superexponentially).
+        Ai(s), real; a float for scalar input, else an array of the input's
+        shape.  For large positive s the value underflows to 0.
     """
-    arr = np.asarray(s, dtype=float)
-    flat = arr.reshape(-1)
-    base = np.sqrt(np.clip(flat, 0.49, 900.0))
-    length = 7.5 + 0.5 * base
-    t, wt = _unit_panels(320)
-    rot = np.exp(1j * math.pi / 3.0)
-    # real argument: the incoming ray contributes the conjugate of the
-    # outgoing one, so the integral is 2 Re of the outgoing half
-    z = base[:, None] + (length[:, None] * t[None, :]) * rot
-    w = (length[:, None] * wt[None, :]) * (rot / (2.0j * math.pi))
-    out = 2.0 * np.real(
-        np.sum(np.exp(z**3 / 3.0 - z * flat[:, None]) * w, axis=1)
-    )
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    # imported here, not at module top: scipy.special slows every CLI start-up
+    from scipy.special import airy
+
+    out = airy(np.asarray(s, dtype=float))[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def _route(x: float) -> str:
@@ -306,22 +280,14 @@ def _nystrom_det(kernel_matrix: np.ndarray, weights: np.ndarray) -> float:
     return float(det.real)
 
 
-@lru_cache(maxsize=4)
-def _airy2_tail_panels(smax: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre panels on [0, smax]; the integrand Ai(xi+t)Ai(eta+t)
-    # is smooth with at most sqrt|xi| oscillation
-    t, wt = gl_panels(0.0, smax, panels)
-    t.setflags(write=False)
-    wt.setflags(write=False)
-    return t, wt
-
-
 def airy_oracles(s: float, grid: NystromGrid | None = None) -> tuple[float, float]:
     """Independent Airy2 and Airy1-type Fredholm determinant oracles.
 
-    The Airy2 kernel is assembled as integral over t >= 0 of
-    Ai(xi + t) Ai(eta + t) using wedge-contour Airy values; the Airy1-type
-    kernel is Ai(xi + eta). Both determinants are taken on [s, s + span].
+    The Airy2 kernel is the closed-form Airy kernel
+    (Ai(xi) Ai'(eta) - Ai'(xi) Ai(eta)) / (xi - eta), with diagonal
+    Ai'(xi)^2 - xi Ai(xi)^2; the Airy1-type kernel is Ai(xi + eta). Both
+    take their Airy values from scipy.special.airy and share no quadrature
+    with the crossover kernel. Both determinants are taken on [s, s + span].
     The crossover determinant approaches the first as x -> -infinity (at
     argument 2^{1/3} r) and the second as x -> +infinity (at argument r).
 
@@ -340,10 +306,16 @@ def airy_oracles(s: float, grid: NystromGrid | None = None) -> tuple[float, floa
     if not -10.0 <= s <= 6.0:
         raise DomainError("oracle endpoint outside [-10, 6]")
     grid = NystromGrid(lower=s) if grid is None else dataclasses.replace(grid, lower=s)
+    # imported here, not at module top: scipy.special slows every CLI start-up
+    from scipy.special import airy
+
     xi, w = grid.nodes()
-    t, wt = _airy2_tail_panels(28.0, 28)
-    ai_tail = airy_ai(xi[:, None] + t[None, :])
-    airy2 = _nystrom_det((ai_tail * wt[None, :]) @ ai_tail.T, w)
+    ai, aip, _, _ = airy(xi)
+    gap = xi[:, None] - xi[None, :]
+    np.fill_diagonal(gap, 1.0)
+    k_ai = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / gap
+    np.fill_diagonal(k_ai, aip**2 - xi * ai**2)
+    airy2 = _nystrom_det(k_ai, w)
     airy1 = _nystrom_det(airy_ai(xi[:, None] + xi[None, :]), w)
     return airy2, airy1
 

@@ -18,8 +18,8 @@ Four evaluators, cross-checking each other:
 All vertical lines are truncated where the Gaussian factor has decayed
 below TAIL_CUT, with node density driven by the oscillation
 frequency of the linear phase.  Gamma ratios are assembled in log space
-from an in-package Lanczos evaluator so that only exp() of differences is
-ever taken.
+from scipy.special.loggamma so that only exp() of differences is ever
+taken.
 """
 
 from __future__ import annotations
@@ -50,45 +50,24 @@ LADDER_MARGIN = 1e-6
 # Lines are truncated where the Gaussian envelope falls below this.
 TAIL_CUT = 1e-16
 
-# Lanczos rational approximation, g = 7, 9 terms; ~1e-13 relative accuracy
-# right of the reflection line.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-06,
-    1.5056327351493116e-07,
-)
-
 
 def log_gamma(z):
-    """Complex log-Gamma via Lanczos, reflected for Re z < 1/2.
+    """Complex log-Gamma from scipy.special.loggamma, refusing the poles.
 
-    Branch offsets of 2 pi i are harmless downstream because every consumer
-    exponentiates sums and differences of values.
+    Returns a complex for scalar input, else an array of the input's shape.
+    Raises PoleError within 1e-12 of a nonpositive integer.  Branch offsets
+    of 2 pi i are harmless downstream because every consumer exponentiates
+    sums and differences of values.
     """
+    # imported here, not at module top: scipy.special slows every CLI start-up
+    from scipy.special import loggamma
+
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     nearest = np.round(z.real)
     if np.any((np.abs(z - nearest) < 1e-12) & (nearest <= 0.0)):
         raise PoleError("log_gamma at a nonpositive integer")
-    refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z)
-    acc = np.full(zz.shape, _LANCZOS_C[0], dtype=complex)
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (zz - 1.0 + i)
-    base = zz + _LANCZOS_G - 0.5
-    out = 0.5 * math.log(2.0 * math.pi) + (zz - 0.5) * np.log(base) - base + np.log(acc)
-    if np.any(refl):
-        zr = z[refl]
-        out[refl] = math.log(math.pi) - np.log(np.sin(np.pi * zr)) - out[refl]
-    return complex(out[0]) if scalar else out
+    out = loggamma(z)
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Tests for the crossover-kernel Fredholm determinant machinery.
 
-Oracle strategy: the wedge-contour Airy evaluator is checked against an
-independent Maclaurin series and against scipy.special.airy; the Airy2
-comparison oracle is checked against a scipy-built Nystrom determinant with
-a different truncation and node count; the crossover determinant is checked
+Oracle strategy: airy_ai (a wrapper of scipy.special.airy) is checked
+against an independent Maclaurin series and against mpmath reference values;
+the closed-form Airy2 comparison oracle is checked against a Nystrom
+determinant of the integral form of the Airy kernel, with a different
+truncation and node count; the crossover determinant is checked
 against its own CDF properties, against route-to-route agreement on
 overlapping validity windows, and against the two Airy limit oracles at
 large |x|. No expected value is asserted without one of these independent
@@ -95,19 +96,14 @@ def scipy_airy1_det(s: float) -> float:
 class TestWedgeAiry:
     def test_reference_value_at_zero(self):
         assert abs(am.airy_ai(0.0) - 0.3550280538878172) < 1e-10
+        # references from mpmath.airyai at 30 significant digits
+        assert abs(am.airy_ai(-10.0) - 0.04024123848644319) < 1e-14
+        assert abs(am.airy_ai(-5.0) - 0.3507610090241143) < 1e-14
+        assert abs(am.airy_ai(16.0) / 4.156888828917024e-20 - 1.0) < 1e-12
 
     def test_matches_series_oracle(self):
         for s in np.linspace(-6.0, 6.0, 25):
             assert abs(am.airy_ai(float(s)) - airy_series(float(s))) < 1e-10
-
-    def test_matches_scipy_oracle(self):
-        s = np.linspace(-10.0, 6.0, 81)
-        assert np.max(np.abs(am.airy_ai(s) - scipy_airy(s)[0])) < 1e-10
-
-    def test_asymptotic_region_relative(self):
-        s = np.array([10.0, 20.0, 40.0])
-        ref = scipy_airy(s)[0]
-        assert np.max(np.abs(am.airy_ai(s) - ref) / np.abs(ref)) < 1e-12
 
     def test_scalar_and_shape(self):
         assert isinstance(am.airy_ai(1.0), float)

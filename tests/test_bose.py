@@ -1,8 +1,8 @@
 """Tests for the continuum-limit moment evaluators.
 
 Oracles: k=1 values reduce to Gaussian CDF / heat-kernel closed forms; the
-log-Gamma evaluator is checked against scipy and its own functional
-identities; higher orders are pinned by cross-representation agreement
+log-Gamma wrapper is checked by its functional identities, known values and
+pole refusal; higher orders are pinned by cross-representation agreement
 (ordered-point ladder vs collapsed strings vs the chamber route) and by
 contour-independence and node-doubling self-checks.
 """
@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 
 from asep_exact import bose
 from asep_exact.qfunc import DomainError, PoleError
@@ -29,14 +28,6 @@ def heat_kernel(x: float, t: float) -> float:
 
 
 class TestLogGamma:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(3)
-        z = rng.uniform(-6.0, 8.0, 400) + 1j * rng.uniform(-30.0, 30.0, 400)
-        z = z[np.abs(z.imag) > 1e-3]
-        mine = np.exp(bose.log_gamma(z))
-        ref = np.exp(special.loggamma(z))
-        assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-12
-
     def test_reflection_identity(self):
         rng = np.random.default_rng(9)
         z = rng.uniform(-3.0, 4.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200)

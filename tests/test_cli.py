@@ -400,6 +400,20 @@ class TestThreadCap:
         assert result.returncode == 2
 
 
+class TestStartup:
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # scipy.special is imported inside the functions that use it; a
+        # top-level import would slow every CLI start-up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(asep_exact.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import asep_exact.cli, sys; print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
 class TestVerifyCommand:
     def test_identities_pass_quickly(self, capsys):
         start = time.monotonic()
