@@ -207,7 +207,7 @@ def delta_bose_moment(
     def pair(a, b, za, zb):
         return (za - zb) / (za - zb - 1.0) * (za + zb - 1.0) / (za + zb)
 
-    return tensor_result(axes, diag, pair, 1.0, "tilted_lines")
+    return tensor_result([(1.0, axes, diag, pair)], "tilted_lines")
 
 
 def narrow_wedge_moment(xs, t: float, rule: QuadratureRule | None = None) -> MomentResult:
@@ -225,7 +225,7 @@ def narrow_wedge_moment(xs, t: float, rule: QuadratureRule | None = None) -> Mom
     def diag(a, z):
         return np.exp(0.5 * t * z * z + z * xs[a])
 
-    return tensor_result(axes, diag, _free_pair, 1.0, "free_lines")
+    return tensor_result([(1.0, axes, diag, _free_pair)], "free_lines")
 
 
 def _free_pair(a, b, za, zb):
@@ -256,9 +256,12 @@ def _pole_line_distance(abscissa: float) -> float:
     return abs(abscissa - nearest)
 
 
-def _collapsed_term(parts, x, t, theta, alpha, rule) -> MomentResult:
-    """One string composition's integral over equal-abscissa lines."""
-    ell = len(parts)
+def _collapsed_term(parts, x, t, theta, alpha, rule):
+    """One string composition's term over equal-abscissa lines, weighted 2^k k! / ell!.
+
+    k = sum(parts) and ell = len(parts); the empty composition is the zeroth moment, 1.
+    """
+    k, ell = sum(parts), len(parts)
     axes = []
     numerator_lines = [2.0 * alpha]
     for a in range(ell):
@@ -303,7 +306,7 @@ def _collapsed_term(parts, x, t, theta, alpha, rule) -> MomentResult:
         ) * (np.sin(np.pi * (base - s)) / np.pi)
         return cross * ratio
 
-    return tensor_result(axes, diag, pair, 1.0, "collapsed_strings")
+    return 2.0**k * math.factorial(k) / math.factorial(ell), axes, diag, pair
 
 
 def she_halfflat_moment_collapsed(
@@ -330,21 +333,9 @@ def she_halfflat_moment_collapsed(
         raise DomainError(f"need theta >= 0, got {theta}")
     alpha = bose.alpha if bose is not None else 0.5
     rule = rule or QuadratureRule()
-    if k == 0:
-        return MomentResult(value=1.0 + 0j, err_estimate=0.0, method="collapsed_strings", node_counts=())
-    total = 0j
-    err = 0.0
-    pref_k = 2.0**k * math.factorial(k)
-    for ell in range(1, k + 1):
-        scale = pref_k / math.factorial(ell)
-        for parts in compositions(k, ell):
-            res = _collapsed_term(parts, x, t, theta, alpha, rule)
-            total += scale * res.value
-            err += scale * res.err_estimate
-    # The last term, k strings of length one, has the most axes.
-    return MomentResult(
-        value=total, err_estimate=err, method="collapsed_strings", node_counts=res.node_counts
-    )
+    strings = (parts for ell in range(k + 1) for parts in compositions(k, ell))
+    terms = (_collapsed_term(parts, x, t, theta, alpha, rule) for parts in strings)
+    return tensor_result(terms, "collapsed_strings")
 
 
 # ---------------------------------------------------------------------------

@@ -556,8 +556,6 @@ def _cmd_bose(cfg: dict) -> int:
 
 
 def _cmd_airy21(cfg: dict) -> int:
-    if cfg["format"] not in ("csv", "jsonl"):
-        raise DomainError(f"format must be csv or jsonl, got {cfg['format']!r}")
     grid_points = [(x, r) for x in cfg["x"] for r in cfg["r"]]
 
     def row(point: tuple[float, float]) -> dict:

@@ -45,6 +45,7 @@ from .qfunc import (
 )
 from .quad import (
     DEFAULT_MAX_POINTS,
+    CostGuardError,
     MomentResult,
     QuadratureRule,
     c1_rho_radius,
@@ -52,7 +53,6 @@ from .quad import (
     gl_panels,
     nested_radii,
     tensor_result,
-    tensor_sums,
 )
 
 __all__ = [
@@ -217,7 +217,7 @@ def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
         return (za - zb) / (za - tau * zb) * (1.0 - za * zb) / (1.0 - tau * za * zb)
 
     prefactor = tau ** (len(xs) * (len(xs) - 1) / 2.0)
-    return tensor_result(axes, diag, pair, prefactor, "c1_tensor", ev.max_points)
+    return tensor_result([(prefactor, axes, diag, pair)], "c1_tensor", ev.max_points)
 
 
 def qtilde_moments(xs, t: float, ev: EvalParams) -> MomentResult:
@@ -354,7 +354,7 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         return (ya - yb) / (ya - tau * yb) * (1.0 - ya * yb / tau**2) / (1.0 - ya * yb / tau)
 
     prefactor = tau ** (k * (k - 1) / 2.0)
-    return tensor_result(axes, diag, pair, prefactor, "nested_tensor", ev.max_points)
+    return tensor_result([(prefactor, axes, diag, pair)], "nested_tensor", ev.max_points)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +369,6 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         raise DomainError(f"need t >= 0, got {t}")
     params = ev.params
     tau = params.tau
-    if k == 0:
-        return MomentResult(1.0 + 0j, 0.0, "partition_tensor", ())
     tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
     radius = tau**0.75
     site = x + 1
@@ -381,15 +379,13 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         _essential_nodes(amp_res / (radius - tau), tol),
     )
     axis = circle_axis([(0j, radius, n)])
+    kfact = q_factorial(k, tau)
 
-    total = 0j
-    total_coarse = 0j
+    terms = []
     for parts in partitions_of(k):
         mult_factor = 1.0
         for m_a in Counter(parts).values():
             mult_factor *= math.factorial(m_a)
-        pref = (1.0 - tau) ** k / mult_factor
-        axes = [axis] * len(parts)
 
         def diag(a, w, parts=parts):
             la = parts[a]
@@ -413,19 +409,8 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
                     out = out * (1.0 - z / tau**2) / (1.0 - z / tau)
             return out
 
-        fine, coarse = tensor_sums(axes, diag, pair, ev.max_points)
-        total += pref * fine
-        total_coarse += pref * coarse
-
-    kfact = q_factorial(k, tau)
-    value = kfact * total
-    # The all-ones partition spans the most axes: k copies of the shared one.
-    return MomentResult(
-        value=value,
-        err_estimate=abs(value - kfact * total_coarse),
-        method="partition_tensor",
-        node_counts=(axis["z"].size,) * k,
-    )
+        terms.append((kfact * (1.0 - tau) ** k / mult_factor, [axis] * len(parts), diag, pair))
+    return tensor_result(terms, "partition_tensor", ev.max_points)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +423,20 @@ def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     return sorted(groups.items(), reverse=True)
 
 
-def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex, float, tuple[int, ...]]:
-    """Order-k term (k <= m) of the expansion of E[tau^(m N_x)]: value, error, axis sizes."""
+def _nu_terms(k: int, m: int, x: int, t: float, ev: EvalParams, scale: complex):
+    """Order-k terms (k <= m) of E[tau^(m N_x)] / m_tau!, times scale.
+
+    One term per composition multiset of m into k parts, weighted by its
+    permutation count over k!; order 0 is the empty product iff m = 0.
+    """
     params = ev.params
     tau = params.tau
-    if k == 0:
-        return (1.0 + 0j, 0.0, ()) if m == 0 else (0j, 0.0, ())
     tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
     radius = 0.5 * (1.0 + tau**-0.5)
     n = _gamma_m10_nodes(params, radius, tol, ev.rule.nodes_per_piece)
-    axis = circle_axis([(0j, radius, n)])
+    axis = circle_axis([(0j, radius, n)]) if k else None
     site = x + 1
 
-    total = 0j
-    total_coarse = 0j
     for parts, count in _dedup_compositions(m, k):
 
         def diag(a, w, parts=parts):
@@ -473,12 +458,7 @@ def _nu_eval(k: int, m: int, x: int, t: float, ev: EvalParams) -> tuple[complex,
             cross = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
             return cross * germ_h(wa, wb, na, nb, tau)
 
-        fine, coarse = tensor_sums([axis] * k, diag, pair, ev.max_points)
-        total += count * fine
-        total_coarse += count * coarse
-    scale = 1.0 / math.factorial(k)
-    value = scale * total
-    return value, abs(value - scale * total_coarse), (axis["z"].size,) * k
+        yield scale * count / math.factorial(k), [axis] * k, diag, pair
 
 
 def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
@@ -487,21 +467,9 @@ def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         raise DomainError(f"need 0 <= m <= 4, got {m}")
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
-    tau = ev.params.tau
-    total = 0j
-    err = 0.0
-    for k in range(m + 1):
-        val, e, counts = _nu_eval(k, m, x, t, ev)
-        total += val
-        err += e
-    # counts now holds the axis sizes of the order-m grid, the largest one.
-    mfact = q_factorial(m, tau)
-    return MomentResult(
-        value=mfact * total,
-        err_estimate=mfact * err,
-        method="gamma_tensor",
-        node_counts=counts,
-    )
+    mfact = q_factorial(m, ev.params.tau)
+    terms = (term for k in range(m + 1) for term in _nu_terms(k, m, x, t, ev, mfact))
+    return tensor_result(terms, "gamma_tensor", ev.max_points)
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +499,15 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
         raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if m_max < 8:
         raise DomainError(f"need m_max >= 8, got {m_max}")
-    tau = ev.params.tau
-    total = 1.0 + 0j
-    for m in range(1, m_max + 1):
-        weight = zeta**m / q_factorial(m, tau)
-        if abs(weight) < ev.trunc.tol:
-            break
-        moment = 0j
-        for k in range(0, min(m, _series_k_cap(m)) + 1):
-            moment += _nu_eval(k, m, x, t, ev)[0]
-        total += weight * q_factorial(m, tau) * moment
-    return total
+
+    def terms():
+        for m in range(m_max + 1):
+            if abs(zeta**m / q_factorial(m, ev.params.tau)) < ev.trunc.tol:
+                return
+            for k in range(min(m, _series_k_cap(m)) + 1):
+                yield from _nu_terms(k, m, x, t, ev, zeta**m)
+
+    return tensor_result(terms(), "laplace_series", ev.max_points).value
 
 
 def _mb_line_nodes(half_width: float, panel_width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -565,8 +531,11 @@ def _mb_half_width(zeta: complex, tol: float) -> float:
     return max(8.0, math.log(1.0 / tol) / arg_margin + 4.0)
 
 
-def _mb_diag_grid(zeta, x, t, ev, tol, panel_width):
-    """Weighted single-variable factor on the (s, w) product grid."""
+def _mb_diag_grid(zeta, x, t, ev, tol, panel_width, order=1):
+    """Weighted single-variable factor on the (s, w) product grid.
+
+    The order-k integral spans (n_s n_w)^k points; over ev.max_points it is refused first.
+    """
     params = ev.params
     tau = params.tau
     s_nodes, s_weights = _mb_line_nodes(_mb_half_width(zeta, tol), panel_width)
@@ -578,6 +547,12 @@ def _mb_diag_grid(zeta, x, t, ev, tol, panel_width):
     )
     w_axis = circle_axis([(0j, radius, n_w)])
     w_nodes, w_weights = w_axis["z"], w_axis["w"]
+    points = (s_nodes.size * w_nodes.size) ** order
+    if points > ev.max_points:
+        raise CostGuardError(
+            f"Mellin-Barnes order-{order} grid of {points} points exceeds budget {ev.max_points}; "
+            f"--k-max {order - 1} computes the same quantity by residues"
+        )
     sine = np.pi / np.sin(-np.pi * s_nodes)
     power = np.exp(s_nodes * np.log(-zeta))
     tau_s = np.exp(s_nodes * math.log(tau))
@@ -612,7 +587,7 @@ def _mb_order2(zeta, x, t, ev, tol) -> complex:
     slabs cover s2 >= s1 with off-diagonal terms counted twice.
     """
     tau = ev.params.tau
-    a_grid, s_nodes, tau_s, w_nodes = _mb_diag_grid(zeta, x, t, ev, tol, panel_width=2.0)
+    a_grid, s_nodes, tau_s, w_nodes = _mb_diag_grid(zeta, x, t, ev, tol, panel_width=2.0, order=2)
     n_s = s_nodes.size
     zmat = w_nodes[:, None] * w_nodes[None, :]
     v = tau * zmat
@@ -628,7 +603,6 @@ def _mb_order2(zeta, x, t, ev, tol) -> complex:
     u_w = tau_s[:, None] * w_nodes[None, :]
     d2 = u_w[None, :, :] - w_nodes[:, None, None]
 
-    terms12 = int(math.ceil(math.log(1.0 / tol) / math.log(1.0 / (v_max * a_max * a_max)))) + 4
     abs_a = np.abs(a_grid)
     a_total = float(np.sum(abs_a))
     row_sums = abs_a.sum(axis=1)
@@ -639,12 +613,7 @@ def _mb_order2(zeta, x, t, ev, tol) -> complex:
             continue
         a12 = tau_s[i] * tau_s[i:]
         u12 = v[:, None, :] * a12[None, :, None]
-        up = u12.copy()
-        t12 = u12 / (1.0 - tau)
-        for m in range(2, terms12 + 1):
-            up = up * u12
-            t12 = t12 + up / (m * (1.0 - tau**m))
-        pair = np.exp(-t12)
+        pair = np.exp(-_t_series(u12, tau, v_max * a_max * a_max, tol))
         pair = pair * exp_va[:, i, :][:, None, :]
         pair = pair * exp_va[:, i:, :]
         pair = pair * exp_mv[:, None, :]
@@ -679,22 +648,21 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
         raise DomainError(f"need 0 <= k_max <= 2, got {k_max}")
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
+    # Order 2 runs first, so its budget check refuses before any grid is built.
+    order2 = _mb_order2(zeta, x, t, ev, max(ev.trunc.tol, 1e-4)) if k_max >= 2 else 0j
     total = 1.0 + 0j
     if k_max >= 1:
-        a_grid, _, _, _ = _mb_diag_grid(
-            zeta, x, t, ev, max(ev.trunc.tol, 1e-9), panel_width=0.8
-        )
+        a_grid = _mb_diag_grid(zeta, x, t, ev, max(ev.trunc.tol, 1e-9), panel_width=0.8)[0]
         total += complex(np.sum(a_grid))
-    if k_max >= 2:
-        total += _mb_order2(zeta, x, t, ev, max(ev.trunc.tol, 1e-4))
-    for k in range(k_max + 1, 5):
-        for m in range(k, 17):
-            if _series_k_cap(m) < k:
-                break
-            if abs(zeta) ** m < ev.trunc.tol:
-                break
-            total += zeta**m * _nu_eval(k, m, x, t, ev)[0]
-    return total
+
+    def residues():
+        for k in range(k_max + 1, 5):
+            for m in range(k, 17):
+                if _series_k_cap(m) < k or abs(zeta) ** m < ev.trunc.tol:
+                    break
+                yield from _nu_terms(k, m, x, t, ev, zeta**m)
+
+    return total + order2 + tensor_result(residues(), "laplace_residues", ev.max_points).value
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ its every-other-node half grid gives the error estimate.  Lines, rays and
 real intervals use composite 16-point Gauss-Legendre panels, which callers
 map onto their own vertical lines, wedge rays and chamber axes.
 
-k-fold integrals of prod_a d_a(z_a) prod_{a<b} P_ab(z_a, z_b) over such axes
-go through one engine, once on the full grid and once on the half grid.  It
-contracts the weighted diagonals d_a and the pair matrices P_ab with BLAS
-matrix products: k = 2 is d_0 P_01 d_1, k = 3 is one GEMM, and k >= 4 loops
-over the nodes of one axis down to k = 3.  On N nodes per axis that is
-O(N^k) flops in O(k^2 N^2) memory; no N^3 intermediate is ever built.
+Each value is a weighted sum of k-fold integrals of prod_a d_a(z_a)
+prod_{a<b} P_ab(z_a, z_b) over such axes, and tensor_result, the one engine,
+returns sum w * full with the error |sum w * (full - half)| (see
+MomentResult).  Each term is contracted with BLAS matrix products: k = 2 is
+d_0 P_01 d_1, k = 3 one GEMM, and k >= 4 loops over the nodes of one axis
+down to k = 3.  On N nodes per axis that is O(N^k) flops in O(k^2 N^2)
+memory; no N^3 intermediate is ever built.
 
 Circle weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
@@ -35,13 +36,12 @@ __all__ = [
     "circle_axis",
     "gl_panels",
     "panel_count",
-    "tensor_sums",
     "tensor_result",
     "c1_rho_radius",
     "nested_radii",
 ]
 
-# Bounds the grid points, and so the flops, of one tensor sum; memory is only
+# Bounds the grid points, and so the flops, of one tensor term; memory is only
 # the N x N pair matrices.
 DEFAULT_MAX_POINTS = 1 << 30
 
@@ -61,6 +61,13 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class MomentResult:
+    """value = sum_i w_i full_i over weighted tensor terms, with one error convention.
+
+    err_estimate = |sum_i w_i (full_i - half_i)|, half_i being term i on the
+    half grids: the half-grid gap of the value returned.  node_counts are the
+    axis sizes of the term with the most axes, () if no term has one.
+    """
+
     value: complex
     err_estimate: float
     method: str
@@ -138,6 +145,8 @@ def _contract(d, pairs) -> complex:
     N^k multiply-adds run as N^(k-3) GEMMs with only N x N temporaries.
     """
     k = len(d)
+    if k == 0:
+        return 1.0
     if k == 1:
         return np.sum(d[0])
     if k == 2:
@@ -176,29 +185,26 @@ def _grid_eval(axes, diag_fn, pair_fn, max_points: int, half: bool) -> complex:
     return total
 
 
-def tensor_sums(axes, diag_fn, pair_fn, max_points: int = DEFAULT_MAX_POINTS) -> tuple[complex, complex]:
-    """Full-grid and half-grid sums of prod_a diag_a prod_{a<b} pair_ab.
+def tensor_result(terms, method: str, max_points: int = DEFAULT_MAX_POINTS) -> MomentResult:
+    """MomentResult of (weight, axes, diag_fn, pair_fn) terms, evaluated one at a time.
 
-    axes: node dicts as built by circle_axis; diag_fn(a, z) -> 1-D factor on
-    axis a; pair_fn(a, b, za, zb) -> 2-D factor on the (a, b) subgrid.
+    axes are node dicts with keys z, w, z_half, w_half; diag_fn(a, z) is the 1-D factor
+    on axis a, pair_fn(a, b, za, zb) the 2-D factor on the (a, b) subgrid.  A term with no
+    axes contributes its weight.  terms may be a generator, so no axes are built early.
     """
-    return (
-        _grid_eval(axes, diag_fn, pair_fn, max_points, half=False),
-        _grid_eval(axes, diag_fn, pair_fn, max_points, half=True),
-    )
-
-
-def tensor_result(
-    axes, diag_fn, pair_fn, prefactor: complex, method: str, max_points: int = DEFAULT_MAX_POINTS
-) -> MomentResult:
-    """prefactor times the tensor sum, with the half-grid gap as error."""
-    fine, coarse = tensor_sums(axes, diag_fn, pair_fn, max_points)
-    value = prefactor * fine
+    value = gap = 0j
+    node_counts: tuple[int, ...] = ()
+    for weight, axes, diag_fn, pair_fn in terms:
+        full = weight * _grid_eval(axes, diag_fn, pair_fn, max_points, half=False)
+        value += full
+        gap += full - weight * _grid_eval(axes, diag_fn, pair_fn, max_points, half=True)
+        if len(axes) > len(node_counts):
+            node_counts = tuple(axis["z"].size for axis in axes)
     return MomentResult(
         value=value,
-        err_estimate=abs(value - prefactor * coarse),
+        err_estimate=abs(gap),
         method=method,
-        node_counts=tuple(axis["z"].size for axis in axes),
+        node_counts=node_counts,
     )
 
 

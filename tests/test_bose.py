@@ -16,7 +16,7 @@ import pytest
 
 from asep_exact import bose
 from asep_exact.qfunc import DomainError, PoleError
-from asep_exact.quad import QuadratureRule
+from asep_exact.quad import QuadratureRule, tensor_result
 
 
 def phi(x: float, t: float) -> float:
@@ -179,8 +179,8 @@ class TestCollapsedMoment:
 
     def test_string_order_invariance(self):
         rule = QuadratureRule()
-        a = bose._collapsed_term((1, 2), 0.3, 0.6, 0.0, 0.5, rule)
-        b = bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, rule)
+        a = tensor_result([bose._collapsed_term((1, 2), 0.3, 0.6, 0.0, 0.5, rule)], "probe")
+        b = tensor_result([bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, rule)], "probe")
         assert abs(a.value - b.value) < 1e-12
 
     def test_node_counts_one_entry_per_axis(self):

@@ -477,6 +477,23 @@ class TestCostControls:
         with pytest.raises(CostGuardError, match="budget"):
             ex.qtilde_moments((2, 4), 0.5, ev)
 
+    def test_mellin_barnes_budget_refuses_before_any_grid(self, monkeypatch):
+        # At tau = 0.97 the order-2 grid has (128 * 2456)^2 = 9.9e10 points.
+        calls = []
+        real = ex.germ_f
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "germ_f", counted)
+        with pytest.raises(CostGuardError, match="--k-max 1"):
+            ex.tau_laplace_mb(-0.2, 3, 0.5, 2, make_ev(0.97))
+        assert calls == []
+        # The counter is live: order 1 alone fits the budget and takes germ_f.
+        ex._mb_diag_grid(-0.2, 3, 0.5, make_ev(0.5), 1e-9, panel_width=0.8)
+        assert len(calls) == 1
+
     def test_default_parameters(self):
         assert EV.max_points == ex.DEFAULT_MAX_POINTS
         assert EV.rule.nodes_per_piece >= 8

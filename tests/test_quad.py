@@ -38,7 +38,7 @@ def ones(a, b, za, zb):
 
 def contour_sum(f, axis) -> complex:
     """(1/2 pi i) times the integral of f over one axis, through the engine."""
-    return tensor_result([axis], lambda a, z: f(z), ones, 1.0, "probe").value
+    return tensor_result([(1.0, [axis], lambda a, z: f(z), ones)], "probe").value
 
 
 def clearance(trace, points) -> float:
@@ -139,7 +139,8 @@ class TestPathQuadrature:
         def f(z):
             return np.exp(0.7 * (1.0 - z) / (1.0 - 0.5 * z)) / (z - 1.0)
 
-        coarse = tensor_result([circle_axis([(1.0, rho, 64)])], lambda a, z: f(z), ones, 1.0, "probe")
+        axis = circle_axis([(1.0, rho, 64)])
+        coarse = tensor_result([(1.0, [axis], lambda a, z: f(z), ones)], "probe")
         fine = contour_sum(f, circle_axis([(1.0, rho, 128)]))
         assert abs(fine - coarse.value) < 10.0 * coarse.err_estimate + 1e-14
 
@@ -152,17 +153,19 @@ class TestPathQuadrature:
 
 class TestTensorProduct:
     def test_double_pole_product(self):
-        res = tensor_result([UNIT] * 2, lambda a, z: 1.0 / z, ones, 1.0, "probe")
+        res = tensor_result([(1.0, [UNIT] * 2, lambda a, z: 1.0 / z, ones)], "probe")
         assert res.value == pytest.approx(1.0, abs=1e-13)
         assert res.node_counts == (64, 64)
 
     def test_antisymmetric_vanishes(self):
-        res = tensor_result([UNIT] * 2, lambda a, z: z**-2.0, lambda a, b, za, zb: za - zb, 1.0, "probe")
+        res = tensor_result(
+            [(1.0, [UNIT] * 2, lambda a, z: z**-2.0, lambda a, b, za, zb: za - zb)], "probe"
+        )
         assert abs(res.value) < 1e-13
 
     def test_triple_separable(self):
         axis = circle_axis([(0j, 1.0, 32)])
-        res = tensor_result([axis] * 3, lambda a, z: 1.0 / z, ones, 1.0, "probe")
+        res = tensor_result([(1.0, [axis] * 3, lambda a, z: 1.0 / z, ones)], "probe")
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_permutation_consistency(self):
@@ -177,9 +180,39 @@ class TestTensorProduct:
         def diag(a, y):
             return 1.0 / y
 
-        direct = tensor_result([c1, c2], diag, lambda a, b, ya, yb: cross(ya, yb), 1.0, "probe")
-        swapped = tensor_result([c2, c1], diag, lambda a, b, ya, yb: cross(yb, ya), 1.0, "probe")
+        direct = tensor_result([(1.0, [c1, c2], diag, lambda a, b, ya, yb: cross(ya, yb))], "probe")
+        swapped = tensor_result([(1.0, [c2, c1], diag, lambda a, b, ya, yb: cross(yb, ya))], "probe")
         assert abs(direct.value - swapped.value) < 1e-13
+
+    def test_weighted_terms(self):
+        # On n trapezoid nodes of the unit circle, 1/(z - c) sums to
+        # 1/(1 - c^n) exactly, so every full and half sum is known.
+        c = 0.5
+
+        def exact(n, k):
+            return (1.0 / (1.0 - c**n)) ** k
+
+        def diag(a, z):
+            return 1.0 / (z - c)
+
+        one_axis = [circle_axis([(0j, 1.0, 8)])]
+        two_axes = [circle_axis([(0j, 1.0, 12)])] * 2
+        res = tensor_result(
+            [(2.0, one_axis, diag, ones), (-0.5j, two_axes, diag, ones), (3.0, [], diag, ones)],
+            "probe",
+        )
+        full = 2.0 * exact(8, 1) - 0.5j * exact(12, 2) + 3.0
+        gap = 2.0 * (exact(8, 1) - exact(4, 1)) - 0.5j * (exact(12, 2) - exact(6, 2))
+        assert abs(res.value - full) < 1e-14
+        assert res.err_estimate == pytest.approx(abs(gap), rel=1e-12)
+        # The middle term has the most axes and sets node_counts.
+        assert res.node_counts == (12, 12)
+
+    def test_term_without_axes_contributes_its_weight(self):
+        res = tensor_result([(0.25 - 2j, [], None, None)], "probe")
+        assert res.value == 0.25 - 2j
+        assert res.err_estimate == 0.0
+        assert res.node_counts == ()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_brute_force_sum(self, k):
@@ -210,24 +243,28 @@ class TestTensorProduct:
                 total += term
             return total
 
-        sums = quad.tensor_sums(
-            axes,
-            lambda a, z: diag[a, z.size],
-            lambda a, b, za, zb: pair[a, b, (za.shape[0], zb.shape[1])],
-        )
         for half in (False, True):
+            got = quad._grid_eval(
+                axes,
+                lambda a, z: diag[a, z.size],
+                lambda a, b, za, zb: pair[a, b, (za.shape[0], zb.shape[1])],
+                quad.DEFAULT_MAX_POINTS,
+                half,
+            )
             expected = brute_force(half)
-            assert abs(sums[half] - expected) < 1e-12 * abs(expected)
+            assert abs(got - expected) < 1e-12 * abs(expected)
 
     def test_rejects_large_order(self):
         axis = circle_axis([(0j, 1.0, 8)])
         with pytest.raises(CostGuardError):
-            tensor_result([axis] * 6, lambda a, z: 1.0 / z, ones, 1.0, "probe")
+            tensor_result([(1.0, [axis] * 6, lambda a, z: 1.0 / z, ones)], "probe")
 
     def test_rejects_oversized_grid(self):
         axis = circle_axis([(0j, 1.0, 512)])
         with pytest.raises(CostGuardError) as err:
-            tensor_result([axis] * 4, lambda a, z: 1.0 / z, ones, 1.0, "probe", max_points=1 << 20)
+            tensor_result(
+                [(1.0, [axis] * 4, lambda a, z: 1.0 / z, ones)], "probe", max_points=1 << 20
+            )
         assert "budget" in str(err.value)
 
     def test_err_estimate_tracks_node_doubling(self):
@@ -242,8 +279,8 @@ class TestTensorProduct:
         def pair(a, b, za, zb):
             return (za - zb) / (za - params.tau * zb)
 
-        res = tensor_result([circle_axis([(1.0, rho, 96)])] * 2, diag, pair, 1.0, "probe")
-        fine = tensor_result([circle_axis([(1.0, rho, 192)])] * 2, diag, pair, 1.0, "probe")
+        res = tensor_result([(1.0, [circle_axis([(1.0, rho, 96)])] * 2, diag, pair)], "probe")
+        fine = tensor_result([(1.0, [circle_axis([(1.0, rho, 192)])] * 2, diag, pair)], "probe")
         assert abs(fine.value - res.value) < 10.0 * res.err_estimate + 1e-14
 
 
