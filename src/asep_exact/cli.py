@@ -36,9 +36,9 @@ file, which overrides built-in defaults.  List-valued options are
 comma-separated; values starting with a minus sign must be attached on the
 command line (`--x=-4,0,4`).
 
-ASEP_EXACT_THREADS caps the worker threads used to evaluate independent
-output rows; rows are computed as pure functions and emitted in input
-order, so results are identical for any setting.
+Rows are evaluated in a plain loop, in input order.  Settings are checked
+once, where they are used: choices by the option parser, rates, node counts,
+tolerances, sample counts and windows by the library call that takes them.
 
 The verify batteries mirror the package's acceptance checks at desk scale.
 airy/airy2-marginal compares the crossover distribution at x = -8 with the
@@ -46,8 +46,8 @@ Airy2 law shifted by 1/(2|x|), F2(2^{1/3} (r - 1/16)), which is what the
 kernel gives at finite x (gap about 1.0e-3 against 5e-3; see the airy
 module docstring).  `--tol-scale 10` passes every suite.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
-domain-guard violations.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
+domain-guard violations or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -97,55 +95,6 @@ MOMENT_METHODS = ("halfflat", "nested", "partition")
 VERIFY_SUITES = ("identities", "moments", "laplace", "bose", "airy")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for a model-bearing subcommand run.
-
-    Exactly one of p / tau selects the jump rates; the numeric fields are
-    validated by the same guards the library modules enforce, so an
-    out-of-range value fails here rather than mid-run.
-    """
-
-    p: float | None = None
-    tau: float | None = None
-    method: str = "all"
-    nodes: int = 64
-    tol: float = 1e-14
-    window: tuple[int, int] | None = None
-    samples: int = 10_000
-    seed: int | None = None
-    fmt: str = "csv"
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.p is None) == (self.tau is None):
-            raise DomainError("exactly one of --p / --tau must be given")
-        if self.fmt not in ("csv", "jsonl"):
-            raise DomainError(f"format must be csv or jsonl, got {self.fmt!r}")
-        if self.method not in MOMENT_METHODS + ("all",):
-            raise DomainError(f"unknown method {self.method!r}")
-        if self.samples < 100:
-            raise DomainError(f"need samples >= 100, got {self.samples}")
-        if self.window is not None and self.window[0] >= self.window[1]:
-            raise DomainError(f"window must satisfy left < right, got {self.window}")
-        self.params  # noqa: B018  (runs the rate guards)
-        QuadratureRule(nodes_per_piece=self.nodes)
-        QTruncation(tol=self.tol)
-
-    @property
-    def params(self) -> ModelParams:
-        if self.p is not None:
-            return ModelParams.from_p(self.p)
-        return ModelParams.from_tau(self.tau)
-
-    def ev(self) -> EvalParams:
-        return EvalParams(
-            params=self.params,
-            trunc=QTruncation(tol=self.tol),
-            rule=QuadratureRule(nodes_per_piece=self.nodes),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Option tables: one declaration drives argparse, config parsing, defaults.
 
@@ -156,18 +105,6 @@ class Opt:
     conv: Callable[[str], object]
     default: object
     help: str
-
-
-def _int(raw: str) -> int:
-    return int(raw)
-
-
-def _float(raw: str) -> float:
-    return float(raw)
-
-
-def _str(raw: str) -> str:
-    return raw
 
 
 def _int_pair(raw: str) -> tuple[int, int]:
@@ -196,75 +133,75 @@ def _choice(*allowed: str) -> Callable[[str], str]:
 
 
 _MODEL_OPTS = (
-    Opt("p", _float, None, "right jump rate (q = 1 - p, requires 0 < p < 1/2)"),
-    Opt("tau", _float, None, "asymmetry p/q in (0, 1); give exactly one of --p/--tau"),
+    Opt("p", float, None, "right jump rate (q = 1 - p, requires 0 < p < 1/2)"),
+    Opt("tau", float, None, "asymmetry p/q in (0, 1); give exactly one of --p/--tau"),
 )
 _RULE_OPTS = (
-    Opt("nodes", _int, 64, "quadrature nodes per contour piece (floor)"),
-    Opt("tol", _float, 1e-14, "truncation tolerance for infinite q-products"),
+    Opt("nodes", int, 64, "quadrature nodes per contour piece (floor)"),
+    Opt("tol", float, 1e-14, "truncation tolerance for infinite q-products"),
 )
 _OBS_OPTS = (
     Opt("observable", _choice("tau-pow-n", "qtilde", "etau", "height"), "tau-pow-n",
         "which functional of the configuration to average"),
-    Opt("k", _int, 1, "power for tau-pow-n"),
-    Opt("x", _int, 0, "site for tau-pow-n / etau / height"),
+    Opt("k", int, 1, "power for tau-pow-n"),
+    Opt("x", int, 0, "site for tau-pow-n / etau / height"),
     Opt("xs", _int_tuple, (), "comma-separated sites for qtilde"),
-    Opt("zeta", _float, -0.5, "argument for etau"),
-    Opt("threshold", _float, 0.0, "height threshold for height"),
+    Opt("zeta", float, -0.5, "argument for etau"),
+    Opt("threshold", float, 0.0, "height threshold for height"),
 )
 _OUT_OPTS = (
     Opt("format", _choice("csv", "jsonl"), "csv", "output format"),
-    Opt("out", _str, None, "output file (default: stdout)"),
+    Opt("out", str, None, "output file (default: stdout)"),
 )
 
 _OPTION_TABLES: dict[str, tuple[Opt, ...]] = {
     "moment": _MODEL_OPTS + (
-        Opt("k", _int, 1, "moment order (k for tau^(k N_x); the half-flat expansion order m)"),
-        Opt("x", _int, 0, "lattice site"),
-        Opt("t", _float, 1.0, "time"),
+        Opt("k", int, 1, "moment order (k for tau^(k N_x); the half-flat expansion order m)"),
+        Opt("x", int, 0, "lattice site"),
+        Opt("t", float, 1.0, "time"),
         Opt("method", _choice(*MOMENT_METHODS, "all"), "all", "evaluation route"),
     ) + _RULE_OPTS + _OUT_OPTS,
     "simulate": _MODEL_OPTS + _OBS_OPTS + (
-        Opt("t", _float, 1.0, "time"),
-        Opt("samples", _int, 10_000, "number of Monte Carlo replicas (>= 100)"),
-        Opt("seed", _int, None, "stream seed (required)"),
+        Opt("t", float, 1.0, "time"),
+        Opt("samples", int, 10_000, "number of Monte Carlo replicas (>= 100)"),
+        Opt("seed", int, None, "stream seed (required)"),
         Opt("window", _int_pair, None, "lattice window 'left,right' (default: drift-aware)"),
     ) + _OUT_OPTS,
     "ctmc-oracle": _MODEL_OPTS + _OBS_OPTS + (
-        Opt("t", _float, 1.0, "time"),
+        Opt("t", float, 1.0, "time"),
         Opt("window", _int_pair, None, "lattice window 'left,right' (required)"),
     ) + _OUT_OPTS,
     "laplace": _MODEL_OPTS + (
-        Opt("zeta", _float, None, "transform argument (negative real, required)"),
-        Opt("x", _int, 0, "lattice site"),
-        Opt("t", _float, 1.0, "time"),
+        Opt("zeta", float, None, "transform argument (negative real, required)"),
+        Opt("x", int, 0, "lattice site"),
+        Opt("t", float, 1.0, "time"),
         Opt("rep", _choice("series", "mb", "both"), "both", "representation"),
-        Opt("m_max", _int, 20, "series truncation order"),
-        Opt("k_max", _int, 2, "Mellin-Barnes truncation order"),
+        Opt("m_max", int, 20, "series truncation order"),
+        Opt("k_max", int, 2, "Mellin-Barnes truncation order"),
     ) + _RULE_OPTS + _OUT_OPTS,
     "bose": (
         Opt("kind", _choice("tilted", "narrow-wedge", "halfflat-collapsed"), "tilted",
             "moment formula"),
-        Opt("k", _int, None, "number of points (default: len of --x)"),
+        Opt("k", int, None, "number of points (default: len of --x)"),
         Opt("x", _float_tuple, (0.0,), "comma-separated evaluation points"),
-        Opt("t", _float, 1.0, "time"),
-        Opt("theta", _float, 0.0, "tilt of the initial data"),
-        Opt("alpha", _float, 0.5, "common abscissa of the collapsed formula"),
+        Opt("t", float, 1.0, "time"),
+        Opt("theta", float, 0.0, "tilt of the initial data"),
+        Opt("alpha", float, 0.5, "common abscissa of the collapsed formula"),
         Opt("ladder", _float_tuple, None, "override abscissas for the ordered formula"),
-        Opt("nodes", _int, 64, "quadrature nodes per contour piece (floor)"),
+        Opt("nodes", int, 64, "quadrature nodes per contour piece (floor)"),
     ) + _OUT_OPTS,
     "airy21": (
         Opt("x", _float_tuple, (0.0,), "comma-separated crossover parameters"),
         Opt("r", _float_tuple, (0.0,), "comma-separated distribution arguments"),
-        Opt("ray_length", _float, 8.0, "length of each kernel contour ray"),
-        Opt("ray_nodes", _int, 96, "quadrature nodes per kernel ray"),
-        Opt("span", _float, 10.0, "length of the determinant discretization interval"),
-        Opt("grid_n", _int, 40, "Gauss-Legendre nodes for the determinant"),
+        Opt("ray_length", float, 8.0, "length of each kernel contour ray"),
+        Opt("ray_nodes", int, 96, "quadrature nodes per kernel ray"),
+        Opt("span", float, 10.0, "length of the determinant discretization interval"),
+        Opt("grid_n", int, 40, "Gauss-Legendre nodes for the determinant"),
     ) + _OUT_OPTS,
     "verify": (
         Opt("suite", _choice(*VERIFY_SUITES, "all"), "all", "which battery to run"),
-        Opt("tol_scale", _float, 1.0, "multiply every check tolerance by this factor"),
-        Opt("seed", _int, 0, "seed for the randomized identity checks"),
+        Opt("tol_scale", float, 1.0, "multiply every check tolerance by this factor"),
+        Opt("seed", int, 0, "seed for the randomized identity checks"),
     ) + _OUT_OPTS,
 }
 
@@ -342,39 +279,30 @@ def _fmt_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _cell(value: object) -> str:
+def _scalar(value: object, text: Callable[[str], str] = str) -> str:
+    """One output cell; text renders strings (json.dumps quotes them for JSON lines)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
-    return str(value)
-
-
-def _json_scalar(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    return json.dumps(str(value))
+    return text(str(value))
 
 
 def _render_csv(columns: Sequence[str], rows: list[dict], header: dict) -> str:
     buf = io.StringIO()
-    buf.write("# " + " ".join(f"{k}={_cell(v)}" for k, v in header.items()) + "\n")
+    buf.write("# " + " ".join(f"{k}={_scalar(v)}" for k, v in header.items()) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerow([_scalar(row[c]) for c in columns])
     return buf.getvalue()
 
 
 def _render_jsonl(columns: Sequence[str], rows: list[dict], header: dict) -> str:
     def line(record: str, pairs: list[tuple[str, object]]) -> str:
-        body = ", ".join(f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in pairs)
+        body = ", ".join(f"{json.dumps(k)}: {_scalar(v, json.dumps)}" for k, v in pairs)
         return '{"record": ' + json.dumps(record) + (", " + body if body else "") + "}"
 
     lines = [line("header", list(header.items()))]
@@ -383,37 +311,14 @@ def _render_jsonl(columns: Sequence[str], rows: list[dict], header: dict) -> str
     return "\n".join(lines) + "\n"
 
 
-def _emit(columns: Sequence[str], rows: list[dict], header_extra: dict,
-          fmt: str, out: str | None) -> None:
+def _emit(cfg: dict, columns: Sequence[str], rows: list[dict], header_extra: dict) -> None:
     header = {"version": __version__, **header_extra}
-    text = _render_csv(columns, rows, header) if fmt == "csv" else _render_jsonl(
-        columns, rows, header)
-    if out is None:
+    render = _render_csv if cfg["format"] == "csv" else _render_jsonl
+    text = render(columns, rows, header)
+    if cfg["out"] is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ASEP_EXACT_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"ASEP_EXACT_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise DomainError(f"ASEP_EXACT_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Evaluate pure row tasks, in order, on up to ASEP_EXACT_THREADS workers."""
-    workers = min(_worker_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        Path(cfg["out"]).write_text(text)
 
 
 def _real_with_residual(value: complex, err: float) -> tuple[float, float]:
@@ -424,25 +329,34 @@ def _real_with_residual(value: complex, err: float) -> tuple[float, float]:
 # Subcommands.
 
 
+def _params(cfg: dict) -> ModelParams:
+    if (cfg["p"] is None) == (cfg["tau"] is None):
+        raise DomainError("exactly one of --p / --tau must be given")
+    if cfg["p"] is not None:
+        return ModelParams.from_p(cfg["p"])
+    return ModelParams.from_tau(cfg["tau"])
+
+
+def _ev(cfg: dict) -> EvalParams:
+    return EvalParams(params=_params(cfg), rule=QuadratureRule(nodes_per_piece=cfg["nodes"]),
+                      trunc=QTruncation(tol=cfg["tol"]))
+
+
 def _cmd_moment(cfg: dict) -> int:
-    run = RunConfig(p=cfg["p"], tau=cfg["tau"], method=cfg["method"], nodes=cfg["nodes"],
-                    tol=cfg["tol"], fmt=cfg["format"], out=cfg["out"])
     k, x, t = cfg["k"], cfg["x"], cfg["t"]
-    ev = run.ev()
-    methods = MOMENT_METHODS if run.method == "all" else (run.method,)
+    ev = _ev(cfg)
+    methods = MOMENT_METHODS if cfg["method"] == "all" else (cfg["method"],)
     evaluators = {"halfflat": halfflat_moment, "nested": nested_moment,
                   "partition": partition_moment}
-
-    def row(method: str) -> dict:
+    rows = []
+    for method in methods:
         start = time.perf_counter()
         res = evaluators[method](k, x, t, ev)
         value, err = _real_with_residual(res.value, res.err_estimate)
-        return {"k_or_m": k, "x": x, "t": t, "method": method, "value": value,
-                "err": err, "runtime": time.perf_counter() - start}
-
-    rows = _map_ordered(row, methods)
-    _emit(("k_or_m", "x", "t", "method", "value", "err", "runtime"), rows,
-          {"nodes": run.nodes}, run.fmt, run.out)
+        rows.append({"k_or_m": k, "x": x, "t": t, "method": method, "value": value,
+                     "err": err, "runtime": time.perf_counter() - start})
+    _emit(cfg, ("k_or_m", "x", "t", "method", "value", "err", "runtime"), rows,
+          {"nodes": cfg["nodes"]})
     return 0
 
 
@@ -470,56 +384,51 @@ def _describe_observable(obs: Observable) -> str:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    run = RunConfig(p=cfg["p"], tau=cfg["tau"], samples=cfg["samples"], seed=cfg["seed"],
-                    window=cfg["window"], fmt=cfg["format"], out=cfg["out"])
-    if run.seed is None:
+    params = _params(cfg)
+    if cfg["seed"] is None:
         raise DomainError("simulate requires --seed for reproducibility")
     obs = _build_observable(cfg)
     t = cfg["t"]
-    window = run.window if run.window is not None else default_window(obs, t)
-    mean, stderr = mc_expectation(obs, t, run.params, run.samples, run.seed, window)
+    window = cfg["window"] if cfg["window"] is not None else default_window(obs, t)
+    mean, stderr = mc_expectation(obs, t, params, cfg["samples"], cfg["seed"], window)
     rows = [{"observable": _describe_observable(obs), "mean": mean, "stderr": stderr}]
-    _emit(("observable", "mean", "stderr"), rows,
-          {"seed": run.seed, "samples": run.samples,
-           "window": f"{window[0]},{window[1]}"}, run.fmt, run.out)
+    _emit(cfg, ("observable", "mean", "stderr"), rows,
+          {"seed": cfg["seed"], "samples": cfg["samples"],
+           "window": f"{window[0]},{window[1]}"})
     return 0
 
 
 def _cmd_ctmc(cfg: dict) -> int:
-    run = RunConfig(p=cfg["p"], tau=cfg["tau"], window=cfg["window"],
-                    fmt=cfg["format"], out=cfg["out"])
-    if run.window is None:
+    params = _params(cfg)
+    window = cfg["window"]
+    if window is None:
         raise DomainError("ctmc-oracle requires --window")
     obs = _build_observable(cfg)
-    mean = ctmc_exact_expectation(obs, cfg["t"], run.params, run.window)
+    mean = ctmc_exact_expectation(obs, cfg["t"], params, window)
     rows = [{"observable": _describe_observable(obs), "mean": mean, "stderr": 0.0}]
-    _emit(("observable", "mean", "stderr"), rows,
-          {"window": f"{run.window[0]},{run.window[1]}"}, run.fmt, run.out)
+    _emit(cfg, ("observable", "mean", "stderr"), rows,
+          {"window": f"{window[0]},{window[1]}"})
     return 0
 
 
 def _cmd_laplace(cfg: dict) -> int:
-    run = RunConfig(p=cfg["p"], tau=cfg["tau"], nodes=cfg["nodes"], tol=cfg["tol"],
-                    fmt=cfg["format"], out=cfg["out"])
+    ev = _ev(cfg)
     if cfg["zeta"] is None:
         raise DomainError("laplace requires --zeta")
     zeta, x, t = cfg["zeta"], cfg["x"], cfg["t"]
-    ev = run.ev()
     reps = ("series", "mb") if cfg["rep"] == "both" else (cfg["rep"],)
-
-    def row(rep: str) -> dict:
+    rows = []
+    for rep in reps:
         start = time.perf_counter()
         if rep == "series":
             raw = tau_laplace_series(zeta, x, t, cfg["m_max"], ev)
         else:
             raw = tau_laplace_mb(zeta, x, t, cfg["k_max"], ev)
         value, err = _real_with_residual(raw, 0.0)
-        return {"rep": rep, "zeta": zeta, "x": x, "t": t, "value": value,
-                "err": err, "runtime": time.perf_counter() - start}
-
-    rows = _map_ordered(row, reps)
-    _emit(("rep", "zeta", "x", "t", "value", "err", "runtime"), rows,
-          {"nodes": run.nodes}, run.fmt, run.out)
+        rows.append({"rep": rep, "zeta": zeta, "x": x, "t": t, "value": value,
+                     "err": err, "runtime": time.perf_counter() - start})
+    _emit(cfg, ("rep", "zeta", "x", "t", "value", "err", "runtime"), rows,
+          {"nodes": cfg["nodes"]})
     return 0
 
 
@@ -550,28 +459,26 @@ def _cmd_bose(cfg: dict) -> int:
     rows = [{"kind": kind, "k": k, "xs": ",".join(_fmt_float(v) for v in xs), "t": t,
              "theta": theta, "value": value, "err": err,
              "runtime": time.perf_counter() - start}]
-    _emit(("kind", "k", "xs", "t", "theta", "value", "err", "runtime"), rows,
-          {"nodes": cfg["nodes"]}, cfg["format"], cfg["out"])
+    _emit(cfg, ("kind", "k", "xs", "t", "theta", "value", "err", "runtime"), rows,
+          {"nodes": cfg["nodes"]})
     return 0
 
 
 def _cmd_airy21(cfg: dict) -> int:
-    grid_points = [(x, r) for x in cfg["x"] for r in cfg["r"]]
-
-    def row(point: tuple[float, float]) -> dict:
-        x, r = point
-        start = time.perf_counter()
-        value = halfflat_limit_cdf(
-            x, r,
-            spec=KernelSpec(x=x, ray_length=cfg["ray_length"], nodes_per_ray=cfg["ray_nodes"]),
-            grid=NystromGrid(lower=0.0, span=cfg["span"], n=cfg["grid_n"]),
-        )
-        return {"x": x, "r": r, "value": value, "runtime": time.perf_counter() - start}
-
-    rows = _map_ordered(row, grid_points)
-    _emit(("x", "r", "value", "runtime"), rows,
-          {"ray_nodes": cfg["ray_nodes"], "grid_n": cfg["grid_n"]},
-          cfg["format"], cfg["out"])
+    rows = []
+    for x in cfg["x"]:
+        for r in cfg["r"]:
+            start = time.perf_counter()
+            value = halfflat_limit_cdf(
+                x, r,
+                spec=KernelSpec(x=x, ray_length=cfg["ray_length"],
+                                nodes_per_ray=cfg["ray_nodes"]),
+                grid=NystromGrid(lower=0.0, span=cfg["span"], n=cfg["grid_n"]),
+            )
+            rows.append({"x": x, "r": r, "value": value,
+                         "runtime": time.perf_counter() - start})
+    _emit(cfg, ("x", "r", "value", "runtime"), rows,
+          {"ray_nodes": cfg["ray_nodes"], "grid_n": cfg["grid_n"]})
     return 0
 
 
@@ -618,7 +525,7 @@ def _suite_identities(scale: float, seed: int) -> list[dict]:
     return rows
 
 
-def _suite_moments(scale: float) -> list[dict]:
+def _suite_moments(scale: float, seed: int) -> list[dict]:
     rows = []
     ev = EvalParams(params=ModelParams.from_tau(0.5))
     worst = 0.0
@@ -643,14 +550,14 @@ def _suite_moments(scale: float) -> list[dict]:
     return rows
 
 
-def _suite_laplace(scale: float) -> list[dict]:
+def _suite_laplace(scale: float, seed: int) -> list[dict]:
     ev = EvalParams(params=ModelParams.from_tau(0.5))
     series = tau_laplace_series(-0.2, 2, 0.5, 20, ev)
     mellin = tau_laplace_mb(-0.2, 2, 0.5, 2, ev)
     return [_check("laplace", "series-vs-mellin-barnes", abs(series - mellin), 1e-5 * scale)]
 
 
-def _suite_bose(scale: float) -> list[dict]:
+def _suite_bose(scale: float, seed: int) -> list[dict]:
     rows = []
     worst = 0.0
     for x, t in ((0.0, 1.0), (0.5, 0.8)):
@@ -670,7 +577,7 @@ def _suite_bose(scale: float) -> list[dict]:
     return rows
 
 
-def _suite_airy(scale: float) -> list[dict]:
+def _suite_airy(scale: float, seed: int) -> list[dict]:
     rows = []
     rows.append(_check("airy", "unit-tail",
                        abs(halfflat_limit_cdf(0.0, 20.0 / CBRT2) - 1.0), 1e-6 * scale))
@@ -700,26 +607,23 @@ def _suite_airy(scale: float) -> list[dict]:
     return rows
 
 
+_SUITES = {
+    "identities": _suite_identities,
+    "moments": _suite_moments,
+    "laplace": _suite_laplace,
+    "bose": _suite_bose,
+    "airy": _suite_airy,
+}
+
+
 def _cmd_verify(cfg: dict) -> int:
     scale = cfg["tol_scale"]
     if scale <= 0:
         raise DomainError(f"need tol-scale > 0, got {scale}")
     suites = VERIFY_SUITES if cfg["suite"] == "all" else (cfg["suite"],)
-    rows: list[dict] = []
-    for suite in suites:
-        if suite == "identities":
-            rows.extend(_suite_identities(scale, cfg["seed"]))
-        elif suite == "moments":
-            rows.extend(_suite_moments(scale))
-        elif suite == "laplace":
-            rows.extend(_suite_laplace(scale))
-        elif suite == "bose":
-            rows.extend(_suite_bose(scale))
-        else:
-            rows.extend(_suite_airy(scale))
-    _emit(("suite", "check", "gap", "tol", "status"), rows,
-          {"suite": cfg["suite"], "tol_scale": scale, "seed": cfg["seed"]},
-          cfg["format"], cfg["out"])
+    rows = [row for suite in suites for row in _SUITES[suite](scale, cfg["seed"])]
+    _emit(cfg, ("suite", "check", "gap", "tol", "status"), rows,
+          {"suite": cfg["suite"], "tol_scale": scale, "seed": cfg["seed"]})
     return 0 if all(row["status"] == "pass" for row in rows) else 1
 
 
@@ -744,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve(args.command, args)
         return _DISPATCH[args.command](cfg)
     except (DomainError, PoleError, CostGuardError, ConsistencyError, ValueError,
-            ArithmeticError) as exc:
+            ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -489,10 +489,11 @@ def _series_k_cap(m: int) -> int:
 def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalParams) -> complex:
     """E[e_tau(zeta tau^(N_x))] summed from the moment expansion.
 
-    Truncation is two-fold and both tails are controlled: the m-series is cut
-    at m_max (moments lie in (0,1], so the tail is a geometric bound), and
-    for large m only expansion orders k <= cap(m) are kept, the dropped terms
-    being suppressed by zeta^m / m_tau!.
+    The m-series stops at the first m with |zeta^m / m_tau!| < trunc.tol or
+    at m_max, whichever comes first.  Nothing checks the tail past m_max, so
+    near |zeta| = 1 a small m_max truncates silently (the value carries no
+    error estimate).  For large m only expansion orders k <= cap(m) are
+    kept, the dropped terms being suppressed by zeta^m / m_tau!.
     """
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:

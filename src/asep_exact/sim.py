@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 
 from .qfunc import DomainError, ModelParams, q_exp
 
@@ -91,6 +90,8 @@ class Observable:
 
 
 def _check_observable_window(obs: Observable, left: int, right: int) -> None:
+    if left >= right:
+        raise DomainError(f"window must satisfy left < right, got {(left, right)}")
     if not (left <= 0 <= right):
         raise DomainError(f"window [{left}, {right}] must contain the origin")
     for x in obs.sites():
@@ -296,6 +297,9 @@ def ctmc_exact_expectation(
     truncation point of _poisson_weights and stops once its cumulative
     weight reaches 1 - 1e-12.  Deterministic.
     """
+    # imported here, not at module top: scipy.sparse slows every CLI start-up
+    from scipy import sparse
+
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     left, right = int(window[0]), int(window[1])

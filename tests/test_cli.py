@@ -25,7 +25,7 @@ import pytest
 import asep_exact
 from asep_exact import cli
 from asep_exact.bose import she_halfflat_moment_collapsed
-from asep_exact.qfunc import DomainError
+from asep_exact.qfunc import ModelParams
 from asep_exact.quad import QuadratureRule
 from asep_exact.sim import Observable, ctmc_exact_expectation
 
@@ -60,39 +60,6 @@ def run_module(args, extra_env=None):
         [sys.executable, "-m", "asep_exact", *args],
         capture_output=True, text=True, env=env,
     )
-
-
-class TestRunConfig:
-    def test_requires_exactly_one_of_p_tau(self):
-        with pytest.raises(DomainError):
-            cli.RunConfig()
-        with pytest.raises(DomainError):
-            cli.RunConfig(p=0.3, tau=0.5)
-
-    def test_p_and_tau_give_same_rates(self):
-        by_p = cli.RunConfig(p=0.25).params
-        by_tau = cli.RunConfig(tau=1.0 / 3.0).params
-        assert by_p.tau == pytest.approx(by_tau.tau, abs=1e-15)
-
-    def test_numeric_guards_run_at_construction(self):
-        with pytest.raises(DomainError):
-            cli.RunConfig(tau=0.5, nodes=4)
-        with pytest.raises(DomainError):
-            cli.RunConfig(tau=0.5, tol=2.0)
-        with pytest.raises(DomainError):
-            cli.RunConfig(tau=0.5, samples=50)
-        with pytest.raises(DomainError):
-            cli.RunConfig(tau=0.5, window=(5, 2))
-        with pytest.raises(DomainError):
-            cli.RunConfig(tau=0.5, fmt="xml")
-        with pytest.raises(DomainError):
-            cli.RunConfig(tau=0.5, method="magic")
-
-    def test_ev_propagates_settings(self):
-        ev = cli.RunConfig(tau=0.5, nodes=96, tol=1e-12).ev()
-        assert ev.rule.nodes_per_piece == 96
-        assert ev.trunc.tol == 1e-12
-        assert ev.params.tau == pytest.approx(0.5, abs=1e-15)
 
 
 class TestMomentCommand:
@@ -137,6 +104,45 @@ class TestMomentCommand:
         code, _, err = run_cli(["moment", "--p", "0.3", "--tau", "0.4"], capsys)
         assert code == 2
 
+    def test_p_and_tau_give_same_rows(self, capsys):
+        args = ["moment", "--k", "1", "--x", "1", "--t", "0.3", "--method", "nested"]
+        rows = []
+        for rate in (["--p", "0.25"], ["--tau", str(1.0 / 3.0)]):
+            code, out, _ = run_cli([*args, *rate], capsys)
+            assert code == 0
+            rows.append([{**r, "runtime": None} for r in parse_csv(out)[2]])
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--tau", "0.5", "--nodes", "4"],
+        ["moment", "--tau", "0.5", "--tol", "2"],
+        ["simulate", "--tau", "0.5", "--seed", "1", "--samples", "50"],
+        ["simulate", "--tau", "0.5", "--seed", "1", "--window=5,2"],
+        ["ctmc-oracle", "--tau", "0.5", "--window=5,2"],
+        ["ctmc-oracle", "--tau", "0.5", "--window=0,0"],
+    ], ids=["nodes", "tol", "samples", "mc-window", "ctmc-window", "ctmc-empty-window"])
+    def test_library_guards_refuse_bad_settings(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_rule_settings_reach_the_evaluator(self, monkeypatch, capsys):
+        seen = []
+        real = cli.halfflat_moment
+
+        def fake(k, x, t, ev):
+            seen.append(ev)
+            return real(k, x, t, ev)
+
+        monkeypatch.setattr(cli, "halfflat_moment", fake)
+        code, _, _ = run_cli(
+            ["moment", "--tau", "0.5", "--k", "1", "--x", "2", "--t", "0",
+             "--method", "halfflat", "--nodes", "96", "--tol", "1e-12"], capsys)
+        assert code == 0
+        (ev,) = seen
+        assert ev.rule.nodes_per_piece == 96
+        assert ev.trunc.tol == 1e-12
+        assert ev.params.tau == pytest.approx(0.5, abs=1e-15)
 
     def test_numerical_failure_exits_two(self, capsys):
         # At tau = 0.999 the Mellin-Barnes route's complex-order q-product
@@ -193,7 +199,7 @@ class TestCtmcCommand:
             ["ctmc-oracle", "--tau", "0.5", "--window=-4,4", "--t", "0.1"], capsys)
         assert code == 0
         _, _, rows = parse_csv(out)
-        params = cli.RunConfig(tau=0.5).params
+        params = ModelParams.from_tau(0.5)
         direct = ctmc_exact_expectation(Observable.tau_pow_N(1, 0), 0.1, params, (-4, 4))
         assert float(rows[0]["mean"]) == direct
         assert float(rows[0]["stderr"]) == 0.0
@@ -320,6 +326,15 @@ class TestOutputFormats:
         token = re.search(r'"value": ([^,}]+)', out.splitlines()[1]).group(1)
         assert token == f"{float(token):.17g}"
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(
+            ["moment", "--tau", "0.5", "--k", "1", "--t", "0", "--method", "halfflat",
+             "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert not target.exists()
+
     def test_out_file_leaves_stdout_empty(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"
         code, out, _ = run_cli(
@@ -379,39 +394,19 @@ class TestConfigFile:
         assert "config" in err
 
 
-class TestThreadCap:
-    def test_results_identical_across_thread_counts(self):
-        args = ["airy21", "--x=-1,1", "--r=0,1", "--format", "jsonl"]
-        single = run_module(args, {"ASEP_EXACT_THREADS": "1"})
-        pooled = run_module(args, {"ASEP_EXACT_THREADS": "3"})
-        assert single.returncode == 0 and pooled.returncode == 0
-
-        def values(out):
-            return [(rec["x"], rec["r"], rec["value"])
-                    for rec in map(json.loads, out.splitlines())
-                    if rec["record"] == "row"]
-
-        assert values(single.stdout) == values(pooled.stdout)
-
-    def test_invalid_thread_cap_is_refused(self):
-        result = run_module(
-            ["moment", "--tau", "0.5", "--k", "1", "--x", "0", "--t", "0.1"],
-            {"ASEP_EXACT_THREADS": "zero"})
-        assert result.returncode == 2
-
-
 class TestStartup:
     def test_cli_import_leaves_scipy_special_unloaded(self):
-        # scipy.special is imported inside the functions that use it; a
-        # top-level import would slow every CLI start-up
+        # scipy.special and scipy.sparse are imported inside the functions
+        # that use them; a top-level import would slow every CLI start-up
         src = os.path.dirname(os.path.dirname(os.path.abspath(asep_exact.__file__)))
         result = subprocess.run(
             [sys.executable, "-c",
-             "import asep_exact.cli, sys; print('scipy.special' in sys.modules)"],
+             "import asep_exact.cli, sys; "
+             "print([m for m in ('scipy.special', 'scipy.sparse') if m in sys.modules])"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:
@@ -490,6 +485,8 @@ class TestArgumentErrors:
 
     def test_bad_choice_exits_two(self, capsys):
         code, _, _ = run_cli(["moment", "--tau", "0.5", "--method", "magic"], capsys)
+        assert code == 2
+        code, _, _ = run_cli(["moment", "--tau", "0.5", "--format", "xml"], capsys)
         assert code == 2
 
 

@@ -51,6 +51,14 @@ class TestInitHalfflat:
         with pytest.raises(DomainError):
             ctmc_exact_expectation(obs, 0.5, PARAMS, (1, 5))
 
+    def test_window_must_have_left_below_right(self):
+        obs = Observable.tau_pow_N(1, 0)
+        for window in ((0, 0), (5, 2)):
+            with pytest.raises(DomainError, match="left < right"):
+                mc_expectation(obs, 0.5, PARAMS, 200, seed=1, window=window)
+            with pytest.raises(DomainError, match="left < right"):
+                ctmc_exact_expectation(obs, 0.5, PARAMS, window)
+
 
 class TestMCExpectation:
     def test_deterministic_at_time_zero(self):
