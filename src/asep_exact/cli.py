@@ -138,7 +138,7 @@ _MODEL_OPTS = (
 )
 _RULE_OPTS = (
     Opt("nodes", int, 64, "quadrature nodes per contour piece (floor)"),
-    Opt("tol", float, 1e-14, "truncation tolerance for infinite q-products"),
+    Opt("tol", float, 1e-14, "target error of node counts, Laplace series and q-products"),
 )
 _OBS_OPTS = (
     Opt("observable", _choice("tau-pow-n", "qtilde", "etau", "height"), "tau-pow-n",
@@ -172,7 +172,7 @@ _OPTION_TABLES: dict[str, tuple[Opt, ...]] = {
         Opt("window", _int_pair, None, "lattice window 'left,right' (required)"),
     ) + _OUT_OPTS,
     "laplace": _MODEL_OPTS + (
-        Opt("zeta", float, None, "transform argument (negative real, required)"),
+        Opt("zeta", float, None, "transform argument (in (-1, 0), required)"),
         Opt("x", int, 0, "lattice site"),
         Opt("t", float, 1.0, "time"),
         Opt("rep", _choice("series", "mb", "both"), "both", "representation"),

@@ -30,6 +30,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from . import quad
 from .qfunc import (
     DEFAULT_TRUNC,
     DomainError,
@@ -44,12 +45,12 @@ from .qfunc import (
     q_factorial,
 )
 from .quad import (
-    DEFAULT_MAX_POINTS,
     CostGuardError,
     MomentResult,
     QuadratureRule,
     c1_rho_radius,
     circle_axis,
+    circle_nodes,
     gl_panels,
     nested_radii,
     tensor_result,
@@ -118,14 +119,13 @@ def partitions_of(k: int) -> list[tuple[int, ...]]:
 class EvalParams:
     """Model parameters plus truncation and quadrature settings.
 
-    rule.nodes_per_piece acts as a floor; evaluators raise per-axis node
-    counts automatically from the pole geometry of each contour family.
+    rule.nodes_per_piece and trunc.tol are the floor and target error of
+    quad.circle_nodes, which sizes every circle.
     """
 
     params: ModelParams
     trunc: QTruncation = field(default_factory=lambda: DEFAULT_TRUNC)
     rule: QuadratureRule = field(default_factory=QuadratureRule)
-    max_points: int = DEFAULT_MAX_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -157,48 +157,6 @@ def eps_hat(y, params: ModelParams):
 
 
 # ---------------------------------------------------------------------------
-# Node-count heuristics (trapezoid error ~ ratio^n for circle contours).
-
-
-def _auto_nodes(ratio: float, tol: float) -> int:
-    if not (0.0 < ratio < 1.0):
-        raise DomainError(f"convergence ratio must lie in (0,1), got {ratio}")
-    return int(math.ceil(math.log(1.0 / tol) / -math.log(ratio))) + 32
-
-
-def _essential_nodes(amp: float, tol: float) -> int:
-    # Smallest n with amp^n/n! < tol: Fourier tail of exp(A e^{-i theta}).
-    if amp <= 0.5:
-        return 8
-    target = math.log(1.0 / tol)
-    n = max(8, int(amp))
-    while n < 200_000:
-        if math.lgamma(n + 1) - n * math.log(amp) > target:
-            return n
-        n += 4
-    raise ArithmeticError("essential-singularity node count diverged")
-
-
-def _c1_nodes(params: ModelParams, rho: float, t: float, tol: float, floor: int) -> int:
-    tau = params.tau
-    ratios = [
-        rho / (1.0 - tau - tau * rho),
-        rho / (tau**-0.5 - 1.0),
-        rho / ((1.0 - tau * (1.0 + rho)) / (tau * (1.0 + rho))),
-    ]
-    n = max(_auto_nodes(r, tol) for r in ratios if 0 < r < 1)
-    amp = t * params.q * (1.0 - tau + tau * rho) / rho
-    return max(floor, n, _essential_nodes(amp, tol))
-
-
-def _gamma_m10_nodes(params: ModelParams, radius: float, tol: float, floor: int) -> int:
-    tau = params.tau
-    ratios = [1.0 / radius, radius * tau**0.5, radius * radius * tau]
-    n = max(_auto_nodes(r, tol) for r in ratios if 0 < r < 1)
-    return max(floor, n)
-
-
-# ---------------------------------------------------------------------------
 # Ordered-site product moments (circle around 1).
 
 
@@ -206,7 +164,10 @@ def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
     params = ev.params
     tau = params.tau
     rho = c1_rho_radius(params)
-    n = _c1_nodes(params, rho, t, ev.trunc.tol, ev.rule.nodes_per_piece)
+    ratios = (rho / (1.0 - tau - tau * rho), rho / (tau**-0.5 - 1.0),
+              rho / ((1.0 - tau * (1.0 + rho)) / (tau * (1.0 + rho))))
+    amp = t * params.q * (1.0 - tau + tau * rho) / rho
+    n = circle_nodes(ev.trunc.tol, ev.rule.nodes_per_piece, ratios, (amp,))
     axes = [circle_axis([(1.0 + 0j, rho, n)])] * len(xs)
 
     def diag(a, z):
@@ -217,7 +178,7 @@ def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
         return (za - zb) / (za - tau * zb) * (1.0 - za * zb) / (1.0 - tau * za * zb)
 
     prefactor = tau ** (len(xs) * (len(xs) - 1) / 2.0)
-    return tensor_result([(prefactor, axes, diag, pair)], "c1_tensor", ev.max_points)
+    return tensor_result([(prefactor, axes, diag, pair)], "c1_tensor")
 
 
 def qtilde_moments(xs, t: float, ev: EvalParams) -> MomentResult:
@@ -334,17 +295,8 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     amp_res = t * params.q * tau * (1.0 - tau)
     axes = []
     for a in range(k):
-        n0 = max(
-            _auto_nodes(tau**0.5, tol),
-            _auto_nodes(r[a] / (tau - r[a]), tol),
-            _essential_nodes(amp_res / (tau - r[a]), tol),
-            floor,
-        )
-        ns = max(
-            _auto_nodes(tau**0.5, tol),
-            _essential_nodes(amp_res / s[a], tol),
-            floor,
-        )
+        n0 = circle_nodes(tol, floor, (tau**0.5, r[a] / (tau - r[a])), (amp_res / (tau - r[a]),))
+        ns = circle_nodes(tol, floor, (tau**0.5,), (amp_res / s[a],))
         axes.append(circle_axis([(0j, float(r[a]), n0), (-tau + 0j, float(s[a]), ns)]))
 
     def diag(a, y):
@@ -354,7 +306,7 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         return (ya - yb) / (ya - tau * yb) * (1.0 - ya * yb / tau**2) / (1.0 - ya * yb / tau)
 
     prefactor = tau ** (k * (k - 1) / 2.0)
-    return tensor_result([(prefactor, axes, diag, pair)], "nested_tensor", ev.max_points)
+    return tensor_result([(prefactor, axes, diag, pair)], "nested_tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +325,7 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     radius = tau**0.75
     site = x + 1
     amp_res = t * params.q * tau * (1.0 - tau)
-    n = max(
-        ev.rule.nodes_per_piece,
-        _auto_nodes(tau**0.25, tol),
-        _essential_nodes(amp_res / (radius - tau), tol),
-    )
+    n = circle_nodes(tol, ev.rule.nodes_per_piece, (tau**0.25,), (amp_res / (radius - tau),))
     axis = circle_axis([(0j, radius, n)])
     kfact = q_factorial(k, tau)
 
@@ -410,7 +358,7 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
             return out
 
         terms.append((kfact * (1.0 - tau) ** k / mult_factor, [axis] * len(parts), diag, pair))
-    return tensor_result(terms, "partition_tensor", ev.max_points)
+    return tensor_result(terms, "partition_tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +381,8 @@ def _nu_terms(k: int, m: int, x: int, t: float, ev: EvalParams, scale: complex):
     tau = params.tau
     tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
     radius = 0.5 * (1.0 + tau**-0.5)
-    n = _gamma_m10_nodes(params, radius, tol, ev.rule.nodes_per_piece)
+    ratios = (1.0 / radius, radius * tau**0.5, radius * radius * tau)
+    n = circle_nodes(tol, ev.rule.nodes_per_piece, ratios)
     axis = circle_axis([(0j, radius, n)]) if k else None
     site = x + 1
 
@@ -469,7 +418,7 @@ def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         raise DomainError(f"need t >= 0, got {t}")
     mfact = q_factorial(m, ev.params.tau)
     terms = (term for k in range(m + 1) for term in _nu_terms(k, m, x, t, ev, mfact))
-    return tensor_result(terms, "gamma_tensor", ev.max_points)
+    return tensor_result(terms, "gamma_tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +441,9 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
     The m-series stops at the first m with |zeta^m / m_tau!| < trunc.tol or
     at m_max, whichever comes first.  Nothing checks the tail past m_max, so
     near |zeta| = 1 a small m_max truncates silently (the value carries no
-    error estimate).  For large m only expansion orders k <= cap(m) are
-    kept, the dropped terms being suppressed by zeta^m / m_tau!.
+    error estimate).  Only orders k <= _series_k_cap(m) <= 4 are kept, and
+    nothing bounds the dropped ones: at tau = 0.3, x = 0, t = 0.5 they cost
+    5.8e-7 at zeta = -0.5 and 7.7e-4 at zeta = -0.9 (m_max = 40).
     """
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:
@@ -508,7 +458,7 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
             for k in range(min(m, _series_k_cap(m)) + 1):
                 yield from _nu_terms(k, m, x, t, ev, zeta**m)
 
-    return tensor_result(terms(), "laplace_series", ev.max_points).value
+    return tensor_result(terms(), "laplace_series").value
 
 
 def _mb_line_nodes(half_width: float, panel_width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -535,24 +485,20 @@ def _mb_half_width(zeta: complex, tol: float) -> float:
 def _mb_diag_grid(zeta, x, t, ev, tol, panel_width, order=1):
     """Weighted single-variable factor on the (s, w) product grid.
 
-    The order-k integral spans (n_s n_w)^k points; over ev.max_points it is refused first.
+    The order-k integral spans (n_s n_w)^k points; over quad.MAX_POINTS it is refused first.
     """
     params = ev.params
     tau = params.tau
     s_nodes, s_weights = _mb_line_nodes(_mb_half_width(zeta, tol), panel_width)
     radius = 0.5 * (1.0 + tau**-0.25)
-    n_w = max(
-        _auto_nodes(1.0 / radius, tol),
-        _auto_nodes(radius * tau**0.25, tol),
-        ev.rule.nodes_per_piece,
-    )
+    n_w = circle_nodes(tol, ev.rule.nodes_per_piece, (1.0 / radius, radius * tau**0.25))
     w_axis = circle_axis([(0j, radius, n_w)])
     w_nodes, w_weights = w_axis["z"], w_axis["w"]
     points = (s_nodes.size * w_nodes.size) ** order
-    if points > ev.max_points:
+    if points > quad.MAX_POINTS:
         raise CostGuardError(
-            f"Mellin-Barnes order-{order} grid of {points} points exceeds budget {ev.max_points}; "
-            f"--k-max {order - 1} computes the same quantity by residues"
+            f"Mellin-Barnes order-{order} grid of {points} points exceeds budget "
+            f"{quad.MAX_POINTS}; --k-max {order - 1} computes the same quantity by residues"
         )
     sine = np.pi / np.sin(-np.pi * s_nodes)
     power = np.exp(s_nodes * np.log(-zeta))
@@ -640,11 +586,15 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     same depth the moment series reaches) are completed by their residue
     expansions over integer s_a, which the Mellin-Barnes identity makes the
     same quantity; k_max therefore only bounds the dimension of the line
-    integrals actually performed.
+    integrals actually performed.  The residue series need |zeta| < 1.  They
+    drop the orders tau_laplace_series drops, so the two routes agree on the
+    same truncated value.
     """
     zeta = complex(zeta)
     if zeta.imag == 0.0 and zeta.real >= 0.0:
         raise DomainError("zeta must avoid the nonnegative real axis")
+    if abs(zeta) >= 1.0:
+        raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if k_max < 0 or k_max > 2:
         raise DomainError(f"need 0 <= k_max <= 2, got {k_max}")
     if t < 0:
@@ -663,7 +613,7 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
                     break
                 yield from _nu_terms(k, m, x, t, ev, zeta**m)
 
-    return total + order2 + tensor_result(residues(), "laplace_residues", ev.max_points).value
+    return total + order2 + tensor_result(residues(), "laplace_residues").value
 
 
 # ---------------------------------------------------------------------------

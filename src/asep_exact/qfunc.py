@@ -77,7 +77,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class QTruncation:
-    """Truncation control for infinite q-products."""
+    """Target error of node counts (quad.circle_nodes), Laplace series and q-products."""
 
     tol: float = 1e-14
 

@@ -2,9 +2,11 @@
 
 Two rules cover every contour the evaluators integrate over.  Circles use
 the trapezoid rule, which converges exponentially for analytic integrands;
-its every-other-node half grid gives the error estimate.  Lines, rays and
-real intervals use composite 16-point Gauss-Legendre panels, which callers
-map onto their own vertical lines, wedge rays and chamber axes.
+its every-other-node half grid gives the error estimate, and circle_nodes
+sizes it from the poles and essential singularities of the integrand.
+Lines, rays and real intervals use composite 16-point Gauss-Legendre
+panels, which callers map onto their own vertical lines, wedge rays and
+chamber axes.
 
 Each value is a weighted sum of k-fold integrals of prod_a d_a(z_a)
 prod_{a<b} P_ab(z_a, z_b) over such axes, and tensor_result, the one engine,
@@ -12,7 +14,8 @@ returns sum w * full with the error |sum w * (full - half)| (see
 MomentResult).  Each term is contracted with BLAS matrix products: k = 2 is
 d_0 P_01 d_1, k = 3 one GEMM, and k >= 4 loops over the nodes of one axis
 down to k = 3.  On N nodes per axis that is O(N^k) flops in O(k^2 N^2)
-memory; no N^3 intermediate is ever built.
+memory; no N^3 intermediate is ever built.  A grid of more than MAX_POINTS
+points is refused before it is evaluated.
 
 Circle weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +35,8 @@ __all__ = [
     "CostGuardError",
     "QuadratureRule",
     "MomentResult",
-    "DEFAULT_MAX_POINTS",
+    "MAX_POINTS",
+    "circle_nodes",
     "circle_axis",
     "gl_panels",
     "panel_count",
@@ -43,11 +47,11 @@ __all__ = [
 
 # Bounds the grid points, and so the flops, of one tensor term; memory is only
 # the N x N pair matrices.
-DEFAULT_MAX_POINTS = 1 << 30
+MAX_POINTS = 1 << 30
 
 
 class CostGuardError(RuntimeError):
-    """Tensor-product grid would exceed the configured cost budget."""
+    """Tensor-product grid would exceed the cost budget MAX_POINTS."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,6 @@ class MomentResult:
     err_estimate: float
     method: str
     node_counts: tuple[int, ...]
-    warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.err_estimate < 0:
@@ -81,6 +84,34 @@ class MomentResult:
 
 # ---------------------------------------------------------------------------
 # Node builders.
+
+
+def _auto_nodes(ratio: float, tol: float) -> int:
+    if not (0.0 < ratio < 1.0):
+        raise DomainError(f"convergence ratio must lie in (0,1), got {ratio}")
+    return int(math.ceil(math.log(1.0 / tol) / -math.log(ratio))) + 32
+
+
+def _essential_nodes(amp: float, tol: float) -> int:
+    # Smallest n with amp^n/n! < tol: Fourier tail of exp(A e^{-i theta}).
+    if amp <= 0.5:
+        return 8
+    target = math.log(1.0 / tol)
+    n = max(8, int(amp))
+    while n < 200_000:
+        if math.lgamma(n + 1) - n * math.log(amp) > target:
+            return n
+        n += 4
+    raise ArithmeticError("essential-singularity node count diverged")
+
+
+def circle_nodes(tol: float, floor: int, ratios=(), amps=()) -> int:
+    """Trapezoid nodes on one circle for error below tol, at least floor.
+
+    A pole at ratio r in (0, 1) costs r^n, a factor exp(A e^{-i theta}) A^n/n!.
+    """
+    need = [_auto_nodes(r, tol) for r in ratios] + [_essential_nodes(a, tol) for a in amps]
+    return max([floor, *need])
 
 
 def circle_axis(pieces) -> dict:
@@ -162,15 +193,15 @@ def _contract(d, pairs) -> complex:
     return total
 
 
-def _grid_eval(axes, diag_fn, pair_fn, max_points: int, half: bool) -> complex:
+def _grid_eval(axes, diag_fn, pair_fn, half: bool) -> complex:
     k = len(axes)
     if k > MAX_AXES:
         raise CostGuardError(f"tensor evaluation supports at most {MAX_AXES} axes, got {k}")
     key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
     sizes = [axes[a][key_z].size for a in range(k)]
-    if math.prod(sizes) > max_points:
+    if math.prod(sizes) > MAX_POINTS:
         raise CostGuardError(
-            f"tensor grid of {math.prod(sizes)} points exceeds budget {max_points} "
+            f"tensor grid of {math.prod(sizes)} points exceeds budget {MAX_POINTS} "
             f"(axes: {sizes})"
         )
     d = [diag_fn(a, axes[a][key_z]) * axes[a][key_w] for a in range(k)]
@@ -185,7 +216,7 @@ def _grid_eval(axes, diag_fn, pair_fn, max_points: int, half: bool) -> complex:
     return total
 
 
-def tensor_result(terms, method: str, max_points: int = DEFAULT_MAX_POINTS) -> MomentResult:
+def tensor_result(terms, method: str) -> MomentResult:
     """MomentResult of (weight, axes, diag_fn, pair_fn) terms, evaluated one at a time.
 
     axes are node dicts with keys z, w, z_half, w_half; diag_fn(a, z) is the 1-D factor
@@ -195,9 +226,9 @@ def tensor_result(terms, method: str, max_points: int = DEFAULT_MAX_POINTS) -> M
     value = gap = 0j
     node_counts: tuple[int, ...] = ()
     for weight, axes, diag_fn, pair_fn in terms:
-        full = weight * _grid_eval(axes, diag_fn, pair_fn, max_points, half=False)
+        full = weight * _grid_eval(axes, diag_fn, pair_fn, half=False)
         value += full
-        gap += full - weight * _grid_eval(axes, diag_fn, pair_fn, max_points, half=True)
+        gap += full - weight * _grid_eval(axes, diag_fn, pair_fn, half=True)
         if len(axes) > len(node_counts):
             node_counts = tuple(axis["z"].size for axis in axes)
     return MomentResult(

@@ -243,6 +243,13 @@ class TestLaplaceCommand:
         assert code == 2
         assert "zeta" in err
 
+    def test_mb_refuses_zeta_outside_unit_disk(self, capsys):
+        code, out, err = run_cli(
+            ["laplace", "--tau", "0.3", "--zeta=-2", "--x", "0", "--t", "0.5",
+             "--rep", "mb", "--k-max", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "|zeta| < 1" in err
+
 
 class TestBoseCommand:
     def test_single_point_gaussian_value(self, capsys):

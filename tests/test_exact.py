@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asep_exact import exact as ex
-from asep_exact import qfunc
+from asep_exact import qfunc, quad
 from asep_exact.qfunc import (
     DomainError,
     ModelParams,
@@ -227,12 +227,9 @@ class TestPartitionMoment:
         val = ex.partition_moment(4, 2, 0.0, make_ev(0.3))
         assert abs(val.value - 0.3**4) < 1e-6
 
-    def test_depth_five_with_raised_budget(self):
-        ev = ex.EvalParams(
-            params=ModelParams.from_tau(0.2),
-            trunc=QTruncation(tol=1e-6),
-            max_points=1 << 33,
-        )
+    def test_depth_five_with_raised_budget(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_POINTS", 1 << 33)
+        ev = ex.EvalParams(params=ModelParams.from_tau(0.2), trunc=QTruncation(tol=1e-6))
         val = ex.partition_moment(5, 2, 0.0, ev)
         assert abs(val.value - 0.2**5) < 1e-6
 
@@ -411,6 +408,13 @@ class TestTauLaplace:
         with pytest.raises(DomainError):
             ex.tau_laplace_mb(-0.3, 2, -0.5, 1, EV)
 
+    @pytest.mark.parametrize("zeta", [-1.0, -2.0, -0.8 + 0.8j])
+    def test_mb_refuses_zeta_outside_unit_disk(self, zeta):
+        # The residue series completing orders above k_max diverge there: at
+        # zeta = -2 they gave -24.1 against the generator oracle's 0.265.
+        with pytest.raises(DomainError, match=r"\|zeta\| < 1"):
+            ex.tau_laplace_mb(zeta, 0, 0.5, 1, make_ev(0.3))
+
 
 class TestDualityIdentity:
     def test_single_particle_at_origin(self):
@@ -472,10 +476,10 @@ class TestSymmetrizationChecks:
 
 
 class TestCostControls:
-    def test_budget_override_is_honored(self):
-        ev = ex.EvalParams(params=PARAMS, max_points=1 << 8)
+    def test_budget_override_is_honored(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_POINTS", 1 << 8)
         with pytest.raises(CostGuardError, match="budget"):
-            ex.qtilde_moments((2, 4), 0.5, ev)
+            ex.qtilde_moments((2, 4), 0.5, EV)
 
     def test_mellin_barnes_budget_refuses_before_any_grid(self, monkeypatch):
         # At tau = 0.97 the order-2 grid has (128 * 2456)^2 = 9.9e10 points.
@@ -495,5 +499,4 @@ class TestCostControls:
         assert len(calls) == 1
 
     def test_default_parameters(self):
-        assert EV.max_points == ex.DEFAULT_MAX_POINTS
         assert EV.rule.nodes_per_piece >= 8

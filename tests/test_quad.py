@@ -23,6 +23,7 @@ from asep_exact.quad import (
     _validate_nested,
     c1_rho_radius,
     circle_axis,
+    circle_nodes,
     gl_panels,
     nested_radii,
     tensor_result,
@@ -99,6 +100,39 @@ class TestClosedCircle:
         axis = circle_axis([(0j, 1.0, 63), (2.0 + 0j, 0.5, 9)])
         assert axis["z"].size == 64 + 10
         assert axis["z_half"].size == 32 + 5
+
+
+class TestCircleNodes:
+    def test_floor_alone(self):
+        assert circle_nodes(1e-14, 64) == 64
+
+    def test_pole_ratio(self):
+        # Trapezoid error ~ r^n: ceil(log(1/tol) / -log r) plus 32 spare nodes.
+        expected = math.ceil(math.log(1e10) / -math.log(0.5)) + 32
+        assert circle_nodes(1e-10, 8, ratios=(0.5,)) == expected
+        assert circle_nodes(1e-10, 200, ratios=(0.5,)) == 200
+
+    def test_essential_amplitude(self):
+        # First n on the grid 10, 14, 18, ... with 10^n / n! < tol.
+        tol, amp = 1e-10, 10.0
+        n = circle_nodes(tol, 8, amps=(amp,))
+
+        def log_tail(m):
+            return m * math.log(amp) - math.lgamma(m + 1)
+
+        assert (n - 10) % 4 == 0
+        assert log_tail(n) < math.log(tol) <= log_tail(n - 4)
+        assert circle_nodes(tol, 8, amps=(0.5,)) == 8
+
+    def test_largest_requirement_wins(self):
+        tol = 1e-12
+        singles = [circle_nodes(tol, 8, ratios=(0.9,)), circle_nodes(tol, 8, amps=(30.0,))]
+        assert circle_nodes(tol, 8, ratios=(0.9,), amps=(30.0,)) == max(singles)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.5])
+    def test_ratio_outside_unit_interval_refused(self, ratio):
+        with pytest.raises(DomainError, match="convergence ratio"):
+            circle_nodes(1e-10, 8, ratios=(0.5, ratio))
 
 
 class TestPathQuadrature:
@@ -248,7 +282,6 @@ class TestTensorProduct:
                 axes,
                 lambda a, z: diag[a, z.size],
                 lambda a, b, za, zb: pair[a, b, (za.shape[0], zb.shape[1])],
-                quad.DEFAULT_MAX_POINTS,
                 half,
             )
             expected = brute_force(half)
@@ -259,12 +292,11 @@ class TestTensorProduct:
         with pytest.raises(CostGuardError):
             tensor_result([(1.0, [axis] * 6, lambda a, z: 1.0 / z, ones)], "probe")
 
-    def test_rejects_oversized_grid(self):
+    def test_rejects_oversized_grid(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_POINTS", 1 << 20)
         axis = circle_axis([(0j, 1.0, 512)])
         with pytest.raises(CostGuardError) as err:
-            tensor_result(
-                [(1.0, [axis] * 4, lambda a, z: 1.0 / z, ones)], "probe", max_points=1 << 20
-            )
+            tensor_result([(1.0, [axis] * 4, lambda a, z: 1.0 / z, ones)], "probe")
         assert "budget" in str(err.value)
 
     def test_err_estimate_tracks_node_doubling(self):
