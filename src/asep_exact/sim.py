@@ -12,10 +12,12 @@ Two independent evaluators of the same dynamics:
   its own counter-based random stream derived from (seed, block), and
   tracks every replica's net current across the bond between sites 1 and 0
   for the height observable;
-- ctmc_exact_expectation builds the generator on all configurations of a
-  small closed window and uniformizes it, with Poisson weights taken from a
-  left truncation point so that large lambda t neither underflows nor
-  loses mass.
+- ctmc_exact_expectation lists every configuration of a small closed
+  window in combinadic-rank order and steps the distribution by the
+  transposed uniformized kernel: the pattern of the forward kernel with
+  p and q swapped, in int32 CSR, with the diagonal as a vector, under
+  200 bytes per state at peak.  Its Poisson weights start from a left
+  truncation point, so large lambda t neither underflows nor loses mass.
 
 Both serve as ground truth for the contour-integral formulas in the exact
 module.
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -225,41 +226,34 @@ def mc_expectation(
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
     mean = total / samples
-    if samples > 1:
-        var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
-    return mean, stderr
-
-
-def _colex_configs(n_sites: int, n_part: int) -> np.ndarray:
-    """All n_part-subsets of range(n_sites), row index equal to combinadic rank."""
-    configs = np.array(list(combinations(range(n_sites), n_part)), dtype=np.int32)
-    if n_part == 0:
-        return np.zeros((1, 0), dtype=np.int32)
-    table = _comb_table(n_sites, n_part)
-    ranks = _ranks(configs, table)
-    order = np.argsort(ranks, kind="stable")
-    configs = configs[order]
-    if not np.array_equal(_ranks(configs, table), np.arange(configs.shape[0])):
-        raise AssertionError("combinadic ranking is inconsistent")
-    return configs
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, math.sqrt(var / samples)
 
 
 def _comb_table(n_sites: int, n_part: int) -> np.ndarray:
-    table = np.zeros((n_sites + 2, n_part + 1), dtype=np.int64)
-    for n in range(n_sites + 2):
-        for k in range(n_part + 1):
-            table[n, k] = math.comb(n, k)
-    return table
+    rows = [[math.comb(n, k) for k in range(n_part + 1)] for n in range(n_sites + 2)]
+    return np.array(rows, dtype=np.int32)
 
 
-def _ranks(configs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    ranks = np.zeros(configs.shape[0], dtype=np.int64)
-    for j in range(configs.shape[1]):
-        ranks += table[configs[:, j], j + 1]
-    return ranks
+def _colex_table(n_sites: int, n_part: int, table: np.ndarray) -> np.ndarray:
+    """All n_part-subsets of range(n_sites) as sorted rows; row i has colex rank i.
+
+    The combinadic rank of c_0 < ... < c_{k-1} is sum_j C(c_j, j + 1), so the
+    k-subsets with largest site m are the (k-1)-subsets of range(m), which
+    are the first C(m, k-1) rows of the (k-1)-table, with m appended; their
+    ranks start at C(m, k).  Level k needs only the sites below
+    n_sites - n_part + k, so no level has more rows than the last.
+    """
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(n_sites - 1))
+    for k in range(1, n_part + 1):
+        top = n_sites - n_part + k
+        out = np.empty((table[top, k], k), dtype=rows.dtype)
+        for m in range(k - 1, top):
+            start, count = table[m, k], table[m, k - 1]
+            out[start : start + count, :-1] = rows[:count]
+            out[start : start + count, -1] = m
+        rows = out
+    return rows
 
 
 def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
@@ -284,6 +278,43 @@ def _poisson_weights(mu: float) -> tuple[int, np.ndarray]:
     return first, weights / weights.sum()
 
 
+def _reverse_kernel(configs: np.ndarray, table: np.ndarray, n_sites: int, p: float, q: float):
+    """K^T as int32 CSR without its diagonal, and the diagonal as a vector.
+
+    p and q are the per-step probabilities of a right and a left hop.  x -> y
+    is a right hop exactly when y -> x is a left hop of the same particle, so
+    row y of K^T holds y's right-hop targets at q and its left-hop targets
+    at p.  Moving particle j from c to c + 1 raises the rank by C(c, j).
+    """
+    # imported here, not at module top: scipy.sparse slows every CLI start-up
+    from scipy import sparse
+
+    n_states, n_part = configs.shape
+    hops = []  # (particle, rows where it can hop, whether right)
+    for j in range(n_part):
+        c = configs[:, j]
+        free_right = c < n_sites - 1 if j + 1 == n_part else configs[:, j + 1] - c > 1
+        free_left = c > 0 if j == 0 else c - configs[:, j - 1] > 1
+        hops += [(j, free_right, True), (j, free_left, False)]
+    indptr = np.zeros(n_states + 1, dtype=np.int32)
+    leave = np.zeros(n_states)
+    for _, mask, right in hops:
+        indptr[1:] += mask
+        leave += np.where(mask, p if right else q, 0.0)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    fill = indptr[:-1].copy()
+    for j, mask, right in hops:
+        rows = np.flatnonzero(mask)
+        c = configs[rows, j]
+        pos = fill[rows]
+        indices[pos] = rows + table[c, j] if right else rows - table[c - 1, j]
+        data[pos] = q if right else p
+        fill[rows] += 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(n_states, n_states)), 1.0 - leave
+
+
 def ctmc_exact_expectation(
     obs: Observable,
     t: float,
@@ -292,14 +323,15 @@ def ctmc_exact_expectation(
 ) -> float:
     """Exact expectation on a closed window via uniformization.
 
-    The full generator on all particle configurations of the window is built
-    sparsely; the Poisson series of the uniformized chain starts at the left
-    truncation point of _poisson_weights and stops once its cumulative
-    weight reaches 1 - 1e-12.  Deterministic.
+    The states are the rows of _colex_table.  The distribution steps by
+    the transpose K^T of the uniformized kernel P = I + Q/lam, which has
+    the off-diagonal pattern of K with p and q swapped (_reverse_kernel),
+    in CSR with int32 indices, and the diagonal of P as a vector: 12 bytes
+    per transition and about 60 per state, under 200 bytes per state in
+    all at peak.  The Poisson series starts at the left truncation point
+    of _poisson_weights and stops once its cumulative weight reaches
+    1 - 1e-12.  Deterministic.
     """
-    # imported here, not at module top: scipy.sparse slows every CLI start-up
-    from scipy import sparse
-
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     left, right = int(window[0]), int(window[1])
@@ -312,53 +344,21 @@ def ctmc_exact_expectation(
         raise DomainError(
             f"window [{left}, {right}] has {n_states} states, cap is {CTMC_STATE_CAP}"
         )
-    configs = _colex_configs(n_sites, n_part)
     table = _comb_table(n_sites, n_part)
-    ranks = np.arange(n_states, dtype=np.int64)
-
+    configs = _colex_table(n_sites, n_part, table)
     values = _observable_values(obs, configs.astype(np.int64) + left, params, None)
-
+    init_rank = int(np.sum(table[init_sites, np.arange(1, n_part + 1)]))
     if n_part == 0 or t == 0.0:
-        init_rank = int(np.sum(table[init_sites, np.arange(1, n_part + 1)])) if n_part else 0
         return float(values[init_rank])
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    rates: list[np.ndarray] = []
-    for j in range(n_part):
-        c = configs[:, j]
-        not_blocked_right = c + 1 <= n_sites - 1
-        if j + 1 < n_part:
-            not_blocked_right &= configs[:, j + 1] != c + 1
-        dst = ranks - table[c, j + 1] + table[c + 1, j + 1]
-        rows.append(ranks[not_blocked_right])
-        cols.append(dst[not_blocked_right])
-        rates.append(np.full(int(not_blocked_right.sum()), params.p))
-
-        not_blocked_left = c - 1 >= 0
-        if j > 0:
-            not_blocked_left &= configs[:, j - 1] != c - 1
-        dst = ranks - table[c, j + 1] + table[c - 1, j + 1]
-        rows.append(ranks[not_blocked_left])
-        cols.append(dst[not_blocked_left])
-        rates.append(np.full(int(not_blocked_left.sum()), params.q))
-
-    row = np.concatenate(rows)
-    col = np.concatenate(cols)
-    rate = np.concatenate(rates)
     lam = float(n_part)
-    # Uniformized one-step kernel P = I + Q/lam, row-stochastic.
-    kernel = sparse.coo_matrix((rate / lam, (row, col)), shape=(n_states, n_states)).tocsr()
-    out_rate = np.asarray(kernel.sum(axis=1)).ravel()
-    kernel = kernel + sparse.diags(1.0 - out_rate)
+    kt, stay = _reverse_kernel(configs, table, n_sites, params.p / lam, params.q / lam)
 
-    init_rank = int(np.sum(table[init_sites, np.arange(1, n_part + 1)]))
     v = np.zeros(n_states, dtype=np.float64)
     v[init_rank] = 1.0
-
     first, weights = _poisson_weights(lam * t)
     for _ in range(first):
-        v = kernel.T @ v
+        v = kt @ v + stay * v
     acc = 0.0
     cum = 0.0
     for weight in weights.tolist():
@@ -366,5 +366,5 @@ def ctmc_exact_expectation(
         cum += weight
         if cum >= 1.0 - 1e-12:
             return acc
-        v = kernel.T @ v
+        v = kt @ v + stay * v
     raise ArithmeticError("uniformization series failed to converge")

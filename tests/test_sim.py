@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from asep_exact.qfunc import DomainError, ModelParams, q_exp
 from asep_exact.sim import (
     Observable,
+    _colex_table,
+    _comb_table,
     ctmc_exact_expectation,
     default_window,
     mc_expectation,
@@ -180,3 +185,78 @@ class TestCTMCOracle:
         assert stationary == pytest.approx(0.06979583117160558, rel=1e-14)
         got = ctmc_exact_expectation(Observable.tau_pow_N(1, 0), 400.0, PARAMS, (-6, 8))
         assert abs(got - stationary) < 1e-9
+
+    def test_peak_memory_per_state(self):
+        # (-10, 12): 6 particles on 23 sites.  The warm-up call loads
+        # scipy.sparse, so only the arrays of the solve are traced.
+        obs = Observable.tau_pow_N(1, 0)
+        ctmc_exact_expectation(obs, 1.0, PARAMS, (-3, 4))
+        tracemalloc.start()
+        try:
+            ctmc_exact_expectation(obs, 1.0, PARAMS, (-10, 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * math.comb(23, 6)
+
+
+def _colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    ranks = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(rows.shape[1]):
+        ranks += table[rows[:, j], j + 1]
+    return ranks
+
+
+class TestColexTable:
+    @pytest.mark.parametrize("n_sites, n_part", [(8, 3), (10, 5), (27, 7), (5, 0), (6, 6)])
+    def test_rows_are_combinations_in_rank_order(self, n_sites, n_part):
+        table = _comb_table(n_sites, n_part)
+        got = _colex_table(n_sites, n_part, table)
+        n = math.comb(n_sites, n_part)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n_sites), n_part))
+        ref = np.fromiter(flat, dtype=np.int64, count=n * n_part).reshape(n, n_part)
+        assert got.dtype == np.min_scalar_type(n_sites - 1)
+        assert np.array_equal(got, ref[np.argsort(_colex_ranks(ref, table), kind="stable")])
+        assert np.array_equal(_colex_ranks(got, table), np.arange(n))
+
+
+def _brute_value(obs: Observable, sites: tuple[int, ...], tau: float) -> float:
+    if obs.kind == "tau_pow_N":
+        return tau ** (obs.k * sum(y <= obs.x for y in sites))
+    return math.prod((x in sites) * tau ** sum(y < x for y in sites) for x in obs.xs)
+
+
+def _dense_reference(obs: Observable, t: float, params: ModelParams, window) -> float:
+    """e_init^T expm(Q t) f with the generator Q brute-forced over itertools."""
+    left, right = window
+    init = tuple(range(2, right + 1, 2))
+    states = list(itertools.combinations(range(left, right + 1), len(init)))
+    index = {sites: i for i, sites in enumerate(states)}
+    gen = np.zeros((len(states), len(states)))
+    for i, sites in enumerate(states):
+        for a, y in enumerate(sites):
+            for z, rate in ((y + 1, params.p), (y - 1, params.q)):
+                if left <= z <= right and z not in sites:
+                    gen[i, index[tuple(sorted(sites[:a] + (z,) + sites[a + 1 :]))]] += rate
+        gen[i, i] = -gen[i].sum()
+    f = np.array([_brute_value(obs, sites, params.tau) for sites in states])
+    return float(expm(gen * t)[index[init]] @ f)
+
+
+class TestCTMCDenseReference:
+    @pytest.mark.parametrize("t", [0.3, 2.0])
+    @pytest.mark.parametrize("window, obs", [
+        ((-3, 4), Observable.tau_pow_N(1, 0)),
+        ((-5, 6), Observable.tau_pow_N(2, 1)),
+        ((-4, 6), Observable.qtilde_product((0, 1))),
+        ((-197, 2), Observable.tau_pow_N(1, 0)),
+    ], ids=["tau-pow-n", "tau-pow-n-k2", "qtilde", "200-sites"])
+    def test_matches_matrix_exponential(self, window, obs, t):
+        # tau = 0.3 makes p != q, so K^T with the rates unswapped fails; the
+        # 200-site window has one particle and overflows an int8 state
+        # table.  The series stops with less than 1e-12 of Poisson mass left
+        # and |f| <= 1, which bounds the error: (-197, 2) at t = 2 drops
+        # 6.5e-13 of mass and misses by 2.0e-13.
+        params = ModelParams.from_tau(0.3)
+        ref = _dense_reference(obs, t, params, window)
+        assert abs(ctmc_exact_expectation(obs, t, params, window) - ref) < 1e-12
