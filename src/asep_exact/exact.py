@@ -26,21 +26,21 @@ import math
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations, takewhile
 
 import numpy as np
 
 from . import quad
 from .qfunc import (
     DEFAULT_TRUNC,
+    MAX_TERMS,
     DomainError,
     ModelParams,
     PoleError,
     QTruncation,
     germ_f,
     germ_g,
-    germ_h,
-    poch_finite,
+    poch_table,
     q_binomial,
     q_factorial,
 )
@@ -313,6 +313,41 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 # Partition-indexed moments on the shared contour around -tau and 0.
 
 
+def _per_grid(build):
+    """build(w) for the grid that w lies on, made on first use and kept per grid size.
+
+    The engine checks its grid budget before it calls a term's factors, so a
+    grid it refuses never builds a table.
+    """
+    made = {}
+
+    def table(w):
+        if w.size not in made:
+            made[w.size] = build(w.ravel())
+        return made[w.size]
+
+    return table
+
+
+def _string_pair(parts, tables, tau: float):
+    """Pair factor of strings (or composition parts) n_a, n_b; tables(w) gives P on w's grid.
+
+    Cross factor times (u;tau)_{n_a} / (tau^{n_b} u;tau)_{n_a} = P[n_a] P[n_b] / P[n_a + n_b].
+    """
+
+    def pair(a, b, wa, wb):
+        na, nb = parts[a], parts[b]
+        p = tables(wa)
+        ua, ub = tau**na * wa, tau**nb * wb
+        # Grouped so that no more than two N x N temporaries live beside the table.
+        out = (ua - ub) * (wb - wa) * p[na] * p[nb]
+        out /= ua - wb
+        out /= (ub - wa) * p[na + nb]
+        return out
+
+    return pair
+
+
 def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     """Expected tau^(k N_x) as a partition sum over geometric strings."""
     if k < 0 or k > 5:
@@ -328,6 +363,8 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     n = circle_nodes(tol, ev.rule.nodes_per_piece, (tau**0.25,), (amp_res / (radius - tau),))
     axis = circle_axis([(0j, radius, n)])
     kfact = q_factorial(k, tau)
+    # Strings pair through the prefix table of u = w_a w_b / tau^2.
+    tables = _per_grid(lambda w: poch_table(np.outer(w, w) / tau**2, tau, k))
 
     terms = []
     for parts in partitions_of(k):
@@ -346,17 +383,7 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
                     out = out * (1.0 - z / tau**2) / (1.0 - z / tau)
             return out
 
-        def pair(a, b, wa, wb, parts=parts):
-            la, lb = parts[a], parts[b]
-            ua = tau**la * wa
-            ub = tau**lb * wb
-            out = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
-            for i in range(la):
-                for j in range(lb):
-                    z = tau ** (i + j) * wa * wb
-                    out = out * (1.0 - z / tau**2) / (1.0 - z / tau)
-            return out
-
+        pair = _string_pair(parts, tables, tau)
         terms.append((kfact * (1.0 - tau) ** k / mult_factor, [axis] * len(parts), diag, pair))
     return tensor_result(terms, "partition_tensor")
 
@@ -371,11 +398,12 @@ def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     return sorted(groups.items(), reverse=True)
 
 
-def _nu_terms(k: int, m: int, x: int, t: float, ev: EvalParams, scale: complex):
-    """Order-k terms (k <= m) of E[tau^(m N_x)] / m_tau!, times scale.
+def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
+    """Order-k terms (k <= m) of scale E[tau^(m N_x)] / m_tau! for each (m, scale) of orders.
 
     One term per composition multiset of m into k parts, weighted by its
-    permutation count over k!; order 0 is the empty product iff m = 0.
+    permutation count over k!; order 0 is the empty product iff m = 0.  The
+    circle depends only on k, so all orders share one set of prefix tables.
     """
     params = ev.params
     tau = params.tau
@@ -385,29 +413,22 @@ def _nu_terms(k: int, m: int, x: int, t: float, ev: EvalParams, scale: complex):
     n = circle_nodes(tol, ev.rule.nodes_per_piece, ratios)
     axis = circle_axis([(0j, radius, n)]) if k else None
     site = x + 1
+    top = max((m for m, _ in orders), default=0)
+    # germ_g at integer order n is (-w;tau)_n (w^2;tau)_n / (w^2;tau)_{2n}.
+    neg = _per_grid(lambda w: poch_table(-w, tau, top))
+    sq = _per_grid(lambda w: poch_table(w * w, tau, 2 * top))
+    tables = _per_grid(lambda w: poch_table(np.outer(w, w), tau, top))
 
-    for parts, count in _dedup_compositions(m, k):
+    for m, scale in orders:
+        for parts, perms in _dedup_compositions(m, k):
 
-        def diag(a, w, parts=parts):
-            na = parts[a]
-            # germ_g at integer order: (-w;tau)_na / (tau^na w^2;tau)_na.
-            g_den = poch_finite(tau**na * w**2, tau, na)
-            if np.any(np.abs(g_den) < 1e-250):
-                raise PoleError(f"germ_g pole at n={na}")
-            return (
-                germ_f(w, na, site, t, params)
-                * (poch_finite(-w, tau, na) / g_den)
-                * (-1.0 / (w * (tau**na - 1.0)))
-            )
+            def diag(a, w, parts=parts):
+                na = parts[a]
+                g = neg(w)[na] * sq(w)[na] / sq(w)[2 * na]
+                return germ_f(w, na, site, t, params) * g * (-1.0 / (w * (tau**na - 1.0)))
 
-        def pair(a, b, wa, wb, parts=parts):
-            na, nb = parts[a], parts[b]
-            ua = tau**na * wa
-            ub = tau**nb * wb
-            cross = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
-            return cross * germ_h(wa, wb, na, nb, tau)
-
-        yield scale * count / math.factorial(k), [axis] * k, diag, pair
+            pair = _string_pair(parts, tables, tau)
+            yield scale * perms / math.factorial(k), [axis] * k, diag, pair
 
 
 def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
@@ -417,7 +438,7 @@ def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     mfact = q_factorial(m, ev.params.tau)
-    terms = (term for k in range(m + 1) for term in _nu_terms(k, m, x, t, ev, mfact))
+    terms = (term for k in range(m + 1) for term in _nu_terms(k, [(m, mfact)], x, t, ev))
     return tensor_result(terms, "gamma_tensor")
 
 
@@ -456,7 +477,7 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
             if abs(zeta**m / q_factorial(m, ev.params.tau)) < ev.trunc.tol:
                 return
             for k in range(min(m, _series_k_cap(m)) + 1):
-                yield from _nu_terms(k, m, x, t, ev, zeta**m)
+                yield from _nu_terms(k, [(m, zeta**m)], x, t, ev)
 
     return tensor_result(terms(), "laplace_series").value
 
@@ -588,7 +609,8 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     same quantity; k_max therefore only bounds the dimension of the line
     integrals actually performed.  The residue series need |zeta| < 1.  They
     drop the orders tau_laplace_series drops, so the two routes agree on the
-    same truncated value.
+    same truncated value.  With k_max = 0 the order-1 series needs about
+    log(tol) / log|zeta| orders; past MAX_TERMS / 2 it is refused.
     """
     zeta = complex(zeta)
     if zeta.imag == 0.0 and zeta.real >= 0.0:
@@ -599,6 +621,11 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
         raise DomainError(f"need 0 <= k_max <= 2, got {k_max}")
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
+    # The k_max = 0 residue tail holds tables of 2m factors: capped like any q-product.
+    orders1 = math.ceil(math.log(ev.trunc.tol) / math.log(abs(zeta)))
+    if k_max == 0 and 2 * orders1 > MAX_TERMS:
+        raise CostGuardError(f"order-1 residue series needs {orders1} orders at |zeta|="
+                             f"{abs(zeta):.6g}, cap is {MAX_TERMS // 2}; use --k-max 1")
     # Order 2 runs first, so its budget check refuses before any grid is built.
     order2 = _mb_order2(zeta, x, t, ev, max(ev.trunc.tol, 1e-4)) if k_max >= 2 else 0j
     total = 1.0 + 0j
@@ -608,10 +635,9 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
 
     def residues():
         for k in range(k_max + 1, 5):
-            for m in range(k, 17):
-                if _series_k_cap(m) < k or abs(zeta) ** m < ev.trunc.tol:
-                    break
-                yield from _nu_terms(k, m, x, t, ev, zeta**m)
+            kept = takewhile(
+                lambda m: _series_k_cap(m) >= k and abs(zeta) ** m >= ev.trunc.tol, count(k))
+            yield from _nu_terms(k, [(m, zeta**m) for m in kept], x, t, ev)
 
     return total + order2 + tensor_result(residues(), "laplace_residues").value
 
@@ -631,24 +657,15 @@ def duality_identity_check(eta, x: int, k: int, params: ModelParams) -> tuple[fl
         raise DomainError(f"need 0 <= k <= 4, got {k}")
     tau = params.tau
     occupied = sorted(set(int(v) for v in eta))
-    n_x = sum(1 for y in occupied if y <= x)
-    lhs = tau ** (k * n_x)
-    rhs = 0.0
     reachable = [y for y in occupied if y <= x]
+    lhs = tau ** (k * len(reachable))
+    rhs = 0.0
     for ell in range(0, k + 1):
-        coeff = (-1.0) ** ell * float(np.real(q_binomial(k, ell, tau))) * float(
-            np.real(poch_finite(tau, tau, ell))
-        )
-        if ell == 0:
-            rhs += coeff
-            continue
+        # (tau;tau)_ell = (1 - tau)^ell ell_tau!
+        coeff = (-1.0) ** ell * q_binomial(k, ell, tau) * (1.0 - tau) ** ell * q_factorial(ell, tau)
         inner = 0.0
         for sites in combinations(reachable, ell):
-            term = 1.0
-            for y in sites:
-                n_prev = sum(1 for z in occupied if z <= y - 1)
-                term *= tau**n_prev
-            inner += term
+            inner += math.prod(tau ** sum(1 for z in occupied if z < y) for y in sites)
         rhs += coeff * inner
     return float(lhs), float(rhs), abs(float(lhs) - float(rhs))
 
@@ -673,15 +690,8 @@ def symmetrization_checks(n: int, samples: int, params: ModelParams, seed: int =
     def draw(size: int) -> np.ndarray:
         while True:
             v = rng.normal(size=size) + 1j * rng.normal(size=size)
-            pair_min = min(
-                (abs(v[i] - v[j]) for i in range(size) for j in range(i + 1, size)),
-                default=1.0,
-            )
-            sum_min = min(
-                (abs(v[i] + v[j]) for i in range(size) for j in range(i + 1, size)),
-                default=1.0,
-            )
-            if pair_min > 1e-2 and sum_min > 1e-2 and np.all(np.abs(v) > 1e-2):
+            apart = all(min(abs(a - b), abs(a + b)) > 1e-2 for a, b in combinations(v, 2))
+            if apart and np.all(np.abs(v) > 1e-2):
                 return v
 
     for _ in range(samples):
@@ -706,13 +716,11 @@ def symmetrization_checks(n: int, samples: int, params: ModelParams, seed: int =
                 run += qs[sigma[a]]
                 mu /= run
             mu *= np.prod(qs)
-            term = mu
             for a in range(n):
                 for b in range(a + 1, n):
-                    term *= (qs[sigma[a]] - qs[sigma[b]] - 1j * kappa) / (
-                        qs[sigma[a]] - qs[sigma[b]]
-                    )
-            acc += term
+                    d = qs[sigma[a]] - qs[sigma[b]]
+                    mu *= (d - 1j * kappa) / d
+            acc += mu
         expected = 1.0 + 0j
         for a in range(n):
             for b in range(a + 1, n):

@@ -1,8 +1,10 @@
 """q-deformed special functions used by the exact moment formulas.
 
-Everything here is double precision with explicit geometric truncation of the
-infinite q-products.  Inputs may be scalars or numpy arrays; array inputs are
-evaluated elementwise with broadcasting.
+Everything here is double precision.  Infinite q-products are truncated
+where their geometric tail bound falls below the target.  Finite ones come
+from prefix tables (a;q)_j, j = 0..n, from which every integer-order ratio is
+a quotient of two entries.  Inputs may be scalars or numpy arrays; array
+inputs are evaluated elementwise with broadcasting.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ __all__ = [
     "DEFAULT_TRUNC",
     "MAX_TERMS",
     "poch_inf",
-    "poch_finite",
+    "poch_table",
     "q_factorial",
     "q_binomial",
     "q_exp",
     "germ_f",
     "germ_g",
-    "germ_h",
 ]
 
 
@@ -137,21 +138,26 @@ def poch_inf(a, q: float, trunc: QTruncation = DEFAULT_TRUNC):
     return out if np.ndim(a) else complex(out)
 
 
-def _check_order(n) -> None:
+def poch_table(a, q: float, n: int):
+    """Prefix table of finite q-Pochhammer symbols (a;q)_j = prod_{i<j} (1 - q^i a).
+
+    Entries j = 0..n are stacked on a new first axis.  For integer orders
+    (q^b a;q)_c = P[b+c] / P[b], so every finite ratio is a quotient of two
+    entries.  Raises DomainError unless n is an integer >= 0, and PoleError if
+    the last entry vanishes, as it does whenever any factor does.
+    """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"need an integer order n >= 0, got {n!r}")
-
-
-def poch_finite(a, q: float, n: int):
-    """Finite q-Pochhammer symbol prod_{j=0}^{n-1} (1 - q^j a)."""
-    _check_order(n)
-    arr = np.asarray(a)
-    out = np.ones_like(arr, dtype=complex)
+    arr = np.asarray(a, dtype=complex)
+    out = np.empty((n + 1,) + arr.shape, dtype=complex)
+    out[0] = 1.0
     qj = 1.0
-    for _ in range(n):
-        out = out * (1.0 - qj * arr)
+    for j in range(n):
+        out[j + 1] = out[j] * (1.0 - qj * arr)
         qj *= q
-    return out if np.ndim(a) else complex(out)
+    if np.any(np.abs(out[n]) < 1e-250):
+        raise PoleError(f"(a;q)_{n} vanishes: a = q^-i for some i < {n}")
+    return out
 
 
 def q_factorial(m: int, q: float) -> float:
@@ -229,18 +235,3 @@ def germ_g(w, n, tau: float, trunc: QTruncation = DEFAULT_TRUNC):
         raise PoleError(f"germ_g pole at w={w}, n={n}")
     out = np.asarray(num / den)
     return out if (np.ndim(w) or np.ndim(n)) else complex(out)
-
-
-def germ_h(w1, w2, n1: int, n2: int, tau: float):
-    """Pair weight (z;tau)_{n1} / (tau^{n2} z;tau)_{n1} with z = w1 w2.
-
-    For nonnegative integer orders this equals the ratio, symmetric in
-    (n1, n2), (z;tau)_inf (tau^{n1+n2} z;tau)_inf
-    / ((tau^{n1} z;tau)_inf (tau^{n2} z;tau)_inf), with n1 factors over n1.
-    """
-    _check_order(n2)
-    z = np.asarray(w1, dtype=complex) * np.asarray(w2, dtype=complex)
-    den = poch_finite(tau**n2 * z, tau, n1)
-    if np.any(np.abs(den) < 1e-250):
-        raise PoleError(f"germ_h pole at n1={n1}, n2={n2}")
-    return poch_finite(z, tau, n1) / den

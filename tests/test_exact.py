@@ -10,6 +10,7 @@ with each other to quadrature accuracy.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from asep_exact.qfunc import (
     ModelParams,
     PoleError,
     QTruncation,
+    poch_table,
     q_factorial,
 )
 from asep_exact.quad import CostGuardError
@@ -253,6 +255,53 @@ class TestPartitionMoment:
             ex.partition_moment(2, 2, -1.0, EV)
 
 
+def composition_pair_factor(wa, wb, n1: int, n2: int, tau: float):
+    """(z;tau)_{n1} / (tau^{n2} z;tau)_{n1} at z = wa wb, factor by factor."""
+    z = wa * wb
+    num = den = 1.0
+    for j in range(n1):
+        num = num * (1.0 - tau**j * z)
+        den = den * (1.0 - tau ** (n2 + j) * z)
+    return num / den
+
+
+def string_pair_factor(wa, wb, la: int, lb: int, tau: float):
+    """Product over the la x lb string points of (1 - z / tau^2) / (1 - z / tau)."""
+    out = 1.0
+    for i in range(la):
+        for j in range(lb):
+            z = tau ** (i + j) * wa * wb
+            out = out * (1.0 - z / tau**2) / (1.0 - z / tau)
+    return out
+
+
+class TestStringPair:
+    """The pair factor both string routes share, against each route's product form.
+
+    It takes P[n_a] P[n_b] / P[n_a + n_b] from one prefix table per grid.
+    """
+
+    @pytest.mark.parametrize("tau", [0.1, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("route", ["composition", "partition"])
+    def test_matches_per_term_products(self, tau, route):
+        rng = np.random.default_rng(7)
+        if route == "composition":
+            radius, base, reference = 0.5 * (1.0 + tau**-0.5), 1.0, composition_pair_factor
+        else:
+            radius, base, reference = tau**0.75, tau**-2, string_pair_factor
+        w = radius * np.exp(2j * np.pi * rng.uniform(size=12))
+        tables = ex._per_grid(lambda w: poch_table(base * np.outer(w, w), tau, 6))
+        for na, nb in [(1, 1), (2, 1), (1, 3), (3, 3), (4, 2)]:
+            pair = ex._string_pair((na, nb), tables, tau)
+            for grid in (w, w[::2]):
+                wa, wb = grid[:, None], grid[None, :]
+                ua, ub = tau**na * wa, tau**nb * wb
+                cross = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
+                expect = cross * reference(wa, wb, na, nb, tau)
+                got = pair(0, 1, wa, wb)
+                assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+
+
 class TestHalfflatMoments:
     @pytest.mark.parametrize("tau", [0.3, 0.6])
     def test_time_zero_exactness_grid(self, tau):
@@ -371,6 +420,27 @@ class TestTauLaplace:
         series = ex.tau_laplace_series(-0.2, 1, 0.3, 12, ev)
         lines = ex.tau_laplace_mb(-0.2, 1, 0.3, 1, ev)
         assert abs(series - lines) < 1e-7
+
+    def test_residue_tail_is_summed_to_the_target(self):
+        # With k_max = 0 the order-1 residue series runs until |zeta|^m falls
+        # below the target; cut at m = 16 it would miss k_max = 1 by 3.3e-5 here.
+        ev = make_ev(0.3)
+        residues = ex.tau_laplace_mb(-0.8, 0, 0.5, 0, ev)
+        lines = ex.tau_laplace_mb(-0.8, 0, 0.5, 1, ev)
+        assert abs(residues - lines) < 1e-9
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_orders_sharing_one_table_keep_their_terms(self, k):
+        # The residue series pass all their orders to one call, so one set of
+        # prefix tables serves them all; the sum must be that of separate calls.
+        ev = make_ev(0.3)
+        orders = [(m, (-0.7) ** m) for m in range(k, 12)]
+        shared = quad.tensor_result(ex._nu_terms(k, orders, 0, 0.5, ev), "shared").value
+        alone = sum(
+            quad.tensor_result(ex._nu_terms(k, [order], 0, 0.5, ev), "alone").value
+            for order in orders
+        )
+        assert abs(shared - alone) <= 1e-15 * abs(alone)
 
     def test_line_reproduces_geometric_series(self):
         zeta = -0.37
@@ -497,6 +567,51 @@ class TestCostControls:
         # The counter is live: order 1 alone fits the budget and takes germ_f.
         ex._mb_diag_grid(-0.2, 3, 0.5, make_ev(0.5), 1e-9, panel_width=0.8)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("route", ["halfflat", "partition"])
+    def test_order_two_past_budget_is_refused_cheaply(self, route):
+        # At tau = 0.999 an order-2 grid has about 1.7e10 points: refused before
+        # any N x N prefix table (about 270 GB) is built.
+        moment = {"halfflat": ex.halfflat_moment, "partition": ex.partition_moment}[route]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CostGuardError, match="budget"):
+                moment(2, 0, 0.5, make_ev(0.999))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
+
+    def test_refused_terms_build_no_pair_table(self, monkeypatch):
+        # A budget between the order-1 and the order-2 grids at tau = 0.5.
+        shapes = []
+        real = ex.poch_table
+
+        def counted(a, q, n):
+            shapes.append(np.shape(a))
+            return real(a, q, n)
+
+        monkeypatch.setattr(ex, "poch_table", counted)
+        monkeypatch.setattr(quad, "MAX_POINTS", 1000)
+        for moment in (ex.halfflat_moment, ex.partition_moment):
+            with pytest.raises(CostGuardError, match="budget"):
+                moment(2, 0, 0.5, make_ev(0.5))
+        # Order 1 built its tables on the circle; no pair table was made.
+        assert shapes and all(len(shape) == 1 for shape in shapes)
+
+    def test_unbounded_residue_tail_is_refused_up_front(self, monkeypatch):
+        # At |zeta| = 1 - 1e-9 the order-1 residue series needs about 3.2e10 orders.
+        calls = []
+        real = ex.germ_f
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "germ_f", counted)
+        with pytest.raises(CostGuardError, match="--k-max 1"):
+            ex.tau_laplace_mb(-(1.0 - 1e-9), 0, 0.5, 0, make_ev(0.3))
+        assert calls == []
 
     def test_default_parameters(self):
         assert EV.rule.nodes_per_piece >= 8

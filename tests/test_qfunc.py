@@ -18,9 +18,8 @@ from asep_exact.qfunc import (
     QTruncation,
     germ_f,
     germ_g,
-    germ_h,
-    poch_finite,
     poch_inf,
+    poch_table,
     q_binomial,
     q_exp,
     q_factorial,
@@ -93,17 +92,48 @@ class TestPochInf:
 
 
 class TestPochFinite:
+    """Finite q-Pochhammer symbols (a;q)_j, j = 0..n, from one prefix table."""
+
     def test_against_brute_product(self):
-        assert poch_finite(0.5, 0.5, 3) == pytest.approx(brute_poch(0.5, 0.5, 3), abs=1e-15)
-        assert poch_finite(0.5, 0.5, 0) == 1.0
+        for n in (0, 1, 3, 7):
+            table = poch_table(0.5, 0.5, n)
+            assert table.shape == (n + 1,)
+            for j in range(n + 1):
+                assert table[j] == pytest.approx(brute_poch(0.5, 0.5, j), abs=1e-15)
+        assert poch_table(0.5, 0.5, 0)[0] == 1.0
+
+    def test_array_input_is_stacked(self):
+        a = 1.3 * np.exp(2j * np.pi * RNG.uniform(size=(3, 4)))
+        table = poch_table(a, 0.4, 5)
+        assert table.shape == (6, 3, 4)
+        for j in range(6):
+            expect = np.vectorize(lambda z: brute_poch(z, 0.4, j))(a)
+            np.testing.assert_allclose(table[j], expect, rtol=1e-14, atol=0)
 
     def test_numpy_integer_order_accepted(self):
-        assert poch_finite(0.5, 0.5, np.int64(3)) == poch_finite(0.5, 0.5, 3)
+        np.testing.assert_array_equal(poch_table(0.5, 0.5, np.int64(3)), poch_table(0.5, 0.5, 3))
 
     @pytest.mark.parametrize("n", [2.0, 0.5, -1, np.float64(2.0)])
     def test_non_integer_or_negative_order_rejected(self, n):
         with pytest.raises(DomainError):
-            poch_finite(0.5, 0.5, n)
+            poch_table(0.5, 0.5, n)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+    def test_shifted_product_is_a_quotient(self, q):
+        # (q^b a;q)_c = P[b+c] / P[b] at integer orders.
+        for _ in range(10):
+            a = 2.0 * RNG.uniform() * np.exp(2j * np.pi * RNG.uniform())
+            b, c = int(RNG.integers(0, 6)), int(RNG.integers(0, 6))
+            table = poch_table(a, q, b + c)
+            expect = brute_poch(q**b * a, q, c)
+            assert abs(table[b + c] / table[b] - expect) <= 1e-13 * (1 + abs(expect))
+
+    def test_pole_on_the_grid_raises(self):
+        # A grid through a = q^-2 puts a zero factor 1 - q^2 a in every entry j > 2.
+        grid = np.array([0.3, 0.5**-2, 1.0 + 1j])
+        assert poch_table(grid, 0.5, 2)[2, 1] != 0.0
+        with pytest.raises(PoleError):
+            poch_table(grid, 0.5, 3)
 
 
 class TestQFactorialBinomial:
@@ -210,9 +240,7 @@ class TestGermG:
     def test_finite_rewrite(self):
         w, n, tau = 0.4, 2, 0.5
         # prod_{j<n} (1 + tau^j w) / prod_{j<n} (1 - tau^{n+j} w^2)
-        expect = complex(poch_finite(-w, tau, n)) / complex(
-            poch_finite(tau**n * w**2, tau, n)
-        )
+        expect = brute_poch(-w, tau, n) / brute_poch(tau**n * w**2, tau, n)
         assert germ_g(w, n, tau) == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -220,39 +248,50 @@ class TestGermG:
         tau = 0.35
         for _ in range(10):
             w = 0.9 * np.exp(2j * np.pi * RNG.uniform())
-            expect = complex(poch_finite(-w, tau, n)) / complex(
-                poch_finite(tau**n * w**2, tau, n)
-            )
+            expect = brute_poch(-w, tau, n) / brute_poch(tau**n * w**2, tau, n)
             assert abs(germ_g(w, n, tau) - expect) < 1e-12
 
 
+def table_pair(z, n1: int, n2: int, tau: float):
+    """The pair weight (z;tau)_{n1} / (tau^{n2} z;tau)_{n1} = P[n1] P[n2] / P[n1+n2]."""
+    table = poch_table(z, tau, n1 + n2)
+    return table[n1] * table[n2] / table[n1 + n2]
+
+
 class TestGermH:
+    """The pair weight h(z; n1, n2), read off one prefix table P[j] = (z;tau)_j."""
+
     def test_n1_zero(self):
-        assert germ_h(0.3, 0.7j, 0, 4, 0.5) == pytest.approx(1.0, abs=1e-14)
-        assert germ_h(0.3, 0.7j, 3, 0, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert table_pair(0.3 * 0.7j, 0, 4, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert table_pair(0.3 * 0.7j, 3, 0, 0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_z_zero(self):
-        assert germ_h(0.0, 0.7, 2, 4, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert table_pair(0.0, 2, 4, 0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_finite_rewrite(self):
-        # (z;tau)_{n1} / (tau^{n2} z;tau)_{n1} is the four-product ratio at
-        # integer orders.
+        # P[n1] P[n2] / P[n1+n2] is the four-product ratio at integer orders.
         tau = 0.5
         for _ in range(10):
             z = 1.2 * np.exp(2j * np.pi * RNG.uniform())
             n1, n2 = int(RNG.integers(1, 5)), int(RNG.integers(1, 5))
             expect = four_poch_pair(z, n1, n2, tau)
-            assert abs(germ_h(z / 1j, 1j, n1, n2, tau) - expect) < 1e-12
+            assert abs(table_pair(z, n1, n2, tau) - expect) < 1e-12
 
     @pytest.mark.parametrize("n1, n2", [(0.5, 1), (1, 0.5), (-1, 2), (2, -1)])
     def test_non_integer_order_rejected(self, n1, n2):
-        with pytest.raises(DomainError):
-            germ_h(0.3, 0.2, n1, n2, 0.5)
+        # One order of each pair is not an integer >= 0: its table is refused
+        # and the other order's table is built.
+        for n in (n1, n2):
+            if isinstance(n, int) and n >= 0:
+                assert poch_table(0.06, 0.5, n).shape == (n + 1,)
+            else:
+                with pytest.raises(DomainError):
+                    poch_table(0.06, 0.5, n)
 
     def test_pole_raises(self):
-        # (tau^{n2} z;tau)_{n1} vanishes at z = tau^{-n2}.
+        # (tau^{n2} z;tau)_{n1} vanishes at z = tau^{-n2}: P[n1+n2] has the zero factor.
         with pytest.raises(PoleError):
-            germ_h(4.0, 1.0, 1, 2, 0.5)
+            table_pair(4.0, 1, 2, 0.5)
 
     @given(
         re1=st.floats(-0.9, 0.9),
@@ -264,9 +303,11 @@ class TestGermH:
     )
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, re1, im1, re2, im2, n1, n2):
-        w1, w2 = re1 + 1j * im1, re2 + 1j * im2
-        a = germ_h(w1, w2, n1, n2, 0.5)
-        b = germ_h(w2, w1, n2, n1, 0.5)
+        # The table form is symmetric in (n1, n2), so it must equal the
+        # product form with the orders swapped.
+        z = (re1 + 1j * im1) * (re2 + 1j * im2)
+        a = table_pair(z, n1, n2, 0.5)
+        b = brute_poch(z, 0.5, n2) / brute_poch(0.5**n1 * z, 0.5, n2)
         assert abs(a - b) <= 1e-14 * (1 + abs(a))
 
 

@@ -465,6 +465,30 @@ def _uses(tree: ast.AST) -> list[tuple[str, int]]:
     return found
 
 
+def _unused(names, layer: str, trees: dict, defs: dict) -> list[str]:
+    """names of module layer that no module in trees uses beyond their own definition."""
+    uses = [(mod, name, line) for mod, tree in trees.items() for name, line in _uses(tree)]
+    return [
+        name for name in names
+        if not any(
+            used == name and (mod != layer or line not in defs.get(name, ()))
+            for mod, used, line in uses
+        )
+    ]
+
+
+def _package_defs(layer: str) -> tuple[dict, dict]:
+    """ASTs of every package module, and the line ranges of layer's top-level defs."""
+    package = Path(asep_exact.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    defs = {
+        node.name: range(node.lineno, node.end_lineno + 1)
+        for node in trees[layer].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    return trees, defs
+
+
 class TestLayerScope:
     # eps, the jump-rate symbol itself, is the reference that test_exact
     # compares eps_tilde and eps_hat against; the evaluators use those two.
@@ -476,24 +500,17 @@ class TestLayerScope:
         # is used somewhere in the package beyond its own definition (a
         # docstring mention does not count), and every public function or
         # class is exported, so nothing escapes this check.
-        package = Path(asep_exact.__file__).parent
-        trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
-        home = trees[layer]
+        trees, defs = _package_defs(layer)
         module = importlib.import_module(f"asep_exact.{layer}")
-        defs = {
-            node.name: range(node.lineno, node.end_lineno + 1)
-            for node in home.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        }
         unlisted = [n for n in defs if not n.startswith("_") and n not in module.__all__]
         assert unlisted == []
-        uses = [(mod, name, line) for mod, tree in trees.items() for name, line in _uses(tree)]
-        unused = [
-            name for name in module.__all__
-            if name not in self.EXEMPT.get(layer, set())
-            and not any(
-                used == name and (mod != layer or line not in defs.get(name, ()))
-                for mod, used, line in uses
-            )
-        ]
-        assert unused == []
+        exported = [n for n in module.__all__ if n not in self.EXEMPT.get(layer, set())]
+        assert _unused(exported, layer, trees, defs) == []
+
+    @pytest.mark.parametrize("layer", ["qfunc", "quad", "exact", "bose", "airy", "sim", "cli"])
+    def test_every_private_definition_has_a_user(self, layer):
+        # A module-level private function or class that nothing in src/ calls
+        # is dead code, not a helper.
+        trees, defs = _package_defs(layer)
+        private = [n for n in defs if n.startswith("_")]
+        assert _unused(private, layer, trees, defs) == []
