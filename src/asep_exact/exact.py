@@ -40,6 +40,7 @@ from .qfunc import (
     QTruncation,
     germ_f,
     germ_g,
+    poch_inf,
     poch_table,
     q_binomial,
     q_factorial,
@@ -398,6 +399,15 @@ def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     return sorted(groups.items(), reverse=True)
 
 
+def _nu_axis(k: int, ev: EvalParams) -> dict:
+    """The circle of the order-k composition terms: |w| = (1 + tau^(-1/2)) / 2."""
+    tau = ev.params.tau
+    tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
+    radius = 0.5 * (1.0 + tau**-0.5)
+    ratios = (1.0 / radius, radius * tau**0.5, radius * radius * tau)
+    return circle_axis([(0j, radius, circle_nodes(tol, ev.rule.nodes_per_piece, ratios))])
+
+
 def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
     """Order-k terms (k <= m) of scale E[tau^(m N_x)] / m_tau! for each (m, scale) of orders.
 
@@ -405,13 +415,8 @@ def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
     permutation count over k!; order 0 is the empty product iff m = 0.  The
     circle depends only on k, so all orders share one set of prefix tables.
     """
-    params = ev.params
-    tau = params.tau
-    tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
-    radius = 0.5 * (1.0 + tau**-0.5)
-    ratios = (1.0 / radius, radius * tau**0.5, radius * radius * tau)
-    n = circle_nodes(tol, ev.rule.nodes_per_piece, ratios)
-    axis = circle_axis([(0j, radius, n)]) if k else None
+    tau = ev.params.tau
+    axis = _nu_axis(k, ev) if k else None
     site = x + 1
     top = max((m for m, _ in orders), default=0)
     # germ_g at integer order n is (-w;tau)_n (w^2;tau)_n / (w^2;tau)_{2n}.
@@ -425,7 +430,7 @@ def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
             def diag(a, w, parts=parts):
                 na = parts[a]
                 g = neg(w)[na] * sq(w)[na] / sq(w)[2 * na]
-                return germ_f(w, na, site, t, params) * g * (-1.0 / (w * (tau**na - 1.0)))
+                return germ_f(w, na, site, t, ev.params) * g * (-1.0 / (w * (tau**na - 1.0)))
 
             pair = _string_pair(parts, tables, tau)
             yield scale * perms / math.factorial(k), [axis] * k, diag, pair
@@ -485,117 +490,98 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
 def _mb_line_nodes(half_width: float, panel_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre panels on Re s = 1/2, weights for ds/(2 pi i).
 
-    The q-Pochhammer factors of the integrand have s-plane poles a distance
-    ~0.24 from the line (at Re s = 2 log R / log(1/tau) for the w-circle
-    radius R), so the panel width must stay well below that.
+    The integrand's nearest poles lie d = 0.215-0.25 off the line (see
+    _mb_trapezoid).  On order 1's panels of width 0.8, 16 nodes converge like
+    rho^-32, rho = d/0.4 + sqrt(1 + (d/0.4)^2) >= 1.67; against width 0.2 the
+    order-1 term moves by 1.3e-14 at tau = 0.1 and 5e-11 at tau = 0.9.
     """
     y, wy = gl_panels(-half_width, half_width, math.ceil(2.0 * half_width / panel_width))
     return 0.5 + 1j * y, wy / (2.0 * math.pi)
 
 
 def _mb_half_width(zeta: complex, tol: float) -> float:
+    """|Im s| where pi/sin(-pi s) (-zeta)^s, about e^(-(pi - |arg(-zeta)|) |Im s|), falls to tol."""
     arg_margin = math.pi - abs(np.angle(-zeta))
     if arg_margin < 0.3:
         _warnings.warn(
             "zeta is close to the nonnegative real axis; line truncated", RuntimeWarning
         )
         arg_margin = 0.3
-    return max(8.0, math.log(1.0 / tol) / arg_margin + 4.0)
+    return math.log(1.0 / tol) / arg_margin
 
 
-def _mb_diag_grid(zeta, x, t, ev, tol, panel_width, order=1):
-    """Weighted single-variable factor on the (s, w) product grid.
+def _mb_trapezoid(zeta: complex, w_axis: dict, tau: float, tol: float):
+    """Trapezoid nodes s_j = 1/2 + i h j on Re s = 1/2, weights h / (2 pi) for ds/(2 pi i).
 
-    The order-k integral spans (n_s n_w)^k points; over quad.MAX_POINTS it is refused first.
+    The integrand is analytic in |Re s - 1/2| < d, d = 1/2 - 2 log R / log(1/tau)
+    for the w-circle radius R (poles of 1/(tau^s w^2;tau)_inf; d = 0.215-0.24 for
+    tau 0.1-0.55), where the rule errs like e^(-2 pi d / h) (Trefethen & Weideman,
+    SIAM Rev. 56, 2014), so h = 2 pi d / log(1/tol).  The line stops at |Im s| =
+    _mb_half_width(zeta, tol), where the e^(-pi |Im s|) decay reaches tol.  The
+    error oscillates in h: order 2 at tau 0.3 is off by 2.6e-8 at tol 1e-6 (h
+    about 0.10), by 6.4e-11 at 1e-8.
     """
-    params = ev.params
-    tau = params.tau
-    s_nodes, s_weights = _mb_line_nodes(_mb_half_width(zeta, tol), panel_width)
+    d = 0.5 - 2.0 * math.log(abs(w_axis["z"][0])) / math.log(1.0 / tau)
+    h = 2.0 * math.pi * d / math.log(1.0 / tol)
+    j = math.ceil(_mb_half_width(zeta, tol) / h)
+    return 0.5 + 1j * h * np.arange(-j, j + 1), np.full(2 * j + 1, h / (2.0 * math.pi))
+
+
+def _mb_w_axis(ev: EvalParams, tol: float) -> dict:
+    """The w circle |w| = (1 + tau^(-1/4)) / 2, between the poles on |w| = 1 and tau^(-1/4)."""
+    tau = ev.params.tau
     radius = 0.5 * (1.0 + tau**-0.25)
     n_w = circle_nodes(tol, ev.rule.nodes_per_piece, (1.0 / radius, radius * tau**0.25))
-    w_axis = circle_axis([(0j, radius, n_w)])
-    w_nodes, w_weights = w_axis["z"], w_axis["w"]
-    points = (s_nodes.size * w_nodes.size) ** order
-    if points > quad.MAX_POINTS:
-        raise CostGuardError(
-            f"Mellin-Barnes order-{order} grid of {points} points exceeds budget "
-            f"{quad.MAX_POINTS}; --k-max {order - 1} computes the same quantity by residues"
-        )
-    sine = np.pi / np.sin(-np.pi * s_nodes)
-    power = np.exp(s_nodes * np.log(-zeta))
-    tau_s = np.exp(s_nodes * math.log(tau))
+    return circle_axis([(0j, radius, n_w)])
+
+
+def _mb_diag_grid(zeta, x, t, ev, line, w_axis):
+    """Weighted single-variable factor a[i, x] on the (s_i, w_x) product grid."""
+    tau = ev.params.tau
+    (s_nodes, s_weights), w_nodes = line, w_axis["z"]
+    s_factor = np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta)) * s_weights
     # germ_g first: its first q-product is w-only, so a cap refusal precedes the grids.
     g_grid = germ_g(w_nodes[None, :], s_nodes[:, None], tau, ev.trunc)
-    f_grid = germ_f(w_nodes[None, :], s_nodes[:, None], x + 1, t, params)
-    det_diag = -1.0 / (w_nodes[None, :] * (tau_s[:, None] - 1.0))
-    a_grid = (
-        (sine * power * s_weights)[:, None] * f_grid * g_grid * det_diag * w_weights[None, :]
-    )
-    return a_grid, s_nodes, tau_s, w_nodes
+    f_grid = germ_f(w_nodes[None, :], s_nodes[:, None], x + 1, t, ev.params)
+    det_diag = -1.0 / (w_nodes[None, :] * (np.exp(s_nodes * math.log(tau))[:, None] - 1.0))
+    return s_factor[:, None] * f_grid * g_grid * det_diag * w_axis["w"][None, :]
 
 
-def _t_series(u: np.ndarray, tau: float, maxabs: float, tol: float) -> np.ndarray:
-    """sum_m u^m / (m (1 - tau^m)) = -log (u; tau)_inf, needs |u| < 1."""
-    terms = int(math.ceil(math.log(1.0 / tol) / math.log(1.0 / maxabs))) + 4
-    up = u.copy()
-    acc = u / (1.0 - tau)
-    for m in range(2, terms + 1):
-        up = up * u
-        acc = acc + up / (m * (1.0 - tau**m))
-    return acc
+def _mb_order2(zeta, x, t, ev, line, w_axis) -> complex:
+    """The k=2 Mellin-Barnes term: half the sum of a[i,x] a[j,y] times the pair weight.
 
-
-def _mb_order2(zeta, x, t, ev, tol) -> complex:
-    """The k=2 Mellin-Barnes term: a 4-fold integral evaluated slab by slab.
-
-    The pair weight is assembled multiplicatively from the series
-    log (u; tau)_inf = -sum u^m/(m(1-tau^m)) after peeling one factor of the
-    w1 w2 product (whose modulus can exceed 1), avoiding per-slab complex
-    logs; the integrand is symmetric under swapping the two (s, w) pairs, so
-    slabs cover s2 >= s1 with off-diagonal terms counted twice.
+    With z = w_x w_y, a_i = tau^(s_i) and u_ix = a_i w_x that weight is
+    (z;tau)(z a_i a_j;tau) / ((z a_i;tau)(z a_j;tau)) (all _inf) times
+    (u_ix - u_jy)(w_y - w_x) / ((u_ix - w_y)(u_jy - w_x)).  With P[x,i,y] =
+    a[i,x] / ((z a_i;tau)(u_ix - w_y)), the rest M_k[x,y] = (z;tau)(w_y - w_x)
+    (z tau^(s_i+s_j);tau) depends on i, j only through k = i + j on a uniform
+    line and is antisymmetric in x, y, so both halves of u_ix - u_jy give
+    sum_{x,y,k} M_k[x,y] sum_{i+j=k} u_ix P[x,i,y] P[y,j,x]: a convolution
+    per (x, y), done by FFT one w-row at a time.
     """
     tau = ev.params.tau
-    a_grid, s_nodes, tau_s, w_nodes = _mb_diag_grid(zeta, x, t, ev, tol, panel_width=2.0, order=2)
-    n_s = s_nodes.size
-    zmat = w_nodes[:, None] * w_nodes[None, :]
-    v = tau * zmat
-    v_max = float(np.max(np.abs(v)))
-    a_max = tau**0.5
-
-    t_v = _t_series(v, tau, v_max, tol)
-    t_va = _t_series(v[:, None, :] * tau_s[None, :, None], tau, v_max * a_max, tol)
-    exp_mv = np.exp(-t_v)
-    exp_va = np.exp(t_va)
-    one_mz = 1.0 - zmat
-    one_mza = 1.0 - zmat[:, None, :] * tau_s[None, :, None]
-    u_w = tau_s[:, None] * w_nodes[None, :]
-    d2 = u_w[None, :, :] - w_nodes[:, None, None]
-
-    abs_a = np.abs(a_grid)
-    a_total = float(np.sum(abs_a))
-    row_sums = abs_a.sum(axis=1)
-
+    s_nodes = line[0]
+    a_grid = _mb_diag_grid(zeta, x, t, ev, line, w_axis)
+    w = w_axis["z"]
+    a_s = np.exp(s_nodes * math.log(tau))
+    # a_k = tau^(s_i + s_j) for k = i + j.
+    a_k = np.exp(np.concatenate([s_nodes + s_nodes[0], s_nodes[1:] + s_nodes[-1]]) * math.log(tau))
+    # On the trapezoid circle w_x w_y = w_0 w_r, r = x + y mod n_w: each q-product is a table row.
+    z = w[0] * w
+    pochs = poch_inf(z[:, None] * a_s, tau, ev.trunc)
+    # Per row r, ifft of M_k / (w_y - w_x): sum_k M_k c_k = sum_m fft(c)_m ifft(M)_m.
+    n_fft = -(-a_k.size // 64) * 64  # a multiple of 64 keeps the FFT on small radices
+    m_hat = poch_inf(z[:, None] * a_k, tau, ev.trunc) * poch_inf(z, tau, ev.trunc)[:, None]
+    m_hat = np.fft.ifft(m_hat, n_fft)
+    u = a_s[:, None] * w
     acc = 0j
-    for i in range(n_s):
-        if row_sums[i] * a_total * 50.0 < 0.01 * tol:
-            continue
-        a12 = tau_s[i] * tau_s[i:]
-        u12 = v[:, None, :] * a12[None, :, None]
-        pair = np.exp(-_t_series(u12, tau, v_max * a_max * a_max, tol))
-        pair = pair * exp_va[:, i, :][:, None, :]
-        pair = pair * exp_va[:, i:, :]
-        pair = pair * exp_mv[:, None, :]
-        # remaining peeled factor of the pair weight
-        pair = pair * one_mz[:, None, :] * (1.0 - u12 / tau)
-        pair = pair / (one_mza[:, i, :][:, None, :] * one_mza[:, i:, :])
-        # Cauchy cross factor of the determinant
-        u1 = u_w[i][:, None, None]
-        cross_num = (u1 - u_w[None, i:, :]) * (w_nodes[None, None, :] - w_nodes[:, None, None])
-        cross_den = (u1 - w_nodes[None, None, :]) * d2[:, i:, :]
-        pair = pair * cross_num / cross_den
-        weighted = np.einsum("x,sy,xsy->s", a_grid[i], a_grid[i:], pair, optimize=True)
-        acc += 2.0 * weighted.sum() - weighted[0]
-    return 0.5 * acc
+    for row in range(w.size):
+        r = (row + np.arange(w.size)) % w.size
+        left = u[:, row] * a_grid[:, row] / (pochs[r] * (u[:, row] - w[:, None]))
+        right = a_grid.T / (pochs[r] * (u.T - w[row]))
+        conv = np.fft.fft(left, n_fft) * np.fft.fft(right, n_fft) * m_hat[r]
+        acc += np.sum(conv, axis=1) @ (w - w[row])
+    return complex(acc)
 
 
 def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) -> complex:
@@ -610,7 +596,8 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     integrals actually performed.  The residue series need |zeta| < 1.  They
     drop the orders tau_laplace_series drops, so the two routes agree on the
     same truncated value.  With k_max = 0 the order-1 series needs about
-    log(tol) / log|zeta| orders; past MAX_TERMS / 2 it is refused.
+    log(tol) / log|zeta| orders; past MAX_TERMS / 2 it is refused.  Every
+    grid is checked against quad.MAX_POINTS before any is evaluated.
     """
     zeta = complex(zeta)
     if zeta.imag == 0.0 and zeta.real >= 0.0:
@@ -626,20 +613,33 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     if k_max == 0 and 2 * orders1 > MAX_TERMS:
         raise CostGuardError(f"order-1 residue series needs {orders1} orders at |zeta|="
                              f"{abs(zeta):.6g}, cap is {MAX_TERMS // 2}; use --k-max 1")
-    # Order 2 runs first, so its budget check refuses before any grid is built.
-    order2 = _mb_order2(zeta, x, t, ev, max(ev.trunc.tol, 1e-4)) if k_max >= 2 else 0j
+    # Residue orders from 2 on, which --k-max 1 would need, are sized even when k_max is 2.
+    kept = {k: [(m, zeta**m) for m in takewhile(
+        lambda m: _series_k_cap(m) >= k and abs(zeta) ** m >= ev.trunc.tol, count(k))]
+        for k in range(min(k_max, 1) + 1, 5)}
+    residue_points = {k: _nu_axis(k, ev)["z"].size ** k for k, orders in kept.items() if orders}
+    if k_max >= 2:
+        w_axis = _mb_w_axis(ev, max(ev.trunc.tol, 1e-4))
+        line = _mb_trapezoid(zeta, w_axis, ev.params.tau, max(ev.trunc.tol, 1e-8))
+        points = (line[0].size * w_axis["z"].size) ** 2
+        if points > quad.MAX_POINTS:
+            hint = max(residue_points.values(), default=0) <= quad.MAX_POINTS
+            raise CostGuardError(
+                f"Mellin-Barnes order-2 grid of {points} points exceeds budget {quad.MAX_POINTS}"
+                + ("; --k-max 1 computes the same quantity by residues" if hint else ""))
+    for k, points in residue_points.items():
+        if k > k_max and points > quad.MAX_POINTS:
+            raise CostGuardError(
+                f"order-{k} residue grid of {points} points exceeds budget {quad.MAX_POINTS}")
     total = 1.0 + 0j
     if k_max >= 1:
-        a_grid = _mb_diag_grid(zeta, x, t, ev, max(ev.trunc.tol, 1e-9), panel_width=0.8)[0]
-        total += complex(np.sum(a_grid))
-
-    def residues():
-        for k in range(k_max + 1, 5):
-            kept = takewhile(
-                lambda m: _series_k_cap(m) >= k and abs(zeta) ** m >= ev.trunc.tol, count(k))
-            yield from _nu_terms(k, [(m, zeta**m) for m in kept], x, t, ev)
-
-    return total + order2 + tensor_result(residues(), "laplace_residues").value
+        tol = max(ev.trunc.tol, 1e-9)
+        line1 = _mb_line_nodes(max(8.0, _mb_half_width(zeta, tol) + 4.0), 0.8)
+        total += complex(np.sum(_mb_diag_grid(zeta, x, t, ev, line1, _mb_w_axis(ev, tol))))
+    if k_max >= 2:
+        total += _mb_order2(zeta, x, t, ev, line, w_axis)
+    terms = (term for k in range(k_max + 1, 5) for term in _nu_terms(k, kept[k], x, t, ev))
+    return total + tensor_result(terms, "laplace_residues").value
 
 
 # ---------------------------------------------------------------------------

@@ -147,12 +147,14 @@ class TestMomentCommand:
     def test_numerical_failure_exits_two(self, capsys):
         # At tau = 0.999 the Mellin-Barnes route's complex-order q-product
         # would need 39,127 factors, past the cap: a typed refusal, exit 2,
-        # not a truncated value.
-        code, out, err = run_cli(
-            ["laplace", "--tau", "0.999", "--zeta=-0.2", "--x", "0", "--t", "0.5",
-             "--rep", "mb", "--k-max", "1"], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "cap is 4096" in err
+        # not a truncated value.  At zeta = -0.2 the residue grids, sized
+        # first, are refused before it; at -1e-8 no residue order is kept.
+        for zeta, message in (("-0.2", "order-2 residue grid"), ("-1e-8", "cap is 4096")):
+            code, out, err = run_cli(
+                ["laplace", "--tau", "0.999", f"--zeta={zeta}", "--x", "0", "--t", "0.5",
+                 "--rep", "mb", "--k-max", "1"], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and message in err
 
 
 class TestSimulateCommand:
@@ -226,7 +228,6 @@ class TestCtmcCommand:
 
 
 class TestLaplaceCommand:
-    @pytest.mark.slow
     def test_both_representations_agree(self, capsys):
         code, out, _ = run_cli(
             ["laplace", "--zeta", "-0.2", "--x", "2", "--t", "0.5", "--tau", "0.5",

@@ -38,6 +38,19 @@ def make_ev(tau: float, **kwargs) -> ex.EvalParams:
     return ex.EvalParams(params=ModelParams.from_tau(tau), **kwargs)
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap exact.<name> so that each call appends to the returned list."""
+    calls = []
+    real = getattr(ex, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, name, counted)
+    return calls
+
+
 class TestRates:
     def test_single_particle_rate_vanishes_at_one(self):
         assert ex.eps(1.0, PARAMS) == pytest.approx(0.0, abs=1e-15)
@@ -442,6 +455,62 @@ class TestTauLaplace:
         )
         assert abs(shared - alone) <= 1e-15 * abs(alone)
 
+    def test_order_two_convolution_matches_the_double_sum(self):
+        # The unfactored pair weight summed over every (i, x, j, y) of a small grid pins
+        # the Hankel, transpose and antisymmetry steps of the convolution.
+        tau, ev = 0.4, make_ev(0.4)
+        w_axis = quad.circle_axis([(0j, 0.5 * (1.0 + tau**-0.25), 12)])
+        h = 0.3
+        s = 0.5 + 1j * h * np.arange(-5, 6)
+        line = (s, np.full(s.size, h / (2.0 * math.pi)))
+        a = ex._mb_diag_grid(-0.3, 1, 0.5, ev, line, w_axis)
+        w = w_axis["z"]
+        z = w[:, None] * w[None, :]
+        a_s = tau**s
+        total = 0j
+        for i in range(s.size):
+            for j in range(s.size):
+                weight = (qfunc.poch_inf(z, tau) * qfunc.poch_inf(z * a_s[i] * a_s[j], tau)
+                          / (qfunc.poch_inf(z * a_s[i], tau) * qfunc.poch_inf(z * a_s[j], tau)))
+                u_i, u_j = a_s[i] * w[:, None], a_s[j] * w[None, :]
+                cauchy = ((u_i - u_j) * (w[None, :] - w[:, None])
+                          / ((u_i - w[None, :]) * (u_j - w[:, None])))
+                total += 0.5 * a[i] @ (weight * cauchy) @ a[j]
+        value = ex._mb_order2(-0.3, 1, 0.5, ev, line, w_axis)
+        assert abs(value - total) <= 1e-13 * abs(total)
+
+    # Order 2 at zeta = -0.2 against a fine-step reference: the same kernel and w circle
+    # with the line sized for 1e-14 (h about 0.044, |Im s| <= 10.3); sized for 1e-13
+    # (h about 0.048) it agrees to 2.2e-15.
+    @pytest.mark.parametrize("tau,x,t,reference", [
+        (0.1, 2, 0.416, -1.28503797651e-3),
+        (0.3, 1, 0.3, 5.24991064375e-3),
+        (0.5, 2, 0.5, 1.27828640188e-3),
+    ])
+    def test_order_two_matches_a_fine_step_reference(self, monkeypatch, tau, x, t, reference):
+        seen = []
+        real = ex._mb_order2
+
+        def recorded(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(ex, "_mb_order2", recorded)
+        ex.tau_laplace_mb(-0.2, x, t, 2, make_ev(tau))
+        assert abs(seen[0] - reference) <= 1e-9
+
+    @pytest.mark.parametrize("tau,x,t", [(0.1, 2, 0.416), (0.3, 1, 0.3), (0.5, 2, 0.5)])
+    def test_value_is_real_at_real_zeta(self, tau, x, t):
+        assert abs(ex.tau_laplace_mb(-0.2, x, t, 2, make_ev(tau)).imag) < 1e-12
+
+    def test_trapezoid_line_reproduces_geometric_series(self):
+        zeta = -0.37
+        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, 1e-8)
+        val = np.sum(
+            s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
+        )
+        assert abs(val - zeta / (1.0 - zeta)) < 1e-8
+
     def test_line_reproduces_geometric_series(self):
         zeta = -0.37
         s_nodes, s_weights = ex._mb_line_nodes(14.0, 0.8)
@@ -552,21 +621,31 @@ class TestCostControls:
             ex.qtilde_moments((2, 4), 0.5, EV)
 
     def test_mellin_barnes_budget_refuses_before_any_grid(self, monkeypatch):
-        # At tau = 0.97 the order-2 grid has (128 * 2456)^2 = 9.9e10 points.
-        calls = []
-        real = ex.germ_f
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ex, "germ_f", counted)
-        with pytest.raises(CostGuardError, match="--k-max 1"):
+        # At tau = 0.97 the order-2 grid has (139 * 2456)^2 = 1.2e11 points.  --k-max 1
+        # is refused too (order-3 residue grid of 4282^3 points), so the message names no hint.
+        calls = count_calls(monkeypatch, "germ_f")
+        with pytest.raises(CostGuardError, match=r"order-2 grid of \d+ points exceeds budget \d+$"):
             ex.tau_laplace_mb(-0.2, 3, 0.5, 2, make_ev(0.97))
         assert calls == []
         # The counter is live: order 1 alone fits the budget and takes germ_f.
-        ex._mb_diag_grid(-0.2, 3, 0.5, make_ev(0.5), 1e-9, panel_width=0.8)
+        ev = make_ev(0.5)
+        ex._mb_diag_grid(-0.2, 3, 0.5, ev, ex._mb_line_nodes(8.0, 0.8), ex._mb_w_axis(ev, 1e-9))
         assert len(calls) == 1
+
+    def test_order_two_refusal_names_k_max_one_when_it_fits(self, monkeypatch):
+        # At tau = 0.3 the order-2 grid has (151 * 100)^2 = 2.3e8 points and the largest
+        # residue grid (order 4) 104^4 = 1.2e8: a budget between them refuses order 2 only.
+        monkeypatch.setattr(quad, "MAX_POINTS", 2 * 10**8)
+        with pytest.raises(CostGuardError, match="--k-max 1 computes the same quantity"):
+            ex.tau_laplace_mb(-0.2, 1, 0.3, 2, make_ev(0.3))
+        assert abs(ex.tau_laplace_mb(-0.2, 1, 0.3, 1, make_ev(0.3)) - 0.849378366) < 1e-9
+
+    def test_k_max_two_is_refused_before_any_evaluation(self, monkeypatch):
+        # At tau = 0.6 order 2 fits, but the order-4 residue grid has 188^4 = 1.2e9 points.
+        calls = count_calls(monkeypatch, "germ_f")
+        with pytest.raises(CostGuardError, match=r"order-4 residue grid of \d+ points exceeds"):
+            ex.tau_laplace_mb(-0.2, 2, 0.5, 2, make_ev(0.6))
+        assert calls == []
 
     @pytest.mark.parametrize("route", ["halfflat", "partition"])
     def test_order_two_past_budget_is_refused_cheaply(self, route):
@@ -601,14 +680,7 @@ class TestCostControls:
 
     def test_unbounded_residue_tail_is_refused_up_front(self, monkeypatch):
         # At |zeta| = 1 - 1e-9 the order-1 residue series needs about 3.2e10 orders.
-        calls = []
-        real = ex.germ_f
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ex, "germ_f", counted)
+        calls = count_calls(monkeypatch, "germ_f")
         with pytest.raises(CostGuardError, match="--k-max 1"):
             ex.tau_laplace_mb(-(1.0 - 1e-9), 0, 0.5, 0, make_ev(0.3))
         assert calls == []

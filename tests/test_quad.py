@@ -426,7 +426,7 @@ class TestStandardContours:
 
     def test_mb_w_circle_inside_quarter_power(self, monkeypatch):
         (piece,) = production_circles(
-            monkeypatch, lambda: ex._mb_diag_grid(-0.3, 3, 0.7, EV, 1e-9, panel_width=0.8)
+            monkeypatch, lambda: ex._mb_w_axis(EV, 1e-9)
         )
         assert piece[0] == 0j
         assert 1.0 < piece[1] < 0.5**-0.25
