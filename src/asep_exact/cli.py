@@ -27,7 +27,8 @@ they apply): a single comment row starting with '#' in CSV, an object with
 floating values are printed with 17 significant digits, enough to
 round-trip a double exactly.  The err column is the evaluator's internal
 error estimate, floored by the imaginary residual of a nominally real
-value; runtime is wall seconds and is the only nondeterministic column.
+value (laplace returns no estimate, so there err is only |Im value|);
+runtime is wall seconds and is the only nondeterministic column.
 
 A config file given by --config holds `key = value` lines (blank lines and
 '#' comments ignored); keys are the long option names of the chosen
@@ -176,7 +177,7 @@ _OPTION_TABLES: dict[str, tuple[Opt, ...]] = {
         Opt("x", int, 0, "lattice site"),
         Opt("t", float, 1.0, "time"),
         Opt("rep", _choice("series", "mb", "both"), "both", "representation"),
-        Opt("m_max", int, 20, "series truncation order"),
+        Opt("m_max", int, 20, "series truncation order; the sum stops there without a tail check"),
         Opt("k_max", int, 2, "Mellin-Barnes truncation order"),
     ) + _RULE_OPTS + _OUT_OPTS,
     "bose": (

@@ -23,10 +23,9 @@ and the independent simulators pin this normalization.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, count, permutations, takewhile
+from itertools import combinations, count, permutations
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .quad import (
     c1_rho_radius,
     circle_axis,
     circle_nodes,
-    gl_panels,
     nested_radii,
     tensor_result,
 )
@@ -317,8 +315,8 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 def _per_grid(build):
     """build(w) for the grid that w lies on, made on first use and kept per grid size.
 
-    The engine checks its grid budget before it calls a term's factors, so a
-    grid it refuses never builds a table.
+    The engine sizes every term before it calls any factor, so a sum it
+    refuses never builds a table.
     """
     made = {}
 
@@ -461,69 +459,61 @@ def _series_k_cap(m: int) -> int:
     return 1
 
 
+def _laplace_orders(zeta: complex, m_max: float, ks, ev: EvalParams) -> dict:
+    """Kept orders {k: [(m, zeta^m), ...]} of the moment series, for each k in ks.
+
+    Order k keeps k <= m <= m_max with k <= _series_k_cap(m), and stops at the
+    first m with |zeta^m / m_tau!| < trunc.tol, the bound on each term.
+    """
+    tau = ev.params.tau
+
+    def kept(k):
+        m_fact = q_factorial(k, tau)
+        for m in count(k):
+            if m > m_max or _series_k_cap(m) < k or abs(zeta**m / m_fact) < ev.trunc.tol:
+                return
+            yield m, zeta**m
+            m_fact *= (1.0 - tau ** (m + 1)) / (1.0 - tau)
+
+    return {k: list(kept(k)) for k in ks}
+
+
 def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalParams) -> complex:
     """E[e_tau(zeta tau^(N_x))] summed from the moment expansion.
 
-    The m-series stops at the first m with |zeta^m / m_tau!| < trunc.tol or
-    at m_max, whichever comes first.  Nothing checks the tail past m_max, so
-    near |zeta| = 1 a small m_max truncates silently (the value carries no
-    error estimate).  Only orders k <= _series_k_cap(m) <= 4 are kept, and
-    nothing bounds the dropped ones: at tau = 0.3, x = 0, t = 0.5 they cost
-    5.8e-7 at zeta = -0.5 and 7.7e-4 at zeta = -0.9 (m_max = 40).
+    Each order k <= 4 sums the m that _laplace_orders keeps, with one set of
+    prefix tables: m_max or the first m with |zeta^m / m_tau!| < trunc.tol
+    ends it.  Nothing checks the tail past m_max, so near |zeta| = 1 a small
+    m_max truncates silently (the value carries no error estimate).  Orders
+    k > _series_k_cap(m) are dropped unbounded: at tau = 0.3, x = 0, t = 0.5
+    they cost 5.8e-7 at zeta = -0.5 and 7.7e-4 at -0.9 (m_max = 40).
     """
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:
         raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if m_max < 8:
         raise DomainError(f"need m_max >= 8, got {m_max}")
-
-    def terms():
-        for m in range(m_max + 1):
-            if abs(zeta**m / q_factorial(m, ev.params.tau)) < ev.trunc.tol:
-                return
-            for k in range(min(m, _series_k_cap(m)) + 1):
-                yield from _nu_terms(k, [(m, zeta**m)], x, t, ev)
-
-    return tensor_result(terms(), "laplace_series").value
-
-
-def _mb_line_nodes(half_width: float, panel_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre panels on Re s = 1/2, weights for ds/(2 pi i).
-
-    The integrand's nearest poles lie d = 0.215-0.25 off the line (see
-    _mb_trapezoid).  On order 1's panels of width 0.8, 16 nodes converge like
-    rho^-32, rho = d/0.4 + sqrt(1 + (d/0.4)^2) >= 1.67; against width 0.2 the
-    order-1 term moves by 1.3e-14 at tau = 0.1 and 5e-11 at tau = 0.9.
-    """
-    y, wy = gl_panels(-half_width, half_width, math.ceil(2.0 * half_width / panel_width))
-    return 0.5 + 1j * y, wy / (2.0 * math.pi)
-
-
-def _mb_half_width(zeta: complex, tol: float) -> float:
-    """|Im s| where pi/sin(-pi s) (-zeta)^s, about e^(-(pi - |arg(-zeta)|) |Im s|), falls to tol."""
-    arg_margin = math.pi - abs(np.angle(-zeta))
-    if arg_margin < 0.3:
-        _warnings.warn(
-            "zeta is close to the nonnegative real axis; line truncated", RuntimeWarning
-        )
-        arg_margin = 0.3
-    return math.log(1.0 / tol) / arg_margin
+    kept = _laplace_orders(zeta, m_max, range(5), ev)
+    terms = (term for k, orders in kept.items() for term in _nu_terms(k, orders, x, t, ev))
+    return tensor_result(terms, "laplace_series").value
 
 
 def _mb_trapezoid(zeta: complex, w_axis: dict, tau: float, tol: float):
     """Trapezoid nodes s_j = 1/2 + i h j on Re s = 1/2, weights h / (2 pi) for ds/(2 pi i).
 
-    The integrand is analytic in |Re s - 1/2| < d, d = 1/2 - 2 log R / log(1/tau)
-    for the w-circle radius R (poles of 1/(tau^s w^2;tau)_inf; d = 0.215-0.24 for
-    tau 0.1-0.55), where the rule errs like e^(-2 pi d / h) (Trefethen & Weideman,
-    SIAM Rev. 56, 2014), so h = 2 pi d / log(1/tol).  The line stops at |Im s| =
-    _mb_half_width(zeta, tol), where the e^(-pi |Im s|) decay reaches tol.  The
-    error oscillates in h: order 2 at tau 0.3 is off by 2.6e-8 at tol 1e-6 (h
-    about 0.10), by 6.4e-11 at 1e-8.
+    Both Mellin-Barnes orders integrate on this line.  The integrand is
+    analytic in |Re s - 1/2| < d, d = 1/2 - 2 log R / log(1/tau) for the
+    w-circle radius R (poles of 1/(tau^s w^2;tau)_inf; d = 0.215-0.25 for tau
+    0.1-0.9), where the rule errs like e^(-2 pi d / h) (Trefethen & Weideman,
+    SIAM Rev. 56, 2014), so h = 2 pi d / log(1/tol).  pi/sin(-pi s) (-zeta)^s
+    decays like e^(-(pi - |arg(-zeta)|) |Im s|), and the line stops where that
+    reaches tol.  The error oscillates in h: order 2 at tau 0.3 is off by
+    2.6e-8 at tol 1e-6 (h about 0.10), by 6.4e-11 at 1e-8.
     """
     d = 0.5 - 2.0 * math.log(abs(w_axis["z"][0])) / math.log(1.0 / tau)
     h = 2.0 * math.pi * d / math.log(1.0 / tol)
-    j = math.ceil(_mb_half_width(zeta, tol) / h)
+    half_width = math.log(1.0 / tol) / (math.pi - abs(np.angle(-zeta)))
+    j = math.ceil(half_width / h)
     return 0.5 + 1j * h * np.arange(-j, j + 1), np.full(2 * j + 1, h / (2.0 * math.pi))
 
 
@@ -593,15 +583,17 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     same depth the moment series reaches) are completed by their residue
     expansions over integer s_a, which the Mellin-Barnes identity makes the
     same quantity; k_max therefore only bounds the dimension of the line
-    integrals actually performed.  The residue series need |zeta| < 1.  They
-    drop the orders tau_laplace_series drops, so the two routes agree on the
-    same truncated value.  With k_max = 0 the order-1 series needs about
-    log(tol) / log|zeta| orders; past MAX_TERMS / 2 it is refused.  Every
-    grid is checked against quad.MAX_POINTS before any is evaluated.
+    integrals actually performed.  The residue series need |zeta| < 1 and
+    take their orders from _laplace_orders, as tau_laplace_series does, so
+    the two routes agree on the same truncated value.  With k_max = 0 the
+    order-1 series may need up to log(tol) / log|zeta| orders; past
+    MAX_TERMS / 2 it is refused.  Every grid is checked against
+    quad.MAX_POINTS before any is evaluated, and zeta within 0.3 rad of the
+    nonnegative real axis, where the line decays slowly, is refused.
     """
     zeta = complex(zeta)
-    if zeta.imag == 0.0 and zeta.real >= 0.0:
-        raise DomainError("zeta must avoid the nonnegative real axis")
+    if math.pi - abs(np.angle(-zeta)) < 0.3:
+        raise DomainError("zeta must lie at least 0.3 rad from the nonnegative real axis")
     if abs(zeta) >= 1.0:
         raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if k_max < 0 or k_max > 2:
@@ -614,9 +606,7 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
         raise CostGuardError(f"order-1 residue series needs {orders1} orders at |zeta|="
                              f"{abs(zeta):.6g}, cap is {MAX_TERMS // 2}; use --k-max 1")
     # Residue orders from 2 on, which --k-max 1 would need, are sized even when k_max is 2.
-    kept = {k: [(m, zeta**m) for m in takewhile(
-        lambda m: _series_k_cap(m) >= k and abs(zeta) ** m >= ev.trunc.tol, count(k))]
-        for k in range(min(k_max, 1) + 1, 5)}
+    kept = _laplace_orders(zeta, math.inf, range(min(k_max, 1) + 1, 5), ev)
     residue_points = {k: _nu_axis(k, ev)["z"].size ** k for k, orders in kept.items() if orders}
     if k_max >= 2:
         w_axis = _mb_w_axis(ev, max(ev.trunc.tol, 1e-4))
@@ -633,9 +623,9 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
                 f"order-{k} residue grid of {points} points exceeds budget {quad.MAX_POINTS}")
     total = 1.0 + 0j
     if k_max >= 1:
-        tol = max(ev.trunc.tol, 1e-9)
-        line1 = _mb_line_nodes(max(8.0, _mb_half_width(zeta, tol) + 4.0), 0.8)
-        total += complex(np.sum(_mb_diag_grid(zeta, x, t, ev, line1, _mb_w_axis(ev, tol))))
+        w_axis1 = _mb_w_axis(ev, max(ev.trunc.tol, 1e-9))
+        line1 = _mb_trapezoid(zeta, w_axis1, ev.params.tau, ev.trunc.tol)
+        total += complex(np.sum(_mb_diag_grid(zeta, x, t, ev, line1, w_axis1)))
     if k_max >= 2:
         total += _mb_order2(zeta, x, t, ev, line, w_axis)
     terms = (term for k in range(k_max + 1, 5) for term in _nu_terms(k, kept[k], x, t, ev))

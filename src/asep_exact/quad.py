@@ -3,8 +3,9 @@
 Two rules cover every contour the evaluators integrate over.  Circles use
 the trapezoid rule, which converges exponentially for analytic integrands;
 its every-other-node half grid gives the error estimate, and circle_nodes
-sizes it from the poles and essential singularities of the integrand.
-Lines, rays and real intervals use composite 16-point Gauss-Legendre
+sizes it from the poles and essential singularities of the integrand.  The
+Mellin-Barnes line Re s = 1/2 uses the same rule (exact._mb_trapezoid).
+Other lines, rays and real intervals use composite 16-point Gauss-Legendre
 panels, which callers map onto their own vertical lines, wedge rays and
 chamber axes.
 
@@ -14,8 +15,8 @@ returns sum w * full with the error |sum w * (full - half)| (see
 MomentResult).  Each term is contracted with BLAS matrix products: k = 2 is
 d_0 P_01 d_1, k = 3 one GEMM, and k >= 4 loops over the nodes of one axis
 down to k = 3.  On N nodes per axis that is O(N^k) flops in O(k^2 N^2)
-memory; no N^3 intermediate is ever built.  A grid of more than MAX_POINTS
-points is refused before it is evaluated.
+memory; no N^3 intermediate is ever built.  Every grid is sized against
+MAX_POINTS before any is evaluated.
 
 Circle weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
@@ -195,15 +196,7 @@ def _contract(d, pairs) -> complex:
 
 def _grid_eval(axes, diag_fn, pair_fn, half: bool) -> complex:
     k = len(axes)
-    if k > MAX_AXES:
-        raise CostGuardError(f"tensor evaluation supports at most {MAX_AXES} axes, got {k}")
     key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
-    sizes = [axes[a][key_z].size for a in range(k)]
-    if math.prod(sizes) > MAX_POINTS:
-        raise CostGuardError(
-            f"tensor grid of {math.prod(sizes)} points exceeds budget {MAX_POINTS} "
-            f"(axes: {sizes})"
-        )
     d = [diag_fn(a, axes[a][key_z]) * axes[a][key_w] for a in range(k)]
     pairs = {
         (a, b): pair_fn(a, b, axes[a][key_z][:, None], axes[b][key_z][None, :])
@@ -221,11 +214,23 @@ def tensor_result(terms, method: str) -> MomentResult:
 
     axes are node dicts with keys z, w, z_half, w_half; diag_fn(a, z) is the 1-D factor
     on axis a, pair_fn(a, b, za, zb) the 2-D factor on the (a, b) subgrid.  A term with no
-    axes contributes its weight.  terms may be a generator, so no axes are built early.
+    axes contributes its weight.  All terms are sized before any factor is called (at most
+    MAX_AXES axes and MAX_POINTS points each), and each is released once evaluated.
     """
+    terms = list(terms)
+    for _, axes, _, _ in terms:
+        sizes = [axis["z"].size for axis in axes]
+        if len(sizes) > MAX_AXES:
+            raise CostGuardError(
+                f"tensor evaluation supports at most {MAX_AXES} axes, got {len(sizes)}")
+        if math.prod(sizes) > MAX_POINTS:
+            raise CostGuardError(f"tensor grid of {math.prod(sizes)} points exceeds budget "
+                                 f"{MAX_POINTS} (axes: {sizes})")
+    terms.reverse()  # popped from the end, so evaluated in the given order
     value = gap = 0j
     node_counts: tuple[int, ...] = ()
-    for weight, axes, diag_fn, pair_fn in terms:
+    while terms:
+        weight, axes, diag_fn, pair_fn = terms.pop()
         full = weight * _grid_eval(axes, diag_fn, pair_fn, half=False)
         value += full
         gap += full - weight * _grid_eval(axes, diag_fn, pair_fn, half=True)

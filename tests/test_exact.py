@@ -435,12 +435,37 @@ class TestTauLaplace:
         assert abs(series - lines) < 1e-7
 
     def test_residue_tail_is_summed_to_the_target(self):
-        # With k_max = 0 the order-1 residue series runs until |zeta|^m falls
+        # With k_max = 0 the order-1 residue series runs until its terms fall
         # below the target; cut at m = 16 it would miss k_max = 1 by 3.3e-5 here.
         ev = make_ev(0.3)
         residues = ex.tau_laplace_mb(-0.8, 0, 0.5, 0, ev)
         lines = ex.tau_laplace_mb(-0.8, 0, 0.5, 1, ev)
-        assert abs(residues - lines) < 1e-9
+        assert abs(residues - lines) < 1e-13
+
+    # Order 1 against a fine-step reference: the same kernel and w circle on the line
+    # sized for 1e-18 (about 800 nodes, against 425-665 at the 1e-14 target).
+    @pytest.mark.parametrize("tau,zeta,x,t", [
+        (0.1, -0.2, 2, 0.416),
+        (0.3, -0.5, 0, 0.5),
+        (0.5, -0.9, 1, 0.3),
+        (0.3, -0.2 + 0.3j, 1, 0.5),
+    ])
+    def test_order_one_matches_a_fine_step_reference(self, monkeypatch, tau, zeta, x, t):
+        seen = []
+        real = ex._mb_diag_grid
+
+        def recorded(*args):
+            grid = real(*args)
+            seen.append((np.sum(grid), args[-1]))
+            return grid
+
+        monkeypatch.setattr(ex, "_mb_diag_grid", recorded)
+        ev = make_ev(tau)
+        ex.tau_laplace_mb(zeta, x, t, 1, ev)
+        (value, w_axis), = seen
+        fine = ex._mb_trapezoid(zeta, w_axis, tau, 1e-18)
+        reference = np.sum(real(zeta, x, t, ev, fine, w_axis))
+        assert abs(value - reference) <= 1e-13
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_orders_sharing_one_table_keep_their_terms(self, k):
@@ -504,20 +529,14 @@ class TestTauLaplace:
         assert abs(ex.tau_laplace_mb(-0.2, x, t, 2, make_ev(tau)).imag) < 1e-12
 
     def test_trapezoid_line_reproduces_geometric_series(self):
+        # At the order-2 target 1e-8 and at trunc.tol, where order 1 runs.
         zeta = -0.37
-        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, 1e-8)
-        val = np.sum(
-            s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
-        )
-        assert abs(val - zeta / (1.0 - zeta)) < 1e-8
-
-    def test_line_reproduces_geometric_series(self):
-        zeta = -0.37
-        s_nodes, s_weights = ex._mb_line_nodes(14.0, 0.8)
-        val = np.sum(
-            s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
-        )
-        assert abs(val - zeta / (1.0 - zeta)) < 1e-10
+        for tol, bound in ((1e-8, 1e-8), (EV.trunc.tol, 1e-14)):
+            s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, tol)
+            val = np.sum(
+                s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
+            )
+            assert abs(val - zeta / (1.0 - zeta)) < bound
 
     def test_small_argument_limit(self):
         ev = make_ev(0.3)
@@ -530,10 +549,17 @@ class TestTauLaplace:
             assert 0.0 < v.real <= 1.0
             assert abs(v.imag) < 1e-9
 
-    def test_warns_near_nonnegative_axis(self):
-        ev = make_ev(0.3, trunc=QTruncation(tol=1e-6))
-        with pytest.warns(RuntimeWarning, match="line truncated"):
-            ex.tau_laplace_mb(0.2 + 0.001j, 1, 0.3, 1, ev)
+    def test_refuses_near_nonnegative_axis(self):
+        # Once clamped to a 0.3 rad margin these were off by 0.17, 0.15 and 4.7e-6
+        # (tau 0.3, k_max 1, against the series at m_max 60).
+        ev = make_ev(0.3)
+        for zeta in (0.2 + 0.001j, 0.5 + 0.01j, 0.6 + 0.1j):
+            with pytest.raises(DomainError, match="0.3 rad"):
+                ex.tau_laplace_mb(zeta, 1, 0.5, 1, ev)
+        # Just inside the margin the line still meets the series.
+        zeta = 0.5 * np.exp(-0.31j)
+        lines = ex.tau_laplace_mb(zeta, 1, 0.5, 1, ev)
+        assert abs(lines - ex.tau_laplace_series(zeta, 1, 0.5, 60, ev)) < 1e-13
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -629,7 +655,8 @@ class TestCostControls:
         assert calls == []
         # The counter is live: order 1 alone fits the budget and takes germ_f.
         ev = make_ev(0.5)
-        ex._mb_diag_grid(-0.2, 3, 0.5, ev, ex._mb_line_nodes(8.0, 0.8), ex._mb_w_axis(ev, 1e-9))
+        w_axis = ex._mb_w_axis(ev, 1e-9)
+        ex._mb_diag_grid(-0.2, 3, 0.5, ev, ex._mb_trapezoid(-0.2, w_axis, 0.5, 1e-14), w_axis)
         assert len(calls) == 1
 
     def test_order_two_refusal_names_k_max_one_when_it_fits(self, monkeypatch):
@@ -675,8 +702,26 @@ class TestCostControls:
         for moment in (ex.halfflat_moment, ex.partition_moment):
             with pytest.raises(CostGuardError, match="budget"):
                 moment(2, 0, 0.5, make_ev(0.5))
-        # Order 1 built its tables on the circle; no pair table was made.
-        assert shapes and all(len(shape) == 1 for shape in shapes)
+        # Every term is sized before any is evaluated: no table at all was made.
+        assert shapes == []
+
+    @pytest.mark.parametrize("call", [
+        lambda ev: ex.halfflat_moment(3, 3, 0.7, ev),
+        lambda ev: ex.partition_moment(3, 3, 0.7, ev),
+        lambda ev: ex.tau_laplace_series(-0.2, 2, 0.5, 20, ev),
+    ], ids=["halfflat", "partition", "laplace_series"])
+    def test_order_three_past_budget_is_refused_before_any_factor(self, monkeypatch, call):
+        # At tau = 0.97 order 3 has 4,266-4,282-node axes, 7.8e10 points.  Sized term
+        # by term, orders 1 and 2 were evaluated first: halfflat took 3.6 s and 1.7 GB.
+        germ, tables = count_calls(monkeypatch, "germ_f"), count_calls(monkeypatch, "poch_table")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CostGuardError, match="budget"):
+                call(make_ev(0.97))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert germ == [] and tables == [] and peak < 200 * 2**20
 
     def test_unbounded_residue_tail_is_refused_up_front(self, monkeypatch):
         # At |zeta| = 1 - 1e-9 the order-1 residue series needs about 3.2e10 orders.
