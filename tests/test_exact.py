@@ -529,14 +529,22 @@ class TestTauLaplace:
         assert abs(ex.tau_laplace_mb(-0.2, x, t, 2, make_ev(tau)).imag) < 1e-12
 
     def test_trapezoid_line_reproduces_geometric_series(self):
-        # At the order-2 target 1e-8 and at trunc.tol, where order 1 runs.
+        # At the order-2 target 1e-8.
         zeta = -0.37
-        for tol, bound in ((1e-8, 1e-8), (EV.trunc.tol, 1e-14)):
-            s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, tol)
-            val = np.sum(
-                s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
-            )
-            assert abs(val - zeta / (1.0 - zeta)) < bound
+        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, 1e-8)
+        val = np.sum(
+            s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
+        )
+        assert abs(val - zeta / (1.0 - zeta)) < 1e-8
+
+    def test_line_reproduces_geometric_series(self):
+        # The order-1 line: the same trapezoid, sized for trunc.tol.
+        zeta = -0.37
+        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, EV.trunc.tol)
+        val = np.sum(
+            s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
+        )
+        assert abs(val - zeta / (1.0 - zeta)) < 1e-14
 
     def test_small_argument_limit(self):
         ev = make_ev(0.3)

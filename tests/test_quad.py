@@ -136,6 +136,17 @@ class TestCircleNodes:
 
 
 class TestPathQuadrature:
+    def test_mb_line_geometric_series(self):
+        # Gauss-Legendre panels on Re s = 1/2 with weights for ds/(2 pi i)
+        # reproduce the Mellin-Barnes integral of the geometric series.
+        zeta = -0.3
+        half_width = 14.0
+        y, wy = gl_panels(-half_width, half_width, math.ceil(2.0 * half_width / 0.8))
+        s, w = 0.5 + 1j * y, wy / (2.0 * math.pi)
+        val = np.sum(np.pi / np.sin(-np.pi * s) * np.exp(s * np.log(-zeta)) * w)
+        assert val.imag == pytest.approx(0.0, abs=1e-10)
+        assert val.real == pytest.approx(zeta / (1.0 - zeta), abs=1e-8)
+
     def test_airy_wedge_at_origin(self):
         z, w = am._wedge_axis(1.0, math.pi / 3.0, 8.0, 64)
         val = np.sum(np.exp(z**3 / 3.0) * w)
