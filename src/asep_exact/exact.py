@@ -586,10 +586,10 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     integrals actually performed.  The residue series need |zeta| < 1 and
     take their orders from _laplace_orders, as tau_laplace_series does, so
     the two routes agree on the same truncated value.  With k_max = 0 the
-    order-1 series may need up to log(tol) / log|zeta| orders; past
-    MAX_TERMS / 2 it is refused.  Every grid is checked against
-    quad.MAX_POINTS before any is evaluated, and zeta within 0.3 rad of the
-    nonnegative real axis, where the line decays slowly, is refused.
+    order-1 series is refused when it keeps more than MAX_TERMS / 2 orders.
+    Every grid is checked against quad.MAX_POINTS before any is evaluated,
+    and zeta within 0.3 rad of the nonnegative real axis, where the line
+    decays slowly, is refused.
     """
     zeta = complex(zeta)
     if math.pi - abs(np.angle(-zeta)) < 0.3:
@@ -600,13 +600,13 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
         raise DomainError(f"need 0 <= k_max <= 2, got {k_max}")
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
-    # The k_max = 0 residue tail holds tables of 2m factors: capped like any q-product.
-    orders1 = math.ceil(math.log(ev.trunc.tol) / math.log(abs(zeta)))
-    if k_max == 0 and 2 * orders1 > MAX_TERMS:
-        raise CostGuardError(f"order-1 residue series needs {orders1} orders at |zeta|="
-                             f"{abs(zeta):.6g}, cap is {MAX_TERMS // 2}; use --k-max 1")
     # Residue orders from 2 on, which --k-max 1 would need, are sized even when k_max is 2.
-    kept = _laplace_orders(zeta, math.inf, range(min(k_max, 1) + 1, 5), ev)
+    # The k_max = 0 order-1 tail holds tables of 2m factors: capped like any q-product,
+    # and listed only one order past the cap, since it grows without bound as tau -> 0.
+    kept = _laplace_orders(zeta, MAX_TERMS // 2 + 1, range(min(k_max, 1) + 1, 5), ev)
+    if len(kept.get(1, ())) > MAX_TERMS // 2:
+        raise CostGuardError(f"order-1 residue series needs more than {MAX_TERMS // 2} orders "
+                             f"at |zeta|={abs(zeta)!r}, tau={ev.params.tau!r}; use --k-max 1")
     residue_points = {k: _nu_axis(k, ev)["z"].size ** k for k, orders in kept.items() if orders}
     if k_max >= 2:
         w_axis = _mb_w_axis(ev, max(ev.trunc.tol, 1e-4))

@@ -11,7 +11,11 @@ Two independent evaluators of the same dynamics:
 - mc_expectation steps blocks of MC_BLOCK replicas together, each block on
   its own counter-based random stream derived from (seed, block), and
   tracks every replica's net current across the bond between sites 1 and 0
-  for the height observable;
+  for the height observable.  The stream is drawn for the whole block, but
+  only the replicas a call keeps are stored and stepped: sorted once by
+  event count, the replicas with an attempt left form a prefix of the rows,
+  and each row carries wall columns at left - 1 and right + 1, so a hop
+  is one gather of the neighbour and one comparison with the target;
 - ctmc_exact_expectation lists every configuration of a small closed
   window in combinadic-rank order and steps the distribution by the
   transposed uniformized kernel: the pattern of the forward kernel with
@@ -163,37 +167,31 @@ def _mc_block(
     left, right = window
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    sites0 = np.arange(2, right + 1, 2, dtype=np.int16)
-    n_part = sites0.size
-    n_rep = MC_BLOCK
-    flux = np.zeros(n_rep, dtype=np.int32)
-    positions = np.tile(sites0, (n_rep, 1))
+    dtype = np.promote_types(np.min_scalar_type(left - 1), np.min_scalar_type(right + 1))
+    sites = np.concatenate(([left - 1], np.arange(2, right + 1, 2), [right + 1])).astype(dtype)
+    n_part = sites.size - 2
+    rows = np.tile(sites, (n_keep, 1))
+    flux = np.zeros(n_keep, dtype=np.int32)
+    order = np.arange(n_keep)
     if n_part > 0 and t > 0.0:
-        n_ev = rng.poisson(n_part * t, size=n_rep)
-        rows = np.arange(n_rep)
-        sentinel_hi = np.int16(32000)
-        sentinel_lo = np.int16(-32000)
-        for step in range(int(n_ev.max())):
-            idx = rng.integers(0, n_part, size=n_rep)
-            go_right = rng.random(size=n_rep) < params.p
-            active = n_ev > step
-            pos = positions[rows, idx]
-            nb_r = np.where(
-                idx + 1 < n_part,
-                positions[rows, np.minimum(idx + 1, n_part - 1)],
-                sentinel_hi,
-            )
-            nb_l = np.where(idx > 0, positions[rows, np.maximum(idx - 1, 0)], sentinel_lo)
-            ok_r = (pos + 1 <= right) & (nb_r != pos + 1)
-            ok_l = (pos - 1 >= left) & (nb_l != pos - 1)
-            do_r = active & go_right & ok_r
-            do_l = active & ~go_right & ok_l
-            positions[rows[do_r], idx[do_r]] = pos[do_r] + 1
-            positions[rows[do_l], idx[do_l]] = pos[do_l] - 1
-            flux += do_l & (pos == 1)
-            flux -= do_r & (pos == 0)
-    vals = _observable_values(obs, positions.astype(np.int64), params, flux)
-    return vals[:n_keep]
+        n_ev = rng.poisson(n_part * t, size=MC_BLOCK)[:n_keep]
+        order = np.argsort(-n_ev, kind="stable")
+        # Entry s: how many kept replicas have more than s events.
+        n_active = n_keep - np.cumsum(np.bincount(n_ev))
+        flat = rows.reshape(-1)
+        first = np.arange(n_keep) * sites.size + 1
+        for n in n_active[:-1].tolist():
+            # Draws stay MC_BLOCK long, so the stream is the same for any n_keep.
+            active = order[:n]
+            cell = first[:n] + rng.integers(0, n_part, size=MC_BLOCK).take(active)
+            shift = (rng.random(size=MC_BLOCK).take(active) < params.p).astype(dtype) * 2 - 1
+            pos = flat.take(cell)
+            new = pos + shift * (flat.take(cell + shift) != pos + shift)
+            flat[cell] = new
+            # +1 for a hop from 1 to 0, -1 for a hop from 0 to 1.
+            flux[:n] += (pos - new) * (np.minimum(pos, new) == 0)
+    replica = np.argsort(order)
+    return _observable_values(obs, rows[replica, 1:-1].astype(np.int64), params, flux[replica])
 
 
 def mc_expectation(
@@ -208,7 +206,13 @@ def mc_expectation(
 
     Replica r lives in block r // MC_BLOCK; each block derives its own
     counter-based stream from (seed, block), so results are reproducible
-    and independent of any parallel schedule.
+    and independent of any parallel schedule.  Every block draws the same
+    MC_BLOCK-long stream whatever samples is, but only its kept replicas
+    (samples - block * MC_BLOCK in the last block) are simulated, and only
+    until the last of them runs out of events; at each step only the
+    replicas with an attempt left, a prefix of the event-sorted rows, do
+    any work.  Each row carries wall columns at left - 1 and right + 1, in
+    the narrowest signed integer type that holds them.
     """
     if samples < 100:
         raise DomainError(f"need samples >= 100, got {samples}")

@@ -732,11 +732,20 @@ class TestCostControls:
         assert germ == [] and tables == [] and peak < 200 * 2**20
 
     def test_unbounded_residue_tail_is_refused_up_front(self, monkeypatch):
-        # At |zeta| = 1 - 1e-9 the order-1 residue series needs about 3.2e10 orders.
+        # At tau 0.01, |zeta| = 1 - 1e-9 the order-1 terms |zeta^m / m_tau!| shrink
+        # by about 0.99 per order, so the series keeps more than 2048 orders.
         calls = count_calls(monkeypatch, "germ_f")
-        with pytest.raises(CostGuardError, match="--k-max 1"):
-            ex.tau_laplace_mb(-(1.0 - 1e-9), 0, 0.5, 0, make_ev(0.3))
+        with pytest.raises(CostGuardError, match="--k-max 1") as err:
+            ex.tau_laplace_mb(-(1.0 - 1e-9), 0, 0.5, 0, make_ev(0.01))
         assert calls == []
+        assert "|zeta|=0.999999999," in str(err.value)
+
+    def test_residue_tail_near_unit_circle_matches_the_line(self):
+        # At tau 0.3 the order-1 series keeps 89 orders at |zeta| = 0.99.
+        ev = make_ev(0.3)
+        residues = ex.tau_laplace_mb(-0.99, 0, 0.5, 0, ev)
+        lines = ex.tau_laplace_mb(-0.99, 0, 0.5, 1, ev)
+        assert abs(residues - lines) < 1e-13
 
     def test_default_parameters(self):
         assert EV.rule.nodes_per_piece >= 8

@@ -131,6 +131,48 @@ class TestMCExpectation:
         assert lo == -40 and hi == 43
 
 
+class TestMCStream:
+    """(mean, stderr) pinned bit for bit: each block's Philox stream is fixed by
+    (seed, block), so any change to the step loop must reproduce these."""
+
+    @pytest.mark.parametrize("obs,t,params,samples,seed,window,expected", [
+        pytest.param(Observable.tau_pow_N(1, 0), 0.5, PARAMS, 70000, 5, None,
+                     (0.9803571428571428, 0.00036714577740642676), id="partial_last_block"),
+        pytest.param(Observable.tau_pow_N(2, 1), 1.5, PARAMS, 200, 3, (-12, 14),
+                     (0.59125, 0.026475164953149624), id="200_samples"),
+        pytest.param(Observable.height_indicator(0, 1.0), 1.0, PARAMS, 5000, 9, (-6, 6),
+                     (0.1162, 0.004532507112420766), id="height_crosses_origin_bond"),
+        pytest.param(Observable.height_indicator(-1, 2.0), 2.0, ModelParams.from_tau(0.3),
+                     3000, 4, (-8, 8), (0.15466666666666667, 0.006602738953156041),
+                     id="height_left_of_origin"),
+        pytest.param(Observable.qtilde_product((1, 2)), 0.7, PARAMS, 4000, 2, (-8, 10),
+                     (0.00625, 0.0008784516459792086), id="qtilde_product"),
+        pytest.param(Observable.etau_of_zeta_tauN(-0.6, 1), 0.8, ModelParams.from_tau(0.9),
+                     4000, 6, (-10, 10), (0.5629242995264409, 0.00023406247917486035),
+                     id="etau_of_zeta_tauN"),
+        pytest.param(Observable.tau_pow_N(1, -2), 60.0, ModelParams(p=1e-12, q=1.0 - 1e-12),
+                     200, 11, (-2, 2), (1.000000000001e-12, 0.0), id="left_drift_t60"),
+    ])
+    def test_pinned_values(self, obs, t, params, samples, seed, window, expected):
+        assert mc_expectation(obs, t, params, samples, seed, window=window) == expected
+
+    def test_sites_beyond_int16(self):
+        # 20,000 particles at 2, 4, ..., 40000: N_2 = 1 at t = 0.
+        obs = Observable.tau_pow_N(1, 2)
+        assert mc_expectation(obs, 0.0, PARAMS, 100, 0, window=(-2, 40000)) == (0.5, 0.0)
+
+    def test_only_kept_replicas_are_built(self):
+        # 1,000 particles: a full 65,536-replica block would hold about 650 MB.
+        obs = Observable.tau_pow_N(1, 0)
+        tracemalloc.start()
+        try:
+            mc_expectation(obs, 0.01, PARAMS, 200, 3, window=(-2, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestCTMCOracle:
     def test_time_zero_is_deterministic(self):
         obs = Observable.tau_pow_N(1, 4)
