@@ -15,11 +15,10 @@ Four evaluators, cross-checking each other:
   (point-mass) moments against the tilted step weights over the ordered
   chamber and compares with the collapsed formula.
 
-All vertical lines are truncated where the Gaussian factor has decayed
-below TAIL_CUT, with node density driven by the oscillation
-frequency of the linear phase.  Gamma ratios are assembled in log space
-from scipy.special.loggamma so that only exp() of differences is ever
-taken.
+Every vertical line is a trapezoid rule (see _lines), truncated where the
+Gaussian factor has decayed below TAIL_CUT.  Gamma ratios are assembled in
+log space from scipy.special.loggamma so that only exp() of differences is
+ever taken, on the equal-abscissa lines one table per pair.
 """
 
 from __future__ import annotations
@@ -29,10 +28,11 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import compositions
 from .qfunc import DomainError, PoleError
-from .quad import MomentResult, QuadratureRule, gl_panels, panel_count, tensor_result
+from .quad import Axis, MomentResult, QuadratureRule, gl_panels, line_axes, tensor_result
 
 __all__ = [
     "LADDER_MARGIN",
@@ -47,7 +47,8 @@ __all__ = [
 
 LADDER_MARGIN = 1e-6
 
-# Lines are truncated where the Gaussian envelope falls below this.
+# Lines are truncated where the Gaussian envelope falls below this, and their
+# trapezoid step targets the same error.
 TAIL_CUT = 1e-16
 
 
@@ -118,29 +119,27 @@ def _validate_ladder(alpha: tuple[float, ...]) -> None:
 # Vertical-line axes for the shared tensor evaluator.
 
 
-def _line_axis(alpha: float, half_len: float, freq: float, gauss: float, rule: QuadratureRule) -> dict:
-    """GL-panel nodes on alpha + i[-L, L] plus a half-density twin.
+def _lines(lines, poles: float, theta: float, rule: QuadratureRule) -> list[Axis]:
+    """Trapezoid axes on the lines (abscissa, freq, gauss) of one term, on one step.
 
-    freq is the frequency of the linear phase along the line and gauss the
-    coefficient c of the e^{-c y^2} envelope; both raise the node density.
-    The coarse twin halves the panel density (a valid rule in itself, used
-    for the error estimate).
+    Along its line the integrand decays like e^(-gauss y^2), and the line
+    stops where that reaches TAIL_CUT, |theta| + 4 past it.  Moved by delta
+    off its line it grows like e^(freq delta + gauss delta^2), so on a strip
+    of half-width d, at most poles (the distance to the nearest singularity),
+    the rule errs like e^(freq d + gauss d^2 - 2 pi d / h): TAIL_CUT is met
+    at h = 2 pi d / (log(1/TAIL_CUT) + freq d + gauss d^2), which is widest at
+    d = sqrt(log(1/TAIL_CUT) / gauss).
     """
-    # 2 ceil(y / 2) is the smallest even count >= y.
-    n = max(
-        rule.nodes_per_piece,
-        2 * math.ceil(4.0 * (1.0 + freq)),
-        2 * math.ceil(22.0 * math.sqrt(max(gauss, 0.0))),
-    )
-    z0, dz = alpha - 1j * half_len, 2j * half_len
+    target = math.log(1.0 / TAIL_CUT)
+    d = min([poles] + [math.sqrt(target / g) for _, _, g in lines])
+    excess = max((f * d + g * d * d for _, f, g in lines), default=0.0)
+    pieces = [(c, math.sqrt(target / g) + abs(theta) + 4.0) for c, _, g in lines]
+    return line_axes(pieces, d, TAIL_CUT * math.exp(-excess), rule.nodes_per_piece)
 
-    def nodes(n_nodes):
-        u, wu = gl_panels(0.0, 1.0, panel_count(abs(dz), n_nodes))
-        return z0 + u * dz, wu * dz / (2j * math.pi)
 
-    z, w = nodes(n)
-    zc, wc = nodes(max(n // 2, 16))
-    return {"z": z, "w": w, "z_half": zc, "w_half": wc}
+def _pair_pole_distance(ladder) -> float:
+    """Distance from the ladder's lines to the pair poles z_a - z_b = 1."""
+    return min((a - b - 1.0 for a, b in zip(ladder, ladder[1:])), default=math.inf)
 
 
 def _check_time(t: float) -> None:
@@ -195,11 +194,9 @@ def delta_bose_moment(
             f"exp({offset:.0f}) and the result is ill-conditioned",
             RuntimeWarning,
         )
-    half_len = math.sqrt(2.0 * math.log(1.0 / TAIL_CUT) / t) + abs(theta) + 4.0
-    axes = [
-        _line_axis(ladder[a], half_len, abs(t * (ladder[a] - theta) + xs[a]), 0.5 * t, rule)
-        for a in range(k)
-    ]
+    # The pole of 1/z at 0 is nearest the last line; z_a + z_b = 0 is farther.
+    lines = [(c, abs(t * (c - theta) + x), 0.5 * t) for c, x in zip(ladder, xs)]
+    axes = _lines(lines, min(_pair_pole_distance(ladder), ladder[-1]), theta, rule)
 
     def diag(a, z):
         return np.exp(0.5 * t * (z - theta) ** 2 + (z - theta) * xs[a]) / z
@@ -232,28 +229,15 @@ def _free_pair(a, b, za, zb):
     return (za - zb) / (za - zb - 1.0)
 
 
-def _free_axes(k: int, t: float, x_scale: float, rule: QuadratureRule) -> list[dict]:
+def _free_axes(k: int, t: float, x_scale: float, rule: QuadratureRule) -> list[Axis]:
     """Line axes for the point-mass-start integrand, reused by the chamber check."""
     ladder = default_ladder(k, 0.0)
-    half_len = math.sqrt(2.0 * math.log(1.0 / TAIL_CUT) / t) + 4.0
-    return [
-        _line_axis(ladder[a], half_len, abs(t * ladder[a]) + x_scale, 0.5 * t, rule)
-        for a in range(k)
-    ]
+    lines = [(c, abs(t * c) + x_scale, 0.5 * t) for c in ladder]
+    return _lines(lines, _pair_pole_distance(ladder), 0.0, rule)
 
 
 # ---------------------------------------------------------------------------
 # Collapsed equal-point formula (string expansion with Gamma ratios).
-
-
-def _pole_line_distance(abscissa: float) -> float:
-    """Distance from the vertical line Re = abscissa to the nonpositive integers.
-
-    The lines cross Im = 0, so the conditioning of a numerator Gamma factor
-    is set by the real offset alone.
-    """
-    nearest = min(0.0, round(abscissa))
-    return abs(abscissa - nearest)
 
 
 def _collapsed_term(parts, x, t, theta, alpha, rule):
@@ -262,22 +246,22 @@ def _collapsed_term(parts, x, t, theta, alpha, rule):
     k = sum(parts) and ell = len(parts); the empty composition is the zeroth moment, 1.
     """
     k, ell = sum(parts), len(parts)
-    axes = []
-    numerator_lines = [2.0 * alpha]
-    for a in range(ell):
-        n_a = parts[a]
-        half_len = math.sqrt(2.0 * math.log(1.0 / TAIL_CUT) / (t * n_a)) + abs(theta) + 4.0
-        freq = n_a * abs(t * (alpha - theta) + x)
-        axes.append(_line_axis(alpha, half_len, freq, 0.5 * t * n_a, rule))
-        for b in range(a + 1, ell):
-            d = 0.5 * (parts[a] - parts[b])
-            numerator_lines.extend([2.0 * alpha + d, 2.0 * alpha - d])
-    if min(_pole_line_distance(c) for c in numerator_lines) < 1e-6:
+    # Distances from the numerator Gamma arguments of each pair, real parts
+    # 2 alpha +- (n_a - n_b)/2, to the nonpositive integers: their lines cross Im = 0.
+    gamma_re = [2.0 * alpha + 0.5 * (parts[a] - parts[b])
+                for a in range(ell) for b in range(ell) if a != b]
+    near = [abs(c - min(0.0, round(c))) for c in gamma_re]
+    if min(near, default=1.0) < 1e-6:
         _warnings.warn(
             "numerator Gamma argument within 1e-6 of a pole; collapsed term "
             "is ill-conditioned",
             RuntimeWarning,
         )
+    # The other singularities are the pole of Gamma(2w) at w = 0 and the cross poles
+    # |w_a - w_b| = (n_a + n_b)/2 >= 1.  Poles warned about above do not set the step.
+    poles = min([alpha, 1.0] + [r for r in near if r >= 1e-6])
+    lines = [(alpha, n * abs(t * (alpha - theta) + x), 0.5 * t * n) for n in parts]
+    axes = _lines(lines, poles, theta, rule)
 
     def diag(a, w):
         n_a = parts[a]
@@ -292,19 +276,19 @@ def _collapsed_term(parts, x, t, theta, alpha, rule):
         na, nb = parts[a], parts[b]
         d = 0.5 * (na - nb)
         s = 0.5 * (na + nb)
-        base = wa + wb
         cross = (wa - wb + d) * (wb - wa + d) / ((wa - wb + s) * (wb - wa + s))
-        # 1/Gamma(base - s) goes through the entire reciprocal (reflection)
-        # because Re(base - s) can sit on a nonpositive integer where the
-        # grid has mirrored nodes with Im = 0; the factor is a zero there,
-        # not a singularity.
+        # On lines of one step, wa + wb depends only on i_a + i_b: the Gamma ratio is one
+        # table over those sums, read as a Hankel matrix.  1/Gamma(base - s) goes through
+        # the entire reciprocal (reflection) because Re(base - s) can sit on a nonpositive
+        # integer where base is real; the factor is a zero there, not a singularity.
+        base = np.concatenate([wa[0, 0] + wb[0], wa[1:, 0] + wb[0, -1]])
         ratio = np.exp(
             log_gamma(base + d)
             + log_gamma(base - d)
             + log_gamma(1.0 - base + s)
             - log_gamma(base + s)
         ) * (np.sin(np.pi * (base - s)) / np.pi)
-        return cross * ratio
+        return cross * sliding_window_view(ratio, wb.shape[1])
 
     return 2.0**k * math.factorial(k) / math.factorial(ell), axes, diag, pair
 
@@ -368,16 +352,16 @@ def weyl_linearity_check(
     lo = x - depth
     axes = _free_axes(k, t, max(abs(x), abs(lo)), rule)
     if k == 1:
-        z = axes[0]["z"]
-        wz = axes[0]["w"] * np.exp(0.5 * t * z * z)
+        z = axes[0].z
+        wz = axes[0].w * np.exp(0.5 * t * z * z)
         y, wy = _chamber_grid(lo, x)
         vals = np.exp(np.outer(y, z)) @ wz
         boundary = abs(vals[0] * math.exp(-theta * (x - lo)))
         chamber = complex(np.sum(wy * np.exp(-theta * (x - y)) * vals))
     else:
-        z1, z2 = axes[0]["z"], axes[1]["z"]
-        w1 = axes[0]["w"] * np.exp(0.5 * t * z1 * z1)
-        w2 = axes[1]["w"] * np.exp(0.5 * t * z2 * z2)
+        z1, z2 = axes[0].z, axes[1].z
+        w1 = axes[0].w * np.exp(0.5 * t * z1 * z1)
+        w2 = axes[1].w * np.exp(0.5 * t * z2 * z2)
         kernel = w1[:, None] * _free_pair(0, 1, z1[:, None], z2[None, :]) * w2[None, :]
         y2, wy2 = _chamber_grid(lo, x)
         glue = kernel @ np.exp(np.outer(z2, y2))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, count, permutations
 
 import numpy as np
@@ -45,12 +46,14 @@ from .qfunc import (
     q_factorial,
 )
 from .quad import (
+    Axis,
     CostGuardError,
     MomentResult,
     QuadratureRule,
     c1_rho_radius,
     circle_axis,
     circle_nodes,
+    line_axes,
     nested_radii,
     tensor_result,
 )
@@ -118,8 +121,8 @@ def partitions_of(k: int) -> list[tuple[int, ...]]:
 class EvalParams:
     """Model parameters plus truncation and quadrature settings.
 
-    rule.nodes_per_piece and trunc.tol are the floor and target error of
-    quad.circle_nodes, which sizes every circle.
+    rule.nodes_per_piece and trunc.tol are the floor and target error of every
+    circle (quad.circle_nodes) and Mellin-Barnes line (quad.line_axes).
     """
 
     params: ModelParams
@@ -312,31 +315,15 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 # Partition-indexed moments on the shared contour around -tau and 0.
 
 
-def _per_grid(build):
-    """build(w) for the grid that w lies on, made on first use and kept per grid size.
-
-    The engine sizes every term before it calls any factor, so a sum it
-    refuses never builds a table.
-    """
-    made = {}
-
-    def table(w):
-        if w.size not in made:
-            made[w.size] = build(w.ravel())
-        return made[w.size]
-
-    return table
-
-
 def _string_pair(parts, tables, tau: float):
-    """Pair factor of strings (or composition parts) n_a, n_b; tables(w) gives P on w's grid.
+    """Pair factor of strings (or composition parts) n_a, n_b; tables() gives P on the grid.
 
     Cross factor times (u;tau)_{n_a} / (tau^{n_b} u;tau)_{n_a} = P[n_a] P[n_b] / P[n_a + n_b].
     """
 
     def pair(a, b, wa, wb):
         na, nb = parts[a], parts[b]
-        p = tables(wa)
+        p = tables()
         ua, ub = tau**na * wa, tau**nb * wb
         # Grouped so that no more than two N x N temporaries live beside the table.
         out = (ua - ub) * (wb - wa) * p[na] * p[nb]
@@ -362,8 +349,9 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     n = circle_nodes(tol, ev.rule.nodes_per_piece, (tau**0.25,), (amp_res / (radius - tau),))
     axis = circle_axis([(0j, radius, n)])
     kfact = q_factorial(k, tau)
-    # Strings pair through the prefix table of u = w_a w_b / tau^2.
-    tables = _per_grid(lambda w: poch_table(np.outer(w, w) / tau**2, tau, k))
+    # Strings pair through the prefix table of u = w_a w_b / tau^2, built on first use:
+    # after the engine has sized every term, so a refused sum builds none.
+    tables = cache(lambda: poch_table(np.outer(axis.z, axis.z) / tau**2, tau, k))
 
     terms = []
     for parts in partitions_of(k):
@@ -397,7 +385,7 @@ def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     return sorted(groups.items(), reverse=True)
 
 
-def _nu_axis(k: int, ev: EvalParams) -> dict:
+def _nu_axis(k: int, ev: EvalParams) -> Axis:
     """The circle of the order-k composition terms: |w| = (1 + tau^(-1/2)) / 2."""
     tau = ev.params.tau
     tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
@@ -418,16 +406,16 @@ def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
     site = x + 1
     top = max((m for m, _ in orders), default=0)
     # germ_g at integer order n is (-w;tau)_n (w^2;tau)_n / (w^2;tau)_{2n}.
-    neg = _per_grid(lambda w: poch_table(-w, tau, top))
-    sq = _per_grid(lambda w: poch_table(w * w, tau, 2 * top))
-    tables = _per_grid(lambda w: poch_table(np.outer(w, w), tau, top))
+    neg = cache(lambda: poch_table(-axis.z, tau, top))
+    sq = cache(lambda: poch_table(axis.z * axis.z, tau, 2 * top))
+    tables = cache(lambda: poch_table(np.outer(axis.z, axis.z), tau, top))
 
     for m, scale in orders:
         for parts, perms in _dedup_compositions(m, k):
 
             def diag(a, w, parts=parts):
                 na = parts[a]
-                g = neg(w)[na] * sq(w)[na] / sq(w)[2 * na]
+                g = neg()[na] * sq()[na] / sq()[2 * na]
                 return germ_f(w, na, site, t, ev.params) * g * (-1.0 / (w * (tau**na - 1.0)))
 
             pair = _string_pair(parts, tables, tau)
@@ -498,26 +486,21 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
     return tensor_result(terms, "laplace_series").value
 
 
-def _mb_trapezoid(zeta: complex, w_axis: dict, tau: float, tol: float):
-    """Trapezoid nodes s_j = 1/2 + i h j on Re s = 1/2, weights h / (2 pi) for ds/(2 pi i).
+def _mb_trapezoid(zeta: complex, w_axis: Axis, ev: EvalParams, tol: float) -> Axis:
+    """The trapezoid line s_j = 1/2 + i h j of both Mellin-Barnes orders (quad.line_axes).
 
-    Both Mellin-Barnes orders integrate on this line.  The integrand is
-    analytic in |Re s - 1/2| < d, d = 1/2 - 2 log R / log(1/tau) for the
-    w-circle radius R (poles of 1/(tau^s w^2;tau)_inf; d = 0.215-0.25 for tau
-    0.1-0.9), where the rule errs like e^(-2 pi d / h) (Trefethen & Weideman,
-    SIAM Rev. 56, 2014), so h = 2 pi d / log(1/tol).  pi/sin(-pi s) (-zeta)^s
-    decays like e^(-(pi - |arg(-zeta)|) |Im s|), and the line stops where that
-    reaches tol.  The error oscillates in h: order 2 at tau 0.3 is off by
-    2.6e-8 at tol 1e-6 (h about 0.10), by 6.4e-11 at 1e-8.
+    The integrand is analytic in |Re s - 1/2| < d, d = 1/2 - 2 log R / log(1/tau) for
+    the w-circle radius R (poles of 1/(tau^s w^2;tau)_inf; d = 0.215-0.25 for tau
+    0.1-0.9).  pi/sin(-pi s) (-zeta)^s decays like e^(-(pi - |arg(-zeta)|) |Im s|), and
+    the line stops where that reaches tol.  The error oscillates in h: order 2 at tau
+    0.3 is off by 2.6e-8 at tol 1e-6 (h about 0.10), by 6.4e-11 at 1e-8.
     """
-    d = 0.5 - 2.0 * math.log(abs(w_axis["z"][0])) / math.log(1.0 / tau)
-    h = 2.0 * math.pi * d / math.log(1.0 / tol)
+    d = 0.5 - 2.0 * math.log(abs(w_axis.z[0])) / math.log(1.0 / ev.params.tau)
     half_width = math.log(1.0 / tol) / (math.pi - abs(np.angle(-zeta)))
-    j = math.ceil(half_width / h)
-    return 0.5 + 1j * h * np.arange(-j, j + 1), np.full(2 * j + 1, h / (2.0 * math.pi))
+    return line_axes([(0.5, half_width)], d, tol, ev.rule.nodes_per_piece)[0]
 
 
-def _mb_w_axis(ev: EvalParams, tol: float) -> dict:
+def _mb_w_axis(ev: EvalParams, tol: float) -> Axis:
     """The w circle |w| = (1 + tau^(-1/4)) / 2, between the poles on |w| = 1 and tau^(-1/4)."""
     tau = ev.params.tau
     radius = 0.5 * (1.0 + tau**-0.25)
@@ -528,13 +511,13 @@ def _mb_w_axis(ev: EvalParams, tol: float) -> dict:
 def _mb_diag_grid(zeta, x, t, ev, line, w_axis):
     """Weighted single-variable factor a[i, x] on the (s_i, w_x) product grid."""
     tau = ev.params.tau
-    (s_nodes, s_weights), w_nodes = line, w_axis["z"]
+    (s_nodes, s_weights), w_nodes = line, w_axis.z
     s_factor = np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta)) * s_weights
     # germ_g first: its first q-product is w-only, so a cap refusal precedes the grids.
     g_grid = germ_g(w_nodes[None, :], s_nodes[:, None], tau, ev.trunc)
     f_grid = germ_f(w_nodes[None, :], s_nodes[:, None], x + 1, t, ev.params)
     det_diag = -1.0 / (w_nodes[None, :] * (np.exp(s_nodes * math.log(tau))[:, None] - 1.0))
-    return s_factor[:, None] * f_grid * g_grid * det_diag * w_axis["w"][None, :]
+    return s_factor[:, None] * f_grid * g_grid * det_diag * w_axis.w[None, :]
 
 
 def _mb_order2(zeta, x, t, ev, line, w_axis) -> complex:
@@ -550,9 +533,9 @@ def _mb_order2(zeta, x, t, ev, line, w_axis) -> complex:
     per (x, y), done by FFT one w-row at a time.
     """
     tau = ev.params.tau
-    s_nodes = line[0]
+    s_nodes = line.z
     a_grid = _mb_diag_grid(zeta, x, t, ev, line, w_axis)
-    w = w_axis["z"]
+    w = w_axis.z
     a_s = np.exp(s_nodes * math.log(tau))
     # a_k = tau^(s_i + s_j) for k = i + j.
     a_k = np.exp(np.concatenate([s_nodes + s_nodes[0], s_nodes[1:] + s_nodes[-1]]) * math.log(tau))
@@ -607,11 +590,11 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     if len(kept.get(1, ())) > MAX_TERMS // 2:
         raise CostGuardError(f"order-1 residue series needs more than {MAX_TERMS // 2} orders "
                              f"at |zeta|={abs(zeta)!r}, tau={ev.params.tau!r}; use --k-max 1")
-    residue_points = {k: _nu_axis(k, ev)["z"].size ** k for k, orders in kept.items() if orders}
+    residue_points = {k: _nu_axis(k, ev).z.size ** k for k, orders in kept.items() if orders}
     if k_max >= 2:
         w_axis = _mb_w_axis(ev, max(ev.trunc.tol, 1e-4))
-        line = _mb_trapezoid(zeta, w_axis, ev.params.tau, max(ev.trunc.tol, 1e-8))
-        points = (line[0].size * w_axis["z"].size) ** 2
+        line = _mb_trapezoid(zeta, w_axis, ev, max(ev.trunc.tol, 1e-8))
+        points = (line.z.size * w_axis.z.size) ** 2
         if points > quad.MAX_POINTS:
             hint = max(residue_points.values(), default=0) <= quad.MAX_POINTS
             raise CostGuardError(
@@ -623,8 +606,8 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
                 f"order-{k} residue grid of {points} points exceeds budget {quad.MAX_POINTS}")
     total = 1.0 + 0j
     if k_max >= 1:
-        w_axis1 = _mb_w_axis(ev, max(ev.trunc.tol, 1e-9))
-        line1 = _mb_trapezoid(zeta, w_axis1, ev.params.tau, ev.trunc.tol)
+        w_axis1 = _mb_w_axis(ev, ev.trunc.tol)
+        line1 = _mb_trapezoid(zeta, w_axis1, ev, ev.trunc.tol)
         total += complex(np.sum(_mb_diag_grid(zeta, x, t, ev, line1, w_axis1)))
     if k_max >= 2:
         total += _mb_order2(zeta, x, t, ev, line, w_axis)

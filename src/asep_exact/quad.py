@@ -1,24 +1,24 @@
 """The quadrature layer: node builders, contour radii and the tensor engine.
 
-Two rules cover every contour the evaluators integrate over.  Circles use
-the trapezoid rule, which converges exponentially for analytic integrands;
-its every-other-node half grid gives the error estimate, and circle_nodes
-sizes it from the poles and essential singularities of the integrand.  The
-Mellin-Barnes line Re s = 1/2 uses the same rule (exact._mb_trapezoid).
-Other lines, rays and real intervals use composite 16-point Gauss-Legendre
-panels, which callers map onto their own vertical lines, wedge rays and
-chamber axes.
+Every tensor axis is a trapezoid rule, which converges exponentially for
+integrands analytic about the contour: circles sized by circle_nodes from
+the poles and essential singularities of the integrand, and vertical lines
+(line_axes) stepped from the strip of analyticity about them.  An Axis is
+its nodes and weights; its half grid, every other node with twice the
+weight, gives the error estimate.  Gauss-Legendre panels (gl_panels) serve
+the Airy rays and the delta-Bose chamber check, outside the engine.
 
 Each value is a weighted sum of k-fold integrals of prod_a d_a(z_a)
 prod_{a<b} P_ab(z_a, z_b) over such axes, and tensor_result, the one engine,
 returns sum w * full with the error |sum w * (full - half)| (see
-MomentResult).  Each term is contracted with BLAS matrix products: k = 2 is
+MomentResult), the half-grid sum sliced from factors built once on the full
+grid.  Each term is contracted with BLAS matrix products: k = 2 is
 d_0 P_01 d_1, k = 3 one GEMM, and k >= 4 loops over the nodes of one axis
 down to k = 3.  On N nodes per axis that is O(N^k) flops in O(k^2 N^2)
 memory; no N^3 intermediate is ever built.  Every grid is sized against
 MAX_POINTS before any is evaluated.
 
-Circle weights carry the Cauchy normalization: sum f(z) w approximates
+Axis weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
 """
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +37,12 @@ __all__ = [
     "CostGuardError",
     "QuadratureRule",
     "MomentResult",
+    "Axis",
     "MAX_POINTS",
+    "MAX_LINE_NODES",
     "circle_nodes",
     "circle_axis",
+    "line_axes",
     "gl_panels",
     "panel_count",
     "tensor_result",
@@ -49,6 +53,10 @@ __all__ = [
 # Bounds the grid points, and so the flops, of one tensor term; memory is only
 # the N x N pair matrices.
 MAX_POINTS = 1 << 30
+
+# Bounds the nodes of one line, which grow without bound as the strip of
+# analyticity about the line narrows: a pair matrix of two such lines is 1 GB.
+MAX_LINE_NODES = 1 << 13
 
 
 class CostGuardError(RuntimeError):
@@ -115,28 +123,47 @@ def circle_nodes(tol: float, floor: int, ratios=(), amps=()) -> int:
     return max([floor, *need])
 
 
-def circle_axis(pieces) -> dict:
+class Axis(NamedTuple):
+    """Nodes z and weights w of one trapezoid axis; its half grid is z[::2], weights 2 w[::2]."""
+
+    z: np.ndarray
+    w: np.ndarray
+
+
+def circle_axis(pieces) -> Axis:
     """Trapezoid nodes on a union of positively oriented circles.
 
-    pieces lists (center, radius, n); each n is rounded up to even so the
-    every-other-node half grid is a valid rule.  Returns the axis as a dict
-    with keys z, w (full grid) and z_half, w_half (half grid).
+    pieces lists (center, radius, n); each n is rounded up to even, so the
+    every-other-node half grid takes every other node of each circle.
     """
-    zs, ws, zh, wh = [], [], [], []
+    zs, ws = [], []
     for center, radius, n in pieces:
         n = n + n % 2
         z = center + radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
-        w = (z - center) / n
         zs.append(z)
-        ws.append(w)
-        zh.append(z[::2])
-        wh.append(2.0 * w[::2])
-    return {
-        "z": np.concatenate(zs),
-        "w": np.concatenate(ws),
-        "z_half": np.concatenate(zh),
-        "w_half": np.concatenate(wh),
-    }
+        ws.append((z - center) / n)
+    return Axis(np.concatenate(zs), np.concatenate(ws))
+
+
+def line_axes(pieces, d: float, tol: float, floor: int) -> list[Axis]:
+    """Trapezoid nodes c + i h j, j = -J..J, on vertical lines, weights h / (2 pi).
+
+    pieces lists (c, half_width).  For an integrand analytic in |Re z - c| < d
+    the rule errs like e^(-2 pi d / h) (Trefethen & Weideman, SIAM Rev. 56,
+    2014), so h = 2 pi d / log(1/tol), shrunk until the shortest line has
+    2J + 1 >= floor nodes.  All lines share h, so sums of nodes across lines
+    fall on one grid; each runs to J = ceil(half_width / h).  More than
+    MAX_LINE_NODES on a line is refused before any line is built.
+    """
+    h = 2.0 * math.pi * d / math.log(1.0 / tol)
+    # The floor: a line short of it gets floor // 2 steps on each side.
+    h = min([h] + [w / (floor // 2) for _, w in pieces if 2 * math.ceil(w / h) + 1 < floor])
+    js = [math.ceil(half_width / h) for _, half_width in pieces]
+    if 2 * max(js, default=0) + 1 > MAX_LINE_NODES:
+        raise CostGuardError(f"line of {2 * max(js) + 1} nodes (step {h:.3g} for a strip of "
+                             f"half-width {d:.3g}) exceeds budget {MAX_LINE_NODES}")
+    return [Axis(c + 1j * h * np.arange(-j, j + 1), np.full(2 * j + 1, h / (2.0 * math.pi)))
+            for (c, _), j in zip(pieces, js)]
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -194,32 +221,35 @@ def _contract(d, pairs) -> complex:
     return total
 
 
-def _grid_eval(axes, diag_fn, pair_fn, half: bool) -> complex:
+def _grid_eval(axes, diag_fn, pair_fn) -> tuple[complex, complex]:
+    """The term's sums on the full grid and on the half grid sliced from it."""
     k = len(axes)
-    key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
-    d = [diag_fn(a, axes[a][key_z]) * axes[a][key_w] for a in range(k)]
+    d = [diag_fn(a, axes[a].z) * axes[a].w for a in range(k)]
     pairs = {
-        (a, b): pair_fn(a, b, axes[a][key_z][:, None], axes[b][key_z][None, :])
+        (a, b): pair_fn(a, b, axes[a].z[:, None], axes[b].z[None, :])
         for a in range(k)
         for b in range(a + 1, k)
     }
-    total = complex(_contract(d, pairs))
-    if cmath.isnan(total):
+    full = complex(_contract(d, pairs))
+    # Contiguous copies keep the half-grid products on BLAS.
+    half = complex(_contract([f[::2] * 2.0 for f in d],
+                             {ab: np.ascontiguousarray(p[::2, ::2]) for ab, p in pairs.items()}))
+    if cmath.isnan(full):  # a NaN in a half-grid factor is one in the full grid too
         raise ArithmeticError("integrand returned NaN on the grid")
-    return total
+    return full, half
 
 
 def tensor_result(terms, method: str) -> MomentResult:
     """MomentResult of (weight, axes, diag_fn, pair_fn) terms, evaluated one at a time.
 
-    axes are node dicts with keys z, w, z_half, w_half; diag_fn(a, z) is the 1-D factor
-    on axis a, pair_fn(a, b, za, zb) the 2-D factor on the (a, b) subgrid.  A term with no
-    axes contributes its weight.  All terms are sized before any factor is called (at most
+    diag_fn(a, z) is the 1-D factor on axis a, pair_fn(a, b, za, zb) the 2-D factor on the
+    (a, b) subgrid, each called once per term, on the full grid.  A term with no axes
+    contributes its weight.  All terms are sized before any factor is called (at most
     MAX_AXES axes and MAX_POINTS points each), and each is released once evaluated.
     """
     terms = list(terms)
     for _, axes, _, _ in terms:
-        sizes = [axis["z"].size for axis in axes]
+        sizes = [axis.z.size for axis in axes]
         if len(sizes) > MAX_AXES:
             raise CostGuardError(
                 f"tensor evaluation supports at most {MAX_AXES} axes, got {len(sizes)}")
@@ -231,11 +261,11 @@ def tensor_result(terms, method: str) -> MomentResult:
     node_counts: tuple[int, ...] = ()
     while terms:
         weight, axes, diag_fn, pair_fn = terms.pop()
-        full = weight * _grid_eval(axes, diag_fn, pair_fn, half=False)
-        value += full
-        gap += full - weight * _grid_eval(axes, diag_fn, pair_fn, half=True)
+        full, half = _grid_eval(axes, diag_fn, pair_fn)
+        value += weight * full
+        gap += weight * full - weight * half
         if len(axes) > len(node_counts):
-            node_counts = tuple(axis["z"].size for axis in axes)
+            node_counts = tuple(axis.z.size for axis in axes)
     return MomentResult(
         value=value,
         err_estimate=abs(gap),

@@ -16,7 +16,7 @@ import pytest
 
 from asep_exact import bose
 from asep_exact.qfunc import DomainError, PoleError
-from asep_exact.quad import QuadratureRule, tensor_result
+from asep_exact.quad import CostGuardError, QuadratureRule, tensor_result
 
 
 def phi(x: float, t: float) -> float:
@@ -106,6 +106,21 @@ class TestDeltaBoseMoment:
         assert abs(val.value.imag) < 1e-9
         assert val.value.real > 0.0
 
+    def test_ladder_near_the_pair_pole(self):
+        # The step follows the strip to the pair pole z_a - z_b = 1, 0.1 away here.
+        default = bose.delta_bose_moment((-0.5, 0.0), 0.6, 0.0)
+        near = bose.delta_bose_moment(
+            (-0.5, 0.0), 0.6, 0.0, bose=bose.BoseParams(alpha_ladder=(1.6, 0.5))
+        )
+        assert abs(near.value - default.value) < 1e-8
+
+    def test_ladder_on_the_pair_pole_is_refused(self):
+        # 1e-4 from the pole the lines would need about 1.8e6 nodes each.
+        with pytest.raises(CostGuardError, match="budget"):
+            bose.delta_bose_moment(
+                (-0.5, 0.0), 0.6, 0.0, bose=bose.BoseParams(alpha_ladder=(1.5001, 0.5))
+            )
+
     def test_far_ladder_warns(self):
         with pytest.warns(RuntimeWarning, match="far from the tilt"):
             bose.delta_bose_moment(
@@ -182,6 +197,30 @@ class TestCollapsedMoment:
         a = tensor_result([bose._collapsed_term((1, 2), 0.3, 0.6, 0.0, 0.5, rule)], "probe")
         b = tensor_result([bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, rule)], "probe")
         assert abs(a.value - b.value) < 1e-12
+
+    @pytest.mark.parametrize("parts,alpha", [((1, 1), 0.5), ((1, 2), 0.5), ((2, 1), 0.7),
+                                             ((1, 1), 1.2)])
+    def test_hankel_pair_matches_direct_gamma_ratios(self, parts, alpha):
+        # Lines of different lengths on one step; at alpha 0.5 the (1, 1) pair has the
+        # reflection zero 1/Gamma(0) where w_a + w_b = 1.
+        _, axes, _, pair = bose._collapsed_term(parts, 0.3, 0.6, 0.0, alpha, QuadratureRule())
+        wa, wb = axes[0].z[:, None], axes[1].z[None, :]
+        na, nb = parts
+        d, s = 0.5 * (na - nb), 0.5 * (na + nb)
+        base = wa + wb
+        cross = (wa - wb + d) * (wb - wa + d) / ((wa - wb + s) * (wb - wa + s))
+        ratio = np.exp(
+            bose.log_gamma(base + d) + bose.log_gamma(base - d)
+            + bose.log_gamma(1.0 - base + s) - bose.log_gamma(base + s)
+        ) * (np.sin(np.pi * (base - s)) / np.pi)
+        expect = cross * ratio
+        got = pair(0, 1, wa, wb)
+        assert got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+        if parts == (1, 1) and alpha == 0.5:
+            # w_a + w_b = 1 on the antidiagonal of the two equal lines.
+            assert np.all(np.fliplr(expect).diagonal() == 0.0)
+            assert np.all(np.fliplr(got).diagonal() == 0.0)
 
     def test_node_counts_one_entry_per_axis(self):
         # The k strings of length one span the largest grid: k axes.

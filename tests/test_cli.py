@@ -270,6 +270,45 @@ class TestBoseCommand:
         direct = she_halfflat_moment_collapsed(2, 0.3, 0.6, 0.5, rule=QuadratureRule())
         assert float(rows[0]["value"]) == float(direct.value.real)
 
+    def test_ladder_on_the_pair_pole_exits_two(self, capsys):
+        code, out, err = run_cli(["bose", "--x=-0.5,0", "--t", "0.6", "--ladder", "1.5001,0.5"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert "budget" in err
+
+    def test_nodes_floor_reaches_every_line(self, monkeypatch, capsys):
+        # At the default floor of 64 the narrow-wedge line and the Mellin-Barnes lines at
+        # --tol 1e-4 are shorter than 128 nodes; --nodes 128 must lift every line to it.
+        from asep_exact import bose, exact
+
+        def run(nodes):
+            sizes = []
+            for module in (bose, exact):
+                real = module.line_axes
+
+                def record(*args, real=real):
+                    lines = real(*args)
+                    sizes.extend(axis.z.size for axis in lines)
+                    return lines
+
+                monkeypatch.setattr(module, "line_axes", record)
+            for argv in (["bose", "--kind", "narrow-wedge", "--x", "0.7", "--t", "0.5"],
+                         ["bose", "--kind", "tilted", "--x=-0.5,0", "--t", "0.6"],
+                         ["bose", "--kind", "halfflat-collapsed", "--k", "2", "--x", "0.3",
+                          "--t", "0.6"],
+                         ["laplace", "--rep", "mb", "--tau", "0.5", "--zeta=-0.2", "--x", "1",
+                          "--t", "0.5", "--tol", "1e-4"]):
+                code, _, _ = run_cli(argv + ["--nodes", str(nodes)], capsys)
+                assert code == 0
+            monkeypatch.undo()
+            return sizes
+
+        assert min(run(64)) < 128
+        sizes = run(128)
+        # narrow-wedge, tilted k = 2, the strings (2) and (1, 1), Mellin-Barnes orders 2 and 1
+        assert len(sizes) == 1 + 2 + (1 + 2) + 2
+        assert min(sizes) >= 128
+
     def test_narrow_wedge_rejects_tilt(self, capsys):
         code, _, err = run_cli(
             ["bose", "--kind", "narrow-wedge", "--x", "0.5", "--t", "0.4",

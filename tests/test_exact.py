@@ -291,7 +291,7 @@ def string_pair_factor(wa, wb, la: int, lb: int, tau: float):
 class TestStringPair:
     """The pair factor both string routes share, against each route's product form.
 
-    It takes P[n_a] P[n_b] / P[n_a + n_b] from one prefix table per grid.
+    It takes P[n_a] P[n_b] / P[n_a + n_b] from one prefix table on the full grid.
     """
 
     @pytest.mark.parametrize("tau", [0.1, 0.3, 0.6, 0.9])
@@ -303,16 +303,17 @@ class TestStringPair:
         else:
             radius, base, reference = tau**0.75, tau**-2, string_pair_factor
         w = radius * np.exp(2j * np.pi * rng.uniform(size=12))
-        tables = ex._per_grid(lambda w: poch_table(base * np.outer(w, w), tau, 6))
+        table = poch_table(base * np.outer(w, w), tau, 6)
         for na, nb in [(1, 1), (2, 1), (1, 3), (3, 3), (4, 2)]:
-            pair = ex._string_pair((na, nb), tables, tau)
-            for grid in (w, w[::2]):
-                wa, wb = grid[:, None], grid[None, :]
+            pair = ex._string_pair((na, nb), lambda: table, tau)
+            got = pair(0, 1, w[:, None], w[None, :])
+            # The engine reads the half grid off the full-grid factor.
+            for half in (slice(None), slice(None, None, 2)):
+                wa, wb = w[half, None], w[None, half]
                 ua, ub = tau**na * wa, tau**nb * wb
                 cross = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
                 expect = cross * reference(wa, wb, na, nb, tau)
-                got = pair(0, 1, wa, wb)
-                assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+                assert np.all(np.abs(got[half, half] - expect) <= 1e-13 * np.abs(expect))
 
 
 class TestHalfflatMoments:
@@ -442,6 +443,15 @@ class TestTauLaplace:
         lines = ex.tau_laplace_mb(-0.8, 0, 0.5, 1, ev)
         assert abs(residues - lines) < 1e-13
 
+    def test_order_one_circle_at_the_target(self):
+        # The order-1 w-circle is sized for trunc.tol like every circle, so the line
+        # integral meets its residue series to the last digits; a circle at 1e-9 leaves
+        # them 1.3e-13 apart.
+        ev = make_ev(0.5)
+        residues = ex.tau_laplace_mb(-0.2, 2, 0.5, 0, ev)
+        lines = ex.tau_laplace_mb(-0.2, 2, 0.5, 1, ev)
+        assert abs(residues - lines) < 1e-14
+
     # Order 1 against a fine-step reference: the same kernel and w circle on the line
     # sized for 1e-18 (about 800 nodes, against 425-665 at the 1e-14 target).
     @pytest.mark.parametrize("tau,zeta,x,t", [
@@ -463,7 +473,7 @@ class TestTauLaplace:
         ev = make_ev(tau)
         ex.tau_laplace_mb(zeta, x, t, 1, ev)
         (value, w_axis), = seen
-        fine = ex._mb_trapezoid(zeta, w_axis, tau, 1e-18)
+        fine = ex._mb_trapezoid(zeta, w_axis, ev, 1e-18)
         reference = np.sum(real(zeta, x, t, ev, fine, w_axis))
         assert abs(value - reference) <= 1e-13
 
@@ -487,9 +497,9 @@ class TestTauLaplace:
         w_axis = quad.circle_axis([(0j, 0.5 * (1.0 + tau**-0.25), 12)])
         h = 0.3
         s = 0.5 + 1j * h * np.arange(-5, 6)
-        line = (s, np.full(s.size, h / (2.0 * math.pi)))
+        line = quad.Axis(s, np.full(s.size, h / (2.0 * math.pi)))
         a = ex._mb_diag_grid(-0.3, 1, 0.5, ev, line, w_axis)
-        w = w_axis["z"]
+        w = w_axis.z
         z = w[:, None] * w[None, :]
         a_s = tau**s
         total = 0j
@@ -531,7 +541,7 @@ class TestTauLaplace:
     def test_trapezoid_line_reproduces_geometric_series(self):
         # At the order-2 target 1e-8.
         zeta = -0.37
-        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, 1e-8)
+        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), EV, 1e-8)
         val = np.sum(
             s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
         )
@@ -540,7 +550,7 @@ class TestTauLaplace:
     def test_line_reproduces_geometric_series(self):
         # The order-1 line: the same trapezoid, sized for trunc.tol.
         zeta = -0.37
-        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), 0.5, EV.trunc.tol)
+        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), EV, EV.trunc.tol)
         val = np.sum(
             s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
         )
@@ -664,7 +674,7 @@ class TestCostControls:
         # The counter is live: order 1 alone fits the budget and takes germ_f.
         ev = make_ev(0.5)
         w_axis = ex._mb_w_axis(ev, 1e-9)
-        ex._mb_diag_grid(-0.2, 3, 0.5, ev, ex._mb_trapezoid(-0.2, w_axis, 0.5, 1e-14), w_axis)
+        ex._mb_diag_grid(-0.2, 3, 0.5, ev, ex._mb_trapezoid(-0.2, w_axis, ev, 1e-14), w_axis)
         assert len(calls) == 1
 
     def test_order_two_refusal_names_k_max_one_when_it_fits(self, monkeypatch):

@@ -74,11 +74,11 @@ class TestClosedCircle:
     def test_orientation_flip(self):
         # Nodes run counterclockwise and the weights give winding +1 on the
         # full and the half grid; negated weights are the clockwise rule.
-        z = UNIT["z"]
+        z, w = UNIT
         assert np.all(np.diff(np.unwrap(np.angle(z))) > 0)
-        assert np.sum(UNIT["w"] / z) == pytest.approx(1.0, abs=1e-12)
-        assert np.sum(UNIT["w_half"] / UNIT["z_half"]) == pytest.approx(1.0, abs=1e-12)
-        assert np.sum(-UNIT["w"] / z) == pytest.approx(-1.0, abs=1e-12)
+        assert np.sum(w / z) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(2.0 * w[::2] / z[::2]) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(-w / z) == pytest.approx(-1.0, abs=1e-12)
 
     def test_nan_propagates_as_evaluation_error(self):
         def bad(z):
@@ -97,9 +97,14 @@ class TestClosedCircle:
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_odd_counts_round_up_to_even(self):
+        # so every other node of the union is every other node of each circle.
         axis = circle_axis([(0j, 1.0, 63), (2.0 + 0j, 0.5, 9)])
-        assert axis["z"].size == 64 + 10
-        assert axis["z_half"].size == 32 + 5
+        assert axis.z.size == 64 + 10
+        half = axis.z[::2]
+        assert half.size == 32 + 5
+        assert np.allclose(np.abs(half[:32]), 1.0) and np.allclose(np.abs(half[32:] - 2.0), 0.5)
+        # The pole at 2 costs the unit circle's 32 half nodes 2^-32.
+        assert np.sum(2.0 * axis.w[::2] / (axis.z[::2] - 2.0)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCircleNodes:
@@ -133,6 +138,44 @@ class TestCircleNodes:
     def test_ratio_outside_unit_interval_refused(self, ratio):
         with pytest.raises(DomainError, match="convergence ratio"):
             circle_nodes(1e-10, 8, ratios=(0.5, ratio))
+
+
+class TestLineAxes:
+    def test_step_from_the_strip(self):
+        # h = 2 pi d / log(1/tol), nodes c + i h j for j = -J..J, weights h / (2 pi).
+        d, tol, half_width = 0.25, 1e-12, 6.0
+        (axis,) = quad.line_axes([(0.5, half_width)], d, tol, 8)
+        h = 2.0 * math.pi * d / math.log(1.0 / tol)
+        j = math.ceil(half_width / h)
+        assert axis.z.size == 2 * j + 1
+        assert np.all(axis.z.real == 0.5)
+        assert np.allclose(axis.z.imag, h * np.arange(-j, j + 1), rtol=0.0, atol=1e-14)
+        assert np.all(axis.w == h / (2.0 * math.pi))
+
+    def test_half_rule_integrates_a_gaussian(self):
+        # (1/2 pi i) times the integral of e^(z^2) up the imaginary axis is 1 / (2 sqrt(pi)),
+        # on the full grid and on every other node with twice the weight.
+        (axis,) = quad.line_axes([(0.0, 7.0)], 0.5, 1e-14, 8)
+        res = contour_sum(lambda z: np.exp(z * z), axis)
+        half = np.sum(np.exp(axis.z[::2] ** 2) * 2.0 * axis.w[::2])
+        exact = 0.5 / math.sqrt(math.pi)
+        assert abs(res - exact) < 1e-14
+        assert abs(half - exact) < 1e-14
+
+    def test_floor_shrinks_the_shared_step(self):
+        # The shortest line reaches the floor; the longer one keeps the same step.
+        short, long = quad.line_axes([(1.0, 2.0), (0.0, 5.0)], 0.5, 1e-6, 128)
+        assert short.z.size >= 128
+        assert np.diff(short.z.imag)[0] == pytest.approx(np.diff(long.z.imag)[0], rel=1e-12)
+        assert long.z.size > short.z.size
+        assert np.all(short.w == long.w[0])
+
+    def test_narrow_strip_refused_before_building(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(quad.np, "arange", lambda *a: built.append(a))
+        with pytest.raises(CostGuardError, match="budget"):
+            quad.line_axes([(0.5, 15.0)], 1e-4, 1e-16, 64)
+        assert built == []
 
 
 class TestPathQuadrature:
@@ -250,42 +293,61 @@ class TestTensorProduct:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_brute_force_sum(self, k):
-        # Random complex factors on axes of distinct sizes, with non-symmetric
-        # pair matrices, so a transposed pair factor or a swapped axis changes
-        # the sum.  Factors are keyed by axis size, which differs between the
-        # full and the half grid.
+        # Random complex Laurent-polynomial factors on axes of distinct sizes, with
+        # non-symmetric pair factors, so a transposed pair factor or a swapped axis changes
+        # the sum.  The brute force calls them on explicitly sliced half axes, the engine on
+        # the full grid only.
         rng = np.random.default_rng(k)
         axes = [circle_axis([(0j, 1.0, 2 * n)]) for n in (3, 4, 5, 6, 7)[:k]]
-        diag, pair = {}, {}
-        for half in (False, True):
-            sizes = [axis["z_half" if half else "z"].size for axis in axes]
-            for a, n in enumerate(sizes):
-                diag[a, n] = rng.normal(size=n) + 1j * rng.normal(size=n)
-            for a, b in itertools.combinations(range(k), 2):
-                shape = (sizes[a], sizes[b])
-                pair[a, b, shape] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        powers = np.arange(-3, 4)
+        cd = rng.normal(size=(k, powers.size)) + 1j * rng.normal(size=(k, powers.size))
+        shape = (k, k, powers.size, powers.size)
+        cp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        def brute_force(half):
-            key_z, key_w = ("z_half", "w_half") if half else ("z", "w")
-            sizes = [axis[key_z].size for axis in axes]
-            d = [diag[a, n] * axes[a][key_w] for a, n in enumerate(sizes)]
+        def diag(a, z):
+            return (z[:, None] ** powers) @ cd[a]
+
+        def pair(a, b, za, zb):
+            return (za**powers) @ cp[a, b] @ (zb.T**powers).T
+
+        def brute_force(grid):
+            sizes = [axis.z.size for axis in grid]
+            d = [diag(a, axis.z) * axis.w for a, axis in enumerate(grid)]
+            p = {(a, b): pair(a, b, grid[a].z[:, None], grid[b].z[None, :])
+                 for a, b in itertools.combinations(range(k), 2)}
             total = 0j
             for idx in itertools.product(*(range(n) for n in sizes)):
                 term = math.prod(d[a][idx[a]] for a in range(k))
                 for a, b in itertools.combinations(range(k), 2):
-                    term *= pair[a, b, (sizes[a], sizes[b])][idx[a], idx[b]]
+                    term *= p[a, b][idx[a], idx[b]]
                 total += term
             return total
 
-        for half in (False, True):
-            got = quad._grid_eval(
-                axes,
-                lambda a, z: diag[a, z.size],
-                lambda a, b, za, zb: pair[a, b, (za.shape[0], zb.shape[1])],
-                half,
-            )
-            expected = brute_force(half)
+        halves = [quad.Axis(axis.z[::2], 2.0 * axis.w[::2]) for axis in axes]
+        full, half = quad._grid_eval(axes, diag, pair)
+        for got, grid in ((full, axes), (half, halves)):
+            expected = brute_force(grid)
             assert abs(got - expected) < 1e-12 * abs(expected)
+
+    def test_factors_built_once_per_term(self):
+        # diag and pair are called on the full grid only; the half grid is sliced from it.
+        calls = []
+
+        def diag(a, z):
+            calls.append(("diag", a, z.size))
+            return 1.0 / z
+
+        def pair(a, b, za, zb):
+            calls.append(("pair", a, b, za.size, zb.size))
+            return ones(a, b, za, zb)
+
+        axes = [circle_axis([(0j, 1.0, n)]) for n in (8, 10, 12)]
+        tensor_result([(1.0, axes, diag, pair), (2.0, axes[:2], diag, pair)], "probe")
+        assert calls == [
+            ("diag", 0, 8), ("diag", 1, 10), ("diag", 2, 12),
+            ("pair", 0, 1, 8, 10), ("pair", 0, 2, 8, 12), ("pair", 1, 2, 10, 12),
+            ("diag", 0, 8), ("diag", 1, 10), ("pair", 0, 1, 8, 10),
+        ]
 
     def test_rejects_large_order(self):
         axis = circle_axis([(0j, 1.0, 8)])
@@ -325,7 +387,7 @@ class TestNestedContours:
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
     def test_pieces_inside_half_power_disk(self, tau):
         r, s = nested_radii(1, ModelParams.from_tau(tau))
-        z = nested_axis(r[0], s[0], tau, 256)["z"]
+        z = nested_axis(r[0], s[0], tau, 256).z
         assert np.max(np.abs(z)) < tau**0.5 - 1e-6
 
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
@@ -342,16 +404,16 @@ class TestNestedContours:
     def test_image_poles_clear_inner_contours(self, tau):
         r, s = nested_radii(3, ModelParams.from_tau(tau))
         for a in range(3):
-            trace = nested_axis(r[a], s[a], tau, 720)["z"]
+            trace = nested_axis(r[a], s[a], tau, 720).z
             for b in range(a + 1, 3):
-                zb = nested_axis(r[b], s[b], tau, 128)["z"]
+                zb = nested_axis(r[b], s[b], tau, 128).z
                 assert clearance(trace, tau * zb) > 1e-6
 
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
     def test_branch_points_clear_all_contours(self, tau):
         r, s = nested_radii(3, ModelParams.from_tau(tau))
         for a in range(3):
-            trace = nested_axis(r[a], s[a], tau, 720)["z"]
+            trace = nested_axis(r[a], s[a], tau, 720).z
             assert clearance(trace, [tau**0.5, -(tau**0.5)]) > 1e-6
 
     def test_pieces_are_disjoint(self):
@@ -371,7 +433,7 @@ class TestNestedContours:
         tau = EV.params.tau
         pieces = production_circles(monkeypatch, lambda: ex.nested_moment(3, 3, 0.7, EV))
         axis = circle_axis(pieces[:2])
-        z, w = axis["z"], axis["w"]
+        z, w = axis.z, axis.w
         for pole in (0j, -tau + 0j):
             assert np.sum(w / (z - pole)) == pytest.approx(1.0, abs=1e-10)
 
@@ -408,8 +470,8 @@ class TestStandardContours:
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.6])
     def test_c1_rho_excludes_pole_families(self, tau):
         rho = c1_rho_radius(ModelParams.from_tau(tau))
-        z = circle_axis([(1.0 + 0j, rho, 360)])["z"]
-        trace = circle_axis([(1.0 + 0j, rho, 720)])["z"]
+        z = circle_axis([(1.0 + 0j, rho, 360)]).z
+        trace = circle_axis([(1.0 + 0j, rho, 720)]).z
         for pts in (tau * z, z / tau, 1.0 / (tau * z), [tau**-0.5, -(tau**-0.5), 1.0 / tau]):
             assert clearance(trace, pts) > 1e-6
 
