@@ -278,16 +278,16 @@ def _collapsed_term(parts, x, t, theta, alpha, rule):
         s = 0.5 * (na + nb)
         cross = (wa - wb + d) * (wb - wa + d) / ((wa - wb + s) * (wb - wa + s))
         # On lines of one step, wa + wb depends only on i_a + i_b: the Gamma ratio is one
-        # table over those sums, read as a Hankel matrix.  1/Gamma(base - s) goes through
-        # the entire reciprocal (reflection) because Re(base - s) can sit on a nonpositive
-        # integer where base is real; the factor is a zero there, not a singularity.
+        # table over those sums, read as a Hankel matrix.  1/Gamma(base - s) is taken as
+        # the entire function rgamma because base - s can be a nonpositive integer where
+        # base is real; the factor is a zero there, not a singularity.
+        # imported here, not at module top: scipy.special slows every CLI start-up
+        from scipy.special import rgamma
+
         base = np.concatenate([wa[0, 0] + wb[0], wa[1:, 0] + wb[0, -1]])
         ratio = np.exp(
-            log_gamma(base + d)
-            + log_gamma(base - d)
-            + log_gamma(1.0 - base + s)
-            - log_gamma(base + s)
-        ) * (np.sin(np.pi * (base - s)) / np.pi)
+            log_gamma(base + d) + log_gamma(base - d) - log_gamma(base + s)
+        ) * rgamma(base - s)
         return cross * sliding_window_view(ratio, wb.shape[1])
 
     return 2.0**k * math.factorial(k) / math.factorial(ell), axes, diag, pair

@@ -16,7 +16,8 @@ grid.  Each term is contracted with BLAS matrix products: k = 2 is
 d_0 P_01 d_1, k = 3 one GEMM, and k >= 4 loops over the nodes of one axis
 down to k = 3.  On N nodes per axis that is O(N^k) flops in O(k^2 N^2)
 memory; no N^3 intermediate is ever built.  Every grid is sized against
-MAX_POINTS before any is evaluated.
+MAX_POINTS, and its largest pair matrix against MAX_LINE_NODES^2, before
+any is evaluated.
 
 Axis weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
@@ -50,17 +51,17 @@ __all__ = [
     "nested_radii",
 ]
 
-# Bounds the grid points, and so the flops, of one tensor term; memory is only
-# the N x N pair matrices.
+# Bounds the grid points, and so the flops, of one tensor term.
 MAX_POINTS = 1 << 30
 
 # Bounds the nodes of one line, which grow without bound as the strip of
-# analyticity about the line narrows: a pair matrix of two such lines is 1 GB.
+# analyticity about the line narrows, and the entries of any term's largest
+# pair matrix, N_a x N_b <= MAX_LINE_NODES^2: 1 GB of complex entries.
 MAX_LINE_NODES = 1 << 13
 
 
 class CostGuardError(RuntimeError):
-    """Tensor-product grid would exceed the cost budget MAX_POINTS."""
+    """Tensor evaluation would exceed a cost budget (MAX_POINTS, MAX_LINE_NODES)."""
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,8 @@ def tensor_result(terms, method: str) -> MomentResult:
     diag_fn(a, z) is the 1-D factor on axis a, pair_fn(a, b, za, zb) the 2-D factor on the
     (a, b) subgrid, each called once per term, on the full grid.  A term with no axes
     contributes its weight.  All terms are sized before any factor is called (at most
-    MAX_AXES axes and MAX_POINTS points each), and each is released once evaluated.
+    MAX_AXES axes, MAX_POINTS points and MAX_LINE_NODES^2 entries per pair matrix each),
+    and each is released once evaluated.
     """
     terms = list(terms)
     for _, axes, _, _ in terms:
@@ -256,6 +258,10 @@ def tensor_result(terms, method: str) -> MomentResult:
         if math.prod(sizes) > MAX_POINTS:
             raise CostGuardError(f"tensor grid of {math.prod(sizes)} points exceeds budget "
                                  f"{MAX_POINTS} (axes: {sizes})")
+        pair = math.prod(sorted(sizes)[-2:]) if len(sizes) > 1 else 0
+        if pair > MAX_LINE_NODES**2:
+            raise CostGuardError(f"pair matrix of {pair} entries exceeds budget "
+                                 f"{MAX_LINE_NODES}^2 (axes: {sizes})")
     terms.reverse()  # popped from the end, so evaluated in the given order
     value = gap = 0j
     node_counts: tuple[int, ...] = ()

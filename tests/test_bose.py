@@ -222,6 +222,14 @@ class TestCollapsedMoment:
             assert np.all(np.fliplr(expect).diagonal() == 0.0)
             assert np.all(np.fliplr(got).diagonal() == 0.0)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_alpha_one_matches_alpha_three_quarters(self, k):
+        # At alpha 1.0 the (1, 1) pairs have base - s = 1 on their antidiagonal, where
+        # 1/Gamma(base - s) by reflection put log_gamma on its pole at 0.
+        ref = bose.she_halfflat_moment_collapsed(k, 0.3, 0.6, 0.0, bose.BoseParams(alpha=0.75))
+        got = bose.she_halfflat_moment_collapsed(k, 0.3, 0.6, 0.0, bose.BoseParams(alpha=1.0))
+        assert abs(got.value - ref.value) <= got.err_estimate + ref.err_estimate
+
     def test_node_counts_one_entry_per_axis(self):
         # The k strings of length one span the largest grid: k axes.
         assert len(bose.she_halfflat_moment_collapsed(2, 0.3, 0.6, 0.5).node_counts) == 2

@@ -706,6 +706,19 @@ class TestCostControls:
             tracemalloc.stop()
         assert peak < 200 * 2**20
 
+    def test_pair_matrix_past_budget_is_refused_before_any_factor(self, monkeypatch):
+        # At tau 0.99 both circles have 12,896 nodes: 1.7e8 points pass MAX_POINTS,
+        # but each pair matrix would hold 2.7 GB.
+        weights = count_calls(monkeypatch, "_nested_weight")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CostGuardError, match=r"pair matrix of 166306816 entries"):
+                ex.nested_moment(2, 2, 0.5, make_ev(0.99))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights == [] and peak < 20 * 2**20
+
     def test_refused_terms_build_no_pair_table(self, monkeypatch):
         # A budget between the order-1 and the order-2 grids at tau = 0.5.
         shapes = []

@@ -361,6 +361,15 @@ class TestTensorProduct:
             tensor_result([(1.0, [axis] * 4, lambda a, z: 1.0 / z, ones)], "probe")
         assert "budget" in str(err.value)
 
+    def test_rejects_oversized_pair_matrix(self, monkeypatch):
+        # The largest pair matrix is that of the two largest axes, 18 x 16 > 16^2.
+        monkeypatch.setattr(quad, "MAX_LINE_NODES", 16)
+        axes = [circle_axis([(0j, 1.0, n)]) for n in (8, 16, 18)]
+        with pytest.raises(CostGuardError, match=r"pair matrix of 288 entries"):
+            tensor_result([(1.0, axes, lambda a, z: 1.0 / z, ones)], "probe")
+        tensor_result([(1.0, axes[:2], lambda a, z: 1.0 / z, ones)], "probe")
+        tensor_result([(1.0, axes[2:], lambda a, z: 1.0 / z, ones)], "probe")
+
     def test_err_estimate_tracks_node_doubling(self):
         params = ModelParams.from_tau(0.5)
         rho = c1_rho_radius(params)

@@ -241,6 +241,29 @@ class TestCTMCOracle:
             tracemalloc.stop()
         assert peak < 300 * math.comb(23, 6)
 
+    def test_short_time_builds_only_the_light_cone(self):
+        # At t = 0.25 the series stops after 17 steps, and 27,383 of the 888,030
+        # states lie within 17 hops of the start.  Building K^T on every state
+        # peaks at about 190 bytes per state; the state table and the distances
+        # that select the ball take under 20.
+        obs = Observable.tau_pow_N(1, 0)
+        ctmc_exact_expectation(obs, 1.0, PARAMS, (-3, 4))
+        tracemalloc.start()
+        try:
+            ctmc_exact_expectation(obs, 0.25, PARAMS, (-12, 14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * math.comb(27, 7)
+
+    @pytest.mark.parametrize("t, expected", [(1.0, 0.9436793188953371),
+                                             (4.0, 0.7369867789251383)])
+    def test_wide_window_values_pinned(self, t, expected):
+        # Taken with K^T built on every state; stepping the light cone alone
+        # changes only the order of the final sums.
+        got = ctmc_exact_expectation(Observable.tau_pow_N(1, 0), t, PARAMS, (-12, 14))
+        assert abs(got - expected) < 1e-15
+
 
 def _colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     ranks = np.zeros(rows.shape[0], dtype=np.int64)
@@ -292,11 +315,14 @@ class TestCTMCDenseReference:
         ((-5, 6), Observable.tau_pow_N(2, 1)),
         ((-4, 6), Observable.qtilde_product((0, 1))),
         ((-197, 2), Observable.tau_pow_N(1, 0)),
-    ], ids=["tau-pow-n", "tau-pow-n-k2", "qtilde", "200-sites"])
+        ((-40, 4), Observable.tau_pow_N(1, -1)),
+    ], ids=["tau-pow-n", "tau-pow-n-k2", "qtilde", "200-sites", "light-cone"])
     def test_matches_matrix_exponential(self, window, obs, t):
         # tau = 0.3 makes p != q, so K^T with the rates unswapped fails; the
         # 200-site window has one particle and overflows an int8 state
-        # table.  The series stops with less than 1e-12 of Poisson mass left
+        # table.  The series stops after N steps, so only the states within
+        # N hops of the start are built: of the 990 on (-40, 4), 56 at
+        # t = 0.3 and 196 at t = 2.  It stops with less than 1e-12 of Poisson mass left
         # and |f| <= 1, which bounds the error: (-197, 2) at t = 2 drops
         # 6.5e-13 of mass and misses by 2.0e-13.
         params = ModelParams.from_tau(0.3)
