@@ -222,27 +222,20 @@ def _guard_rays(log_mag: np.ndarray, which: str) -> None:
         )
 
 
-def _kernel_matrix(
-    lam: np.ndarray,
-    lam_prime: np.ndarray,
-    spec: KernelSpec,
-    route: str | None = None,
-) -> np.ndarray:
-    """Crossover kernel on the grid lam x lam_prime as a dense matrix."""
-    route = _route(spec.x) if route is None else route
-    a = INV_CBRT2 * spec.x
-    shift = 2.0 ** (-2.0 / 3.0) * spec.x**2 if spec.x <= 0.0 else 0.0
-    lam = np.asarray(lam, dtype=float)
-    lam_prime = np.asarray(lam_prime, dtype=float)
+@lru_cache(maxsize=2)
+def _contour_factors(spec: KernelSpec, route: str):
+    """The parts of the kernel fixed by (spec, route), built once and read-only.
 
+    Returns the u and v axes with their weights, the cubic exponents exp_u
+    and exp_v on them, and the coupling matrix: each axis has two rays of
+    16 * panel_count(ray_length, nodes_per_ray) nodes, so the coupling is
+    384 x 384 complex (2.4 MB) at the defaults.
+    """
+    a = INV_CBRT2 * spec.x
     vbase = -(a + 1.0) if route == "split_pos" else 0.0
     u, wu = _wedge_axis(1.0, math.pi / 3.0, spec.ray_length, spec.nodes_per_ray)
     v, wv = _wedge_axis(vbase, 2.0 * math.pi / 3.0, spec.ray_length, spec.nodes_per_ray)
-
     if route == "split_neg":
-        if spec.x > 0.0:
-            raise DomainError("split_neg route requires x <= 0")
-        lh, lhp = lam, lam_prime
         exp_u = u**3 / 3.0
         exp_v = -(v**3) / 3.0
         coupling = (
@@ -251,10 +244,39 @@ def _kernel_matrix(
             / ((u[:, None] - v[None, :]) * (u[:, None] + v[None, :] - 2.0 * a))
         )
     else:
-        lh, lhp = lam - shift, lam_prime - shift
         exp_u = u**3 / 3.0 + a * u**2
         exp_v = -(v**3) / 3.0 - a * v**2
         coupling = 2.0 * u[:, None] / (u[:, None] ** 2 - v[None, :] ** 2)
+    for arr in (exp_u, exp_v, coupling):
+        arr.setflags(write=False)
+    return u, wu, v, wv, exp_u, exp_v, coupling
+
+
+def _kernel_matrix(
+    lam: np.ndarray,
+    lam_prime: np.ndarray,
+    spec: KernelSpec,
+    route: str | None = None,
+) -> np.ndarray:
+    """Crossover kernel on the grid lam x lam_prime as a dense matrix.
+
+    The contours, their exponents and the coupling depend on (spec, route)
+    alone and come from _contour_factors, so a run of calls at one x (an
+    airy21 row of r values) builds them once.  The ray guards, the
+    lam-dependent exponentials, the two matrix products and the split_pos
+    Airy term are computed on every call.
+    """
+    route = _route(spec.x) if route is None else route
+    if route == "split_neg" and spec.x > 0.0:
+        raise DomainError("split_neg route requires x <= 0")
+    shift = 2.0 ** (-2.0 / 3.0) * spec.x**2 if spec.x <= 0.0 else 0.0
+    lam = np.asarray(lam, dtype=float)
+    lam_prime = np.asarray(lam_prime, dtype=float)
+    u, wu, v, wv, exp_u, exp_v, coupling = _contour_factors(spec, route)
+    if route == "split_neg":
+        lh, lhp = lam, lam_prime
+    else:
+        lh, lhp = lam - shift, lam_prime - shift
 
     _guard_rays(np.real(exp_u) - np.real(u) * float(np.min(lh)), "u")
     _guard_rays(np.real(exp_v) + np.real(v) * float(np.max(lhp)), "v")

@@ -21,14 +21,16 @@ airy21       x, r, value, runtime
 verify       suite, check, gap, tol, status
 
 Rows are CSV (RFC 4180 quoting) or JSON lines per --format.  Every run
-starts with a reproducibility header (version, seed and node counts where
-they apply): a single comment row starting with '#' in CSV, an object with
-"record": "header" in JSON lines (data rows carry "record": "row").  All
-floating values are printed with 17 significant digits, enough to
-round-trip a double exactly.  The err column is the evaluator's internal
-error estimate, floored by the imaginary residual of a nominally real
-value (laplace returns no estimate, so there err is only |Im value|);
-runtime is wall seconds and is the only nondeterministic column.
+starts with a reproducibility header (version, seed, random generator and
+node counts where they apply): a single comment row starting with '#' in
+CSV, an object with "record": "header" in JSON lines (data rows carry
+"record": "row").  All floating values are printed with 17 significant
+digits, enough to round-trip a double exactly.  The err column is the
+evaluator's internal error estimate, floored by the imaginary residual of
+a nominally real value (laplace returns no estimate, so there err is only
+|Im value|); runtime is wall seconds and is the only nondeterministic
+column (in airy21 the first row of each x also carries the contour build
+that its other rows reuse).
 
 A config file given by --config holds `key = value` lines (blank lines and
 '#' comments ignored); keys are the long option names of the chosen
@@ -90,7 +92,7 @@ from .exact import (
 )
 from .qfunc import DomainError, ModelParams, PoleError, QTruncation
 from .quad import CostGuardError, QuadratureRule
-from .sim import Observable, ctmc_exact_expectation, default_window, mc_expectation
+from .sim import MC_BITGEN, Observable, ctmc_exact_expectation, default_window, mc_expectation
 
 MOMENT_METHODS = ("halfflat", "nested", "partition")
 VERIFY_SUITES = ("identities", "moments", "laplace", "bose", "airy")
@@ -394,7 +396,7 @@ def _cmd_simulate(cfg: dict) -> int:
     mean, stderr = mc_expectation(obs, t, params, cfg["samples"], cfg["seed"], window)
     rows = [{"observable": _describe_observable(obs), "mean": mean, "stderr": stderr}]
     _emit(cfg, ("observable", "mean", "stderr"), rows,
-          {"seed": cfg["seed"], "samples": cfg["samples"],
+          {"seed": cfg["seed"], "rng": MC_BITGEN, "samples": cfg["samples"],
            "window": f"{window[0]},{window[1]}"})
     return 0
 

@@ -9,13 +9,14 @@ data occupies every positive even site.
 Two independent evaluators of the same dynamics:
 
 - mc_expectation steps blocks of MC_BLOCK replicas together, each block on
-  its own counter-based random stream derived from (seed, block), and
+  its own PCG64DXSM stream seeded by SeedSequence((seed, block)), and
   tracks every replica's net current across the bond between sites 1 and 0
-  for the height observable.  The stream is drawn for the whole block, but
-  only the replicas a call keeps are stored and stepped: sorted once by
-  event count, the replicas with an attempt left form a prefix of the rows,
-  and each row carries wall columns at left - 1 and right + 1, so a hop
-  is one gather of the neighbour and one comparison with the target;
+  for the height observable.  Only the replicas a call keeps are stored,
+  stepped and drawn for: sorted once by event count, the replicas with an
+  attempt left form a prefix of the rows, each step draws one particle and
+  one direction for each of them, and each row carries wall columns at
+  left - 1 and right + 1, so a hop is one gather of the neighbour and one
+  comparison with the target;
 - ctmc_exact_expectation lists every configuration of a small closed
   window in combinadic-rank order and steps the distribution by the
   transposed uniformized kernel: the pattern of the forward kernel with
@@ -47,9 +48,13 @@ __all__ = [
     "ctmc_exact_expectation",
     "CTMC_STATE_CAP",
     "MC_BLOCK",
+    "MC_BITGEN",
 ]
 
 MC_BLOCK = 1 << 16
+# Looked up by name when a block starts: numpy.random loads lazily, and
+# importing it adds about 5 MB to every process that never simulates.
+MC_BITGEN = "PCG64DXSM"
 CTMC_STATE_CAP = 2_000_000
 _KERNEL_BLOCK = 1 << 16
 
@@ -170,32 +175,30 @@ def _mc_block(
     n_keep: int,
 ) -> np.ndarray:
     left, right = window
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, block))
+    rng = np.random.Generator(getattr(np.random, MC_BITGEN)(seq))
     dtype = np.promote_types(np.min_scalar_type(left - 1), np.min_scalar_type(right + 1))
     sites = np.concatenate(([left - 1], np.arange(2, right + 1, 2), [right + 1])).astype(dtype)
     n_part = sites.size - 2
     rows = np.tile(sites, (n_keep, 1))
     flux = np.zeros(n_keep, dtype=np.int32)
-    order = np.arange(n_keep)
+    replica = np.arange(n_keep)
     if n_part > 0 and t > 0.0:
-        n_ev = rng.poisson(n_part * t, size=MC_BLOCK)[:n_keep]
+        n_ev = rng.poisson(n_part * t, size=n_keep)
         order = np.argsort(-n_ev, kind="stable")
+        replica[order] = np.arange(n_keep)
         # Entry s: how many kept replicas have more than s events.
         n_active = n_keep - np.cumsum(np.bincount(n_ev))
         flat = rows.reshape(-1)
         first = np.arange(n_keep) * sites.size + 1
         for n in n_active[:-1].tolist():
-            # Draws stay MC_BLOCK long, so the stream is the same for any n_keep.
-            active = order[:n]
-            cell = first[:n] + rng.integers(0, n_part, size=MC_BLOCK).take(active)
-            shift = (rng.random(size=MC_BLOCK).take(active) < params.p).astype(dtype) * 2 - 1
+            cell = first[:n] + rng.integers(0, n_part, size=n)
+            shift = (rng.random(size=n) < params.p).astype(dtype) * 2 - 1
             pos = flat.take(cell)
             new = pos + shift * (flat.take(cell + shift) != pos + shift)
             flat[cell] = new
             # +1 for a hop from 1 to 0, -1 for a hop from 0 to 1.
             flux[:n] += (pos - new) * (np.minimum(pos, new) == 0)
-    replica = np.argsort(order)
     return _observable_values(obs, rows[replica, 1:-1].astype(np.int64), params, flux[replica])
 
 
@@ -209,15 +212,17 @@ def mc_expectation(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error over independent replicas.
 
-    Replica r lives in block r // MC_BLOCK; each block derives its own
-    counter-based stream from (seed, block), so results are reproducible
-    and independent of any parallel schedule.  Every block draws the same
-    MC_BLOCK-long stream whatever samples is, but only its kept replicas
-    (samples - block * MC_BLOCK in the last block) are simulated, and only
-    until the last of them runs out of events; at each step only the
-    replicas with an attempt left, a prefix of the event-sorted rows, do
-    any work.  Each row carries wall columns at left - 1 and right + 1, in
-    the narrowest signed integer type that holds them.
+    Replica r lives in block r // MC_BLOCK; each block draws from its own
+    MC_BITGEN (PCG64DXSM) bit generator seeded by SeedSequence((seed, block)),
+    so results are reproducible and independent of any parallel schedule.
+    A block draws only for its kept replicas (samples - block * MC_BLOCK
+    in the last block): one Poisson event count each, then at every step
+    one particle and one direction for each replica with an event left, a
+    prefix of the event-sorted rows, until the last of them runs out.  A
+    full block's replicas are therefore fixed by (seed, block) alone; those
+    of the last, partial block depend on samples too.  Each row carries
+    wall columns at left - 1 and right + 1, in the narrowest signed integer
+    type that holds them.
     """
     if samples < 100:
         raise DomainError(f"need samples >= 100, got {samples}")

@@ -194,6 +194,46 @@ class TestCrossoverKernel:
             am._kernel_matrix(lam, lam, am.KernelSpec(x=0.0))
 
 
+class TestContourCache:
+    """_kernel_matrix reuses the contour factors of one (spec, route)."""
+
+    GRID = [(x, r) for x in (-4.0, -2.5, 0.0, 3.0, 4.0) for r in (-1.0, 0.5)]
+
+    def test_cold_and_warm_values_are_identical(self):
+        assert {am._route(x) for x, _ in self.GRID} == {"split_neg", "direct", "split_pos"}
+        cold = []
+        for x, r in self.GRID:
+            am._contour_factors.cache_clear()
+            cold.append(am.halfflat_limit_cdf(x, r))
+        am._contour_factors.cache_clear()
+        for x, _ in self.GRID:
+            am.halfflat_limit_cdf(x, 0.0)
+            warm = [am.halfflat_limit_cdf(x, r) for r in (-1.0, 0.5)]
+            assert am._contour_factors.cache_info().hits > 0
+            assert warm == [v for (xc, _), v in zip(self.GRID, cold) if xc == x]
+
+    def test_factors_are_read_only(self):
+        for factor in am._contour_factors(am.KernelSpec(x=0.0), "direct"):
+            assert not factor.flags.writeable
+
+    def test_split_neg_refused_with_a_warm_cache(self):
+        spec = am.KernelSpec(x=1.0)
+        lam = np.array([0.0])
+        am._kernel_matrix(lam, lam, spec, route="direct")
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                am._kernel_matrix(lam, lam, spec, route="split_neg")
+
+    def test_short_rays_warn_on_every_call(self):
+        spec = am.KernelSpec(x=3.0, ray_length=6.0)
+        lam = np.linspace(-6.0, 4.0, 20)
+        am._contour_factors.cache_clear()
+        for _ in range(3):
+            with pytest.warns(RuntimeWarning, match="ray too short"):
+                am._kernel_matrix(lam, lam, spec)
+        assert am._contour_factors.cache_info().hits == 2
+
+
 class TestFredholmDet:
     def test_empty_domain_limit(self):
         # r = 20 / 2^{1/3} puts the Nystrom grid on [20, 30].

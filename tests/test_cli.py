@@ -166,6 +166,7 @@ class TestSimulateCommand:
         header, columns, rows = parse_csv(out)
         assert columns == ["observable", "mean", "stderr"]
         assert "seed=7" in header
+        assert "rng=PCG64DXSM" in header
         assert float(rows[0]["mean"]) == 0.25
         assert float(rows[0]["stderr"]) == 0.0
 
@@ -444,12 +445,15 @@ class TestConfigFile:
 class TestStartup:
     def test_cli_import_leaves_scipy_special_unloaded(self):
         # scipy.special and scipy.sparse are imported inside the functions
-        # that use them; a top-level import would slow every CLI start-up
+        # that use them; a top-level import would slow every CLI start-up.
+        # numpy.random loads lazily, on the first Monte Carlo block, and adds
+        # about 5 MB to the peak memory of every other command.
         src = os.path.dirname(os.path.dirname(os.path.abspath(asep_exact.__file__)))
         result = subprocess.run(
             [sys.executable, "-c",
              "import asep_exact.cli, sys; "
-             "print([m for m in ('scipy.special', 'scipy.sparse') if m in sys.modules])"],
+             "print([m for m in ('scipy.special', 'scipy.sparse', 'numpy.random') "
+             "if m in sys.modules])"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert result.returncode == 0, result.stderr

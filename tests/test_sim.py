@@ -132,29 +132,49 @@ class TestMCExpectation:
 
 
 class TestMCStream:
-    """(mean, stderr) pinned bit for bit: each block's Philox stream is fixed by
-    (seed, block), so any change to the step loop must reproduce these."""
+    """(mean, stderr) pinned bit for bit.  Each block draws from PCG64DXSM seeded
+    by SeedSequence((seed, block)), one Poisson count per kept replica and then,
+    at each step, one particle and one direction per replica with an event
+    left; any change to the step loop must reproduce these."""
 
     @pytest.mark.parametrize("obs,t,params,samples,seed,window,expected", [
         pytest.param(Observable.tau_pow_N(1, 0), 0.5, PARAMS, 70000, 5, None,
-                     (0.9803571428571428, 0.00036714577740642676), id="partial_last_block"),
+                     (0.9810857142857143, 0.00036054567070011896), id="partial_last_block"),
         pytest.param(Observable.tau_pow_N(2, 1), 1.5, PARAMS, 200, 3, (-12, 14),
-                     (0.59125, 0.026475164953149624), id="200_samples"),
+                     (0.630625, 0.026745701000065875), id="200_samples"),
         pytest.param(Observable.height_indicator(0, 1.0), 1.0, PARAMS, 5000, 9, (-6, 6),
-                     (0.1162, 0.004532507112420766), id="height_crosses_origin_bond"),
+                     (0.1172, 0.004549392420343496), id="height_crosses_origin_bond"),
         pytest.param(Observable.height_indicator(-1, 2.0), 2.0, ModelParams.from_tau(0.3),
-                     3000, 4, (-8, 8), (0.15466666666666667, 0.006602738953156041),
+                     3000, 4, (-8, 8), (0.15133333333333332, 0.006544065513858216),
                      id="height_left_of_origin"),
         pytest.param(Observable.qtilde_product((1, 2)), 0.7, PARAMS, 4000, 2, (-8, 10),
-                     (0.00625, 0.0008784516459792086), id="qtilde_product"),
+                     (0.00575, 0.0008430077345494094), id="qtilde_product"),
         pytest.param(Observable.etau_of_zeta_tauN(-0.6, 1), 0.8, ModelParams.from_tau(0.9),
-                     4000, 6, (-10, 10), (0.5629242995264409, 0.00023406247917486035),
+                     4000, 6, (-10, 10), (0.5624257954223171, 0.0002298517236607915),
                      id="etau_of_zeta_tauN"),
         pytest.param(Observable.tau_pow_N(1, -2), 60.0, ModelParams(p=1e-12, q=1.0 - 1e-12),
                      200, 11, (-2, 2), (1.000000000001e-12, 0.0), id="left_drift_t60"),
     ])
     def test_pinned_values(self, obs, t, params, samples, seed, window, expected):
         assert mc_expectation(obs, t, params, samples, seed, window=window) == expected
+
+    @pytest.mark.parametrize("obs, t", [
+        (Observable.tau_pow_N(1, 0), 0.4),
+        (Observable.qtilde_product((1,)), 0.5),
+        (Observable.height_indicator(0, 1.0), 0.4),
+    ], ids=["tau_pow_N", "qtilde_product", "height_indicator"])
+    def test_stream_matches_ctmc(self, obs, t):
+        # Ten seeds of 40,000 replicas against the exact value on the same
+        # window: a biased stream or step loop shows as a large |z| or as a
+        # mean z far from 0 (its spread over ten seeds is about 0.32).
+        window = (-5, 5)
+        exact_val = ctmc_exact_expectation(obs, t, PARAMS, window)
+        z = []
+        for seed in range(10):
+            mean, stderr = mc_expectation(obs, t, PARAMS, 40000, seed, window=window)
+            z.append((mean - exact_val) / stderr)
+        assert max(abs(v) for v in z) < 4.0
+        assert abs(sum(z) / len(z)) < 1.0
 
     def test_sites_beyond_int16(self):
         # 20,000 particles at 2, 4, ..., 40000: N_2 = 1 at t = 0.
