@@ -68,7 +68,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qfunc import DomainError
-from .quad import gl_panels, panel_count
+from .quad import _leggauss, gl_panels, panel_count
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 INV_CBRT2 = 2.0 ** (-1.0 / 3.0)
@@ -151,14 +151,6 @@ class NystromGrid:
         base, weights = _leggauss(self.n)
         half = 0.5 * self.span
         return self.lower + half * (base + 1.0), half * weights
-
-
-@lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
 
 
 def airy_ai(s):

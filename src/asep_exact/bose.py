@@ -16,9 +16,11 @@ Four evaluators, cross-checking each other:
   chamber and compares with the collapsed formula.
 
 Every vertical line is a trapezoid rule (see _lines), truncated where the
-Gaussian factor has decayed below TAIL_CUT.  Gamma ratios are assembled in
-log space from scipy.special.loggamma so that only exp() of differences is
-ever taken, on the equal-abscissa lines one table per pair.
+Gaussian factor has decayed below TAIL_CUT.  The lines of one term share
+their step, so every pair factor, a function of z_a - z_b and z_a + z_b, is
+one N x N product of quad.toeplitz and quad.hankel views of two O(N) tables
+(_differences, _sums).  Gamma ratios are assembled in log space from
+scipy.special.loggamma so that only exp() of differences is ever taken.
 """
 
 from __future__ import annotations
@@ -28,11 +30,19 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import compositions
 from .qfunc import DomainError, PoleError
-from .quad import Axis, MomentResult, QuadratureRule, gl_panels, line_axes, tensor_result
+from .quad import (
+    Axis,
+    MomentResult,
+    QuadratureRule,
+    gl_panels,
+    hankel,
+    line_axes,
+    tensor_result,
+    toeplitz,
+)
 
 __all__ = [
     "LADDER_MARGIN",
@@ -137,6 +147,16 @@ def _lines(lines, poles: float, theta: float, rule: QuadratureRule) -> list[Axis
     return line_axes(pieces, d, TAIL_CUT * math.exp(-excess), rule.nodes_per_piece)
 
 
+def _differences(za, zb) -> np.ndarray:
+    """z_a - z_b by i - j on lines of one step: entry i - j + N_b - 1 (quad.toeplitz)."""
+    return np.concatenate([za[0, 0] - zb[0, ::-1], za[1:, 0] - zb[0, 0]])
+
+
+def _sums(za, zb) -> np.ndarray:
+    """z_a + z_b by i + j on lines of one step: entry i + j (quad.hankel)."""
+    return np.concatenate([za[0, 0] + zb[0], za[1:, 0] + zb[0, -1]])
+
+
 def _pair_pole_distance(ladder) -> float:
     """Distance from the ladder's lines to the pair poles z_a - z_b = 1."""
     return min((a - b - 1.0 for a, b in zip(ladder, ladder[1:])), default=math.inf)
@@ -202,7 +222,9 @@ def delta_bose_moment(
         return np.exp(0.5 * t * (z - theta) ** 2 + (z - theta) * xs[a]) / z
 
     def pair(a, b, za, zb):
-        return (za - zb) / (za - zb - 1.0) * (za + zb - 1.0) / (za + zb)
+        diff, total = _differences(za, zb), _sums(za, zb)
+        n = zb.shape[1]
+        return toeplitz(diff / (diff - 1.0), n) * hankel((total - 1.0) / total, n)
 
     return tensor_result([(1.0, axes, diag, pair)], "tilted_lines")
 
@@ -226,7 +248,9 @@ def narrow_wedge_moment(xs, t: float, rule: QuadratureRule | None = None) -> Mom
 
 
 def _free_pair(a, b, za, zb):
-    return (za - zb) / (za - zb - 1.0)
+    """(z_a - z_b) / (z_a - z_b - 1) as a fresh N_a x N_b array."""
+    diff = _differences(za, zb)
+    return np.ascontiguousarray(toeplitz(diff / (diff - 1.0), zb.shape[1]))
 
 
 def _free_axes(k: int, t: float, x_scale: float, rule: QuadratureRule) -> list[Axis]:
@@ -276,19 +300,19 @@ def _collapsed_term(parts, x, t, theta, alpha, rule):
         na, nb = parts[a], parts[b]
         d = 0.5 * (na - nb)
         s = 0.5 * (na + nb)
-        cross = (wa - wb + d) * (wb - wa + d) / ((wa - wb + s) * (wb - wa + s))
-        # On lines of one step, wa + wb depends only on i_a + i_b: the Gamma ratio is one
-        # table over those sums, read as a Hankel matrix.  1/Gamma(base - s) is taken as
-        # the entire function rgamma because base - s can be a nonpositive integer where
-        # base is real; the factor is a zero there, not a singularity.
+        # The cross factor is a table over wa - wb, the Gamma ratio one over wa + wb.
+        # 1/Gamma(base - s) is taken as the entire function rgamma because base - s can
+        # be a nonpositive integer where base is real; the factor is a zero there, not a
+        # singularity.
         # imported here, not at module top: scipy.special slows every CLI start-up
         from scipy.special import rgamma
 
-        base = np.concatenate([wa[0, 0] + wb[0], wa[1:, 0] + wb[0, -1]])
+        diff, base = _differences(wa, wb), _sums(wa, wb)
+        cross = (diff + d) * (d - diff) / ((diff + s) * (s - diff))
         ratio = np.exp(
             log_gamma(base + d) + log_gamma(base - d) - log_gamma(base + s)
         ) * rgamma(base - s)
-        return cross * sliding_window_view(ratio, wb.shape[1])
+        return toeplitz(cross, wb.shape[1]) * hankel(ratio, wb.shape[1])
 
     return 2.0**k * math.factorial(k) / math.factorial(ell), axes, diag, pair
 
@@ -362,7 +386,9 @@ def weyl_linearity_check(
         z1, z2 = axes[0].z, axes[1].z
         w1 = axes[0].w * np.exp(0.5 * t * z1 * z1)
         w2 = axes[1].w * np.exp(0.5 * t * z2 * z2)
-        kernel = w1[:, None] * _free_pair(0, 1, z1[:, None], z2[None, :]) * w2[None, :]
+        kernel = _free_pair(0, 1, z1[:, None], z2[None, :])
+        kernel *= w1[:, None]
+        kernel *= w2
         y2, wy2 = _chamber_grid(lo, x)
         glue = kernel @ np.exp(np.outer(z2, y2))
         chamber = 0j

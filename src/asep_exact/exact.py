@@ -53,9 +53,11 @@ from .quad import (
     c1_rho_radius,
     circle_axis,
     circle_nodes,
+    hankel,
     line_axes,
     nested_radii,
     tensor_result,
+    toeplitz,
 )
 
 __all__ = [
@@ -316,20 +318,23 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 
 
 def _string_pair(parts, tables, tau: float):
-    """Pair factor of strings (or composition parts) n_a, n_b; tables() gives P on the grid.
+    """Pair factor of strings (or composition parts) n_a, n_b on one N-node circle about 0.
 
-    Cross factor times (u;tau)_{n_a} / (tau^{n_b} u;tau)_{n_a} = P[n_a] P[n_b] / P[n_a + n_b].
+    The cross factor (u_a - u_b)(w_b - w_a) / ((u_a - w_b)(u_b - w_a)), u_a = tau^{n_a} w_a,
+    is a function of r = w_a / w_b, which depends on (i - j) mod N: one row over
+    r_m = w_m / w_0.  The rest, (u;tau)_{n_a} / (tau^{n_b} u;tau)_{n_a} =
+    P[n_a] P[n_b] / P[n_a + n_b], depends on w_a w_b = w_0 w_{(i + j) mod N}: tables()
+    gives the prefix table P on those N products (times the route's constant).
     """
 
     def pair(a, b, wa, wb):
         na, nb = parts[a], parts[b]
         p = tables()
-        ua, ub = tau**na * wa, tau**nb * wb
-        # Grouped so that no more than two N x N temporaries live beside the table.
-        out = (ua - ub) * (wb - wa) * p[na] * p[nb]
-        out /= ua - wb
-        out /= (ub - wa) * p[na + nb]
-        return out
+        n = wb.shape[1]
+        r = wb[0] / wb[0, 0]
+        ta, tb = tau**na, tau**nb
+        cross = (ta * r - tb) * (1.0 - r) / ((ta * r - 1.0) * (tb - r))
+        return toeplitz(cross, n, wrap=True) * hankel(p[na] * p[nb] / p[na + nb], n, wrap=True)
 
     return pair
 
@@ -349,9 +354,10 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     n = circle_nodes(tol, ev.rule.nodes_per_piece, (tau**0.25,), (amp_res / (radius - tau),))
     axis = circle_axis([(0j, radius, n)])
     kfact = q_factorial(k, tau)
-    # Strings pair through the prefix table of u = w_a w_b / tau^2, built on first use:
-    # after the engine has sized every term, so a refused sum builds none.
-    tables = cache(lambda: poch_table(np.outer(axis.z, axis.z) / tau**2, tau, k))
+    # Strings pair through the prefix table of u = w_a w_b / tau^2 on the N products
+    # w_0 w_m (_string_pair), built on first use: after the engine has sized every
+    # term, so a refused sum builds none.
+    tables = cache(lambda: poch_table(axis.z[0] * axis.z / tau**2, tau, k))
 
     terms = []
     for parts in partitions_of(k):
@@ -405,10 +411,11 @@ def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
     axis = _nu_axis(k, ev) if k else None
     site = x + 1
     top = max((m for m, _ in orders), default=0)
-    # germ_g at integer order n is (-w;tau)_n (w^2;tau)_n / (w^2;tau)_{2n}.
+    # germ_g at integer order n is (-w;tau)_n (w^2;tau)_n / (w^2;tau)_{2n}.  The pairs
+    # read the table of u = w_a w_b on the N products w_0 w_m (_string_pair).
     neg = cache(lambda: poch_table(-axis.z, tau, top))
     sq = cache(lambda: poch_table(axis.z * axis.z, tau, 2 * top))
-    tables = cache(lambda: poch_table(np.outer(axis.z, axis.z), tau, top))
+    tables = cache(lambda: poch_table(axis.z[0] * axis.z, tau, top))
 
     for m, scale in orders:
         for parts, perms in _dedup_compositions(m, k):

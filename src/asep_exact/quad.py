@@ -13,11 +13,18 @@ prod_{a<b} P_ab(z_a, z_b) over such axes, and tensor_result, the one engine,
 returns sum w * full with the error |sum w * (full - half)| (see
 MomentResult), the half-grid sum sliced from factors built once on the full
 grid.  Each term is contracted with BLAS matrix products: k = 2 is
-d_0 P_01 d_1, k = 3 one GEMM, and k >= 4 loops over the nodes of one axis
-down to k = 3.  On N nodes per axis that is O(N^k) flops in O(k^2 N^2)
-memory; no N^3 intermediate is ever built.  Every grid is sized against
-MAX_POINTS, and its largest pair matrix against MAX_LINE_NODES^2, before
-any is evaluated.
+d_0 P_01 d_1, k = 3 one GEMM per ROW_BLOCK rows of axis 0, and k >= 4
+loops over the nodes of one axis down to k = 3.  On N nodes per axis that
+is O(N^k) flops; beside the pair matrices, k = 3 holds ROW_BLOCK x N
+temporaries and k >= 4 adds k - 1 folded N x N arrays, so no N^3
+intermediate is ever built.  Every grid is sized against MAX_POINTS, and
+its largest pair matrix against MAX_LINE_NODES^2, before any is evaluated.
+
+On two lines of one step, z_a[i] - z_b[j] depends on i - j alone and
+z_a[i] + z_b[j] on i + j; on one N-node trapezoid circle about 0, w_i / w_j
+depends on (i - j) mod N and w_i w_j on (i + j) mod N.  The evaluators build
+a pair factor of such arguments from O(N) tables through the read-only
+toeplitz and hankel views, with one N x N product.
 
 Axis weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
@@ -28,9 +35,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .qfunc import DomainError, ModelParams
 
@@ -46,6 +55,8 @@ __all__ = [
     "line_axes",
     "gl_panels",
     "panel_count",
+    "toeplitz",
+    "hankel",
     "tensor_result",
     "c1_rho_radius",
     "nested_radii",
@@ -167,7 +178,13 @@ def line_axes(pieces, d: float, tol: float, floor: int) -> list[Axis]:
             for (c, _), j in zip(pieces, js)]
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+@lru_cache(maxsize=16)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def panel_count(length: float, n_nodes: int) -> int:
@@ -185,9 +202,34 @@ def gl_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    w = (half[:, None] * _GL_W[None, :]).ravel()
+    gx, gw = _leggauss(16)
+    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    w = (half[:, None] * gw[None, :]).ravel()
     return x, w
+
+
+# ---------------------------------------------------------------------------
+# Pair factors from index tables.
+
+
+def toeplitz(table, n_cols: int, wrap: bool = False) -> np.ndarray:
+    """Read-only view M[i, j] = table[i - j + n_cols - 1], of table.size - n_cols + 1 rows.
+
+    With wrap, M[i, j] = table[(i - j) mod N] on N = n_cols = table.size nodes.
+    """
+    if wrap:
+        table = np.concatenate([table[1:], table])
+    return sliding_window_view(table, n_cols)[:, ::-1]
+
+
+def hankel(table, n_cols: int, wrap: bool = False) -> np.ndarray:
+    """Read-only view M[i, j] = table[i + j], of table.size - n_cols + 1 rows.
+
+    With wrap, M[i, j] = table[(i + j) mod N] on N = n_cols = table.size nodes.
+    """
+    if wrap:
+        table = np.concatenate([table, table[:-1]])
+    return sliding_window_view(table, n_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +238,21 @@ def gl_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 MAX_AXES = 5
 
+# Rows of axis 0 per step of the k = 3 contraction: its temporaries hold
+# ROW_BLOCK x N entries, not N x N.
+ROW_BLOCK = 256
+
 
 def _contract(d, pairs) -> complex:
     """Sum of prod_a d[a] prod_{a<b} pairs[a, b] over the grid, by BLAS products.
 
-    k <= 3 axes take at most one GEMM; k >= 4 loops over the nodes of axis 0,
-    folds row i of each pairs[0, a] into d[a], and recurses on the rest, so
-    N^k multiply-adds run as N^(k-3) GEMMs with only N x N temporaries.
+    k = 2 is two matrix-vector products.  k = 3 takes ROW_BLOCK rows i of
+    axis 0 at a time: y = (pairs[0, 1][i] d[1]) @ pairs[1, 2], times
+    pairs[0, 2][i], summed against d[2] and d[0][i], so its temporaries are
+    ROW_BLOCK x N.  k >= 4 loops over the nodes of axis 0, folds row i of
+    each pairs[0, a] into d[a], and recurses on the rest, so N^k
+    multiply-adds run as N^(k-3) k = 3 contractions beside k - 1 folded
+    N x N arrays.
     """
     k = len(d)
     if k == 0:
@@ -212,8 +262,13 @@ def _contract(d, pairs) -> complex:
     if k == 2:
         return d[0] @ pairs[0, 1] @ d[1]
     if k == 3:
-        outer = d[0][:, None] * pairs[0, 1] * d[1][None, :]
-        return np.sum(outer * ((pairs[0, 2] * d[2]) @ pairs[1, 2].T))
+        total = 0j
+        for lo in range(0, d[0].size, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            y = (pairs[0, 1][rows] * d[1]) @ pairs[1, 2]
+            y *= pairs[0, 2][rows]
+            total += d[0][rows] @ (y @ d[2])
+        return total
     folded = [d[a] * pairs[0, a] for a in range(1, k)]
     rest = {(a - 1, b - 1): p for (a, b), p in pairs.items() if a > 0}
     total = 0j

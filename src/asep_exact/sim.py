@@ -9,14 +9,14 @@ data occupies every positive even site.
 Two independent evaluators of the same dynamics:
 
 - mc_expectation steps blocks of MC_BLOCK replicas together, each block on
-  its own PCG64DXSM stream seeded by SeedSequence((seed, block)), and
-  tracks every replica's net current across the bond between sites 1 and 0
-  for the height observable.  Only the replicas a call keeps are stored,
-  stepped and drawn for: sorted once by event count, the replicas with an
-  attempt left form a prefix of the rows, each step draws one particle and
-  one direction for each of them, and each row carries wall columns at
-  left - 1 and right + 1, so a hop is one gather of the neighbour and one
-  comparison with the target;
+  its own PCG64DXSM stream seeded by SeedSequence((seed, block)).  Only the
+  replicas a call keeps are stored, stepped and drawn for: sorted once by
+  event count, the replicas with an attempt left form a prefix of the rows,
+  each step draws one particle and one direction for each of them, and each
+  row carries wall columns at left - 1 and right + 1, so a hop is one
+  gather of the neighbour and one comparison with the target.  The
+  observable is read off the final rows, in their narrow integer type, and
+  put back in replica order;
 - ctmc_exact_expectation lists every configuration of a small closed
   window in combinadic-rank order and steps the distribution by the
   transposed uniformized kernel: the pattern of the forward kernel with
@@ -67,7 +67,7 @@ class Observable:
     (product over sites of occupancy times tau^(N_{x-1})),
     'etau_of_zeta_tauN' (q-exponential of zeta tau^(N_x)), and
     'height_indicator' (indicator of {h(t,x) >= threshold} with the height
-    built from the tracked current).
+    built from the net current across the bond (0, 1)).
     """
 
     kind: str
@@ -123,16 +123,13 @@ def default_window(obs: Observable, t: float) -> tuple[int, int]:
     return (lo - w, hi + w)
 
 
-def _observable_values(
-    obs: Observable,
-    positions: np.ndarray,
-    params: ModelParams,
-    flux0: np.ndarray | None,
-) -> np.ndarray:
+def _observable_values(obs: Observable, positions: np.ndarray, params: ModelParams) -> np.ndarray:
     """Evaluate the observable on a (replicas, particles) position matrix.
 
-    flux0=None uses the particle count at or left of the origin, which equals
-    the tracked current pathwise when every particle starts right of 0.
+    The height h = 2 J + 2 (N_x - N_0) - x takes the net current J across
+    the bond (0, 1) as N_0, the particle count at or left of the origin,
+    which it equals on every path of a closed window whose particles all
+    start right of 0; so h = 2 N_x - x.
     """
     tau = params.tau
     n_part = positions.shape[1]
@@ -156,11 +153,7 @@ def _observable_values(
             table[j] = float(np.real(val))
         return table[n_x]
     if obs.kind == "height_indicator":
-        n_x = np.sum(positions <= obs.x, axis=1)
-        n_0 = np.sum(positions <= 0, axis=1)
-        if flux0 is None:
-            flux0 = n_0
-        h = 2 * flux0 + 2 * (n_x - n_0) - obs.x
+        h = 2 * np.sum(positions <= obs.x, axis=1) - obs.x
         return (h >= obs.threshold).astype(np.float64)
     raise DomainError(f"unknown observable kind {obs.kind!r}")
 
@@ -181,11 +174,12 @@ def _mc_block(
     sites = np.concatenate(([left - 1], np.arange(2, right + 1, 2), [right + 1])).astype(dtype)
     n_part = sites.size - 2
     rows = np.tile(sites, (n_keep, 1))
-    flux = np.zeros(n_keep, dtype=np.int32)
     replica = np.arange(n_keep)
     if n_part > 0 and t > 0.0:
         n_ev = rng.poisson(n_part * t, size=n_keep)
-        order = np.argsort(-n_ev, kind="stable")
+        # Most events first; the stable sort of a key this narrow is a radix sort.
+        top = int(n_ev.max())
+        order = np.argsort((top - n_ev).astype(np.min_scalar_type(top)), kind="stable")
         replica[order] = np.arange(n_keep)
         # Entry s: how many kept replicas have more than s events.
         n_active = n_keep - np.cumsum(np.bincount(n_ev))
@@ -197,9 +191,7 @@ def _mc_block(
             pos = flat.take(cell)
             new = pos + shift * (flat.take(cell + shift) != pos + shift)
             flat[cell] = new
-            # +1 for a hop from 1 to 0, -1 for a hop from 0 to 1.
-            flux[:n] += (pos - new) * (np.minimum(pos, new) == 0)
-    return _observable_values(obs, rows[replica, 1:-1].astype(np.int64), params, flux[replica])
+    return _observable_values(obs, rows[:, 1:-1], params)[replica]
 
 
 def mc_expectation(
@@ -411,7 +403,7 @@ def ctmc_exact_expectation(
             f"window [{left}, {right}] has {n_states} states, cap is {CTMC_STATE_CAP}"
         )
     if n_part == 0 or t == 0.0:
-        return float(_observable_values(obs, init_sites[None, :] + left, params, None)[0])
+        return float(_observable_values(obs, init_sites[None, :] + left, params)[0])
 
     lam = float(n_part)
     first, weights = _poisson_weights(lam * t)
@@ -427,7 +419,7 @@ def ctmc_exact_expectation(
     # Each array is dropped once read for the last time: the kernel build sets
     # the peak, and the stepping loop holds only the CSR and three vectors.
     del configs
-    values = _observable_values(obs, states.astype(np.int64) + left, params, None)
+    values = _observable_values(obs, states.astype(np.int64) + left, params)
     edge = int(shells[-2]) if n_max > 0 else 0
     indptr, indices, data = _ball_kernel(
         states, ranks, table, init_sites, edge, params.p / lam, params.q / lam

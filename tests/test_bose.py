@@ -10,6 +10,7 @@ contour-independence and node-doubling self-checks.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ def phi(x: float, t: float) -> float:
 
 def heat_kernel(x: float, t: float) -> float:
     return math.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+
+
+def route_terms(monkeypatch, call) -> list:
+    """The (weight, axes, diag, pair) terms an evaluator hands to tensor_result."""
+    seen = []
+
+    def record(terms, method):
+        terms = list(terms)
+        seen.extend(terms)
+        return tensor_result(terms, method)
+
+    monkeypatch.setattr(bose, "tensor_result", record)
+    call()
+    return seen
 
 
 class TestLogGamma:
@@ -83,6 +98,20 @@ class TestBoseParams:
 
 
 class TestDeltaBoseMoment:
+    def test_third_moment_peak_memory(self):
+        # Three 719-node lines.  Elementwise pair builds and N x N contraction
+        # temporaries peaked at 49.7 MB, six N x N arrays.
+        bose.delta_bose_moment((0.0,), 0.6, 0.0)
+        tracemalloc.start()
+        try:
+            res = bose.delta_bose_moment((0.255, 0.255 + 1e-9, 0.255 + 2e-9), 0.6, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = res.node_counts[0]
+        assert res.node_counts == (719, 719, 719)
+        assert peak < 4.5 * n * n * 16
+
     @pytest.mark.parametrize("x,t", [(0.0, 1.0), (0.5, 0.8), (-1.0, 2.0)])
     def test_single_point_is_gaussian_cdf(self, x, t):
         val = bose.delta_bose_moment((x,), t, 0.0)
@@ -142,6 +171,32 @@ class TestDeltaBoseMoment:
             bose.delta_bose_moment(
                 (0.0,), 1.0, 0.0, bose=bose.BoseParams(alpha_ladder=(1.8, 0.5))
             )
+
+
+class TestLinePairTables:
+    """Pair factors of node differences and sums, read from O(N) tables on the lines
+    of one step, against their elementwise formulas."""
+
+    @pytest.mark.parametrize("route", ["tilted", "free"])
+    def test_pairs_match_elementwise(self, monkeypatch, route):
+        if route == "tilted":
+            call = lambda: bose.delta_bose_moment((0.255, 0.255 + 1e-9, 0.255 + 2e-9), 0.6, 0.4)
+
+            def formula(za, zb):
+                return (za - zb) / (za - zb - 1.0) * (za + zb - 1.0) / (za + zb)
+        else:
+            call = lambda: bose.narrow_wedge_moment((0.0, 0.7, 1.4), 1.5)
+
+            def formula(za, zb):
+                return (za - zb) / (za - zb - 1.0)
+
+        (_, axes, _, pair), = route_terms(monkeypatch, call)
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            got = pair(a, b, axes[a].z[:, None], axes[b].z[None, :])
+            # The engine reads the half grid off the full-grid factor.
+            for half in (slice(None), slice(None, None, 2)):
+                expect = formula(axes[a].z[half, None], axes[b].z[None, half])
+                assert np.all(np.abs(got[half, half] - expect) <= 1e-13 * np.abs(expect))
 
 
 class TestNarrowWedgeMoment:
@@ -216,7 +271,10 @@ class TestCollapsedMoment:
         expect = cross * ratio
         got = pair(0, 1, wa, wb)
         assert got.shape == expect.shape
-        assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+        # The engine reads the half grid off the full-grid factor.
+        for half in (slice(None), slice(None, None, 2)):
+            assert np.all(np.abs(got[half, half] - expect[half, half])
+                          <= 1e-13 * np.abs(expect[half, half]))
         if parts == (1, 1) and alpha == 0.5:
             # w_a + w_b = 1 on the antidiagonal of the two equal lines.
             assert np.all(np.fliplr(expect).diagonal() == 0.0)

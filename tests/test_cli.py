@@ -447,13 +447,14 @@ class TestStartup:
         # scipy.special and scipy.sparse are imported inside the functions
         # that use them; a top-level import would slow every CLI start-up.
         # numpy.random loads lazily, on the first Monte Carlo block, and adds
-        # about 5 MB to the peak memory of every other command.
+        # about 5 MB to the peak memory of every other command; numpy.polynomial,
+        # for the Gauss-Legendre rules, loads on the first Airy or chamber grid.
         src = os.path.dirname(os.path.dirname(os.path.abspath(asep_exact.__file__)))
         result = subprocess.run(
             [sys.executable, "-c",
              "import asep_exact.cli, sys; "
-             "print([m for m in ('scipy.special', 'scipy.sparse', 'numpy.random') "
-             "if m in sys.modules])"],
+             "print([m for m in ('scipy.special', 'scipy.sparse', 'numpy.random', "
+             "'numpy.polynomial') if m in sys.modules])"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert result.returncode == 0, result.stderr

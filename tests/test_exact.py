@@ -9,6 +9,7 @@ with each other to quadrature accuracy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -288,32 +289,67 @@ def string_pair_factor(wa, wb, la: int, lb: int, tau: float):
     return out
 
 
+def string_pair_expected(wa, wb, na: int, nb: int, tau: float, reference):
+    """Cross factor times the route's product form, entry by entry."""
+    ua, ub = tau**na * wa, tau**nb * wb
+    return (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa)) * reference(wa, wb, na, nb, tau)
+
+
 class TestStringPair:
     """The pair factor both string routes share, against each route's product form.
 
-    It takes P[n_a] P[n_b] / P[n_a + n_b] from one prefix table on the full grid.
+    On an N-node trapezoid circle about 0, w_a / w_b depends on (i - j) mod N and
+    w_a w_b on (i + j) mod N: the factor is read from a row over the ratios and
+    P[n_a] P[n_b] / P[n_a + n_b] from the prefix table of the N products w_0 w_m.
     """
 
     @pytest.mark.parametrize("tau", [0.1, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("route", ["composition", "partition"])
     def test_matches_per_term_products(self, tau, route):
-        rng = np.random.default_rng(7)
         if route == "composition":
             radius, base, reference = 0.5 * (1.0 + tau**-0.5), 1.0, composition_pair_factor
         else:
             radius, base, reference = tau**0.75, tau**-2, string_pair_factor
-        w = radius * np.exp(2j * np.pi * rng.uniform(size=12))
-        table = poch_table(base * np.outer(w, w), tau, 6)
+        w = quad.circle_axis([(0j, radius, 12)]).z
+        table = poch_table(base * w[0] * w, tau, 6)
         for na, nb in [(1, 1), (2, 1), (1, 3), (3, 3), (4, 2)]:
             pair = ex._string_pair((na, nb), lambda: table, tau)
             got = pair(0, 1, w[:, None], w[None, :])
             # The engine reads the half grid off the full-grid factor.
             for half in (slice(None), slice(None, None, 2)):
-                wa, wb = w[half, None], w[None, half]
-                ua, ub = tau**na * wa, tau**nb * wb
-                cross = (ua - ub) * (wb - wa) / ((ua - wb) * (ub - wa))
-                expect = cross * reference(wa, wb, na, nb, tau)
+                expect = string_pair_expected(w[half, None], w[None, half], na, nb, tau, reference)
                 assert np.all(np.abs(got[half, half] - expect) <= 1e-13 * np.abs(expect))
+
+    @pytest.mark.parametrize("route", ["composition", "partition"])
+    def test_route_pairs_match_per_term_products(self, monkeypatch, route):
+        # Every pair of a k = 3 moment on the circle the route builds (158 and 140 nodes
+        # at tau 0.3).  Past about 250 nodes the two sides part by more than 1e-13 next
+        # to the diagonal, where w_b - w_a is small and carries the rounding of each node.
+        tau = 0.3
+        if route == "composition":
+            moment, reference = ex.halfflat_moment, composition_pair_factor
+            parts = [p for k in range(4) for p, _ in ex._dedup_compositions(3, k)]
+        else:
+            moment, reference = ex.partition_moment, string_pair_factor
+            parts = ex.partitions_of(3)
+        terms = []
+        real = ex.tensor_result
+
+        def record(evaluated, method):
+            terms.extend(evaluated := list(evaluated))
+            return real(evaluated, method)
+
+        monkeypatch.setattr(ex, "tensor_result", record)
+        moment(3, 3, 0.7, make_ev(tau))
+        assert len(terms) == len(parts)
+        for (_, axes, _, pair), ps in zip(terms, parts):
+            for a, b in itertools.combinations(range(len(ps)), 2):
+                w = axes[a].z
+                got = pair(a, b, w[:, None], w[None, :])
+                for half in (slice(None), slice(None, None, 2)):
+                    expect = string_pair_expected(w[half, None], w[None, half], ps[a], ps[b],
+                                                  tau, reference)
+                    assert np.all(np.abs(got[half, half] - expect) <= 1e-13 * np.abs(expect))
 
 
 class TestHalfflatMoments:
@@ -364,6 +400,19 @@ class TestHalfflatMoments:
 
     def test_zeroth_moment_is_one(self):
         assert ex.halfflat_moment(0, 2, 0.5, EV).value == pytest.approx(1.0)
+
+    def test_order_three_peak_memory(self):
+        # 412-node circles at tau 0.7.  Pairs built from prefix tables of the N x N
+        # products of two nodes, with N x N contraction temporaries, peaked at 27.3 MB.
+        ev = make_ev(0.7)
+        tracemalloc.start()
+        try:
+            res = ex.halfflat_moment(3, 3, 0.893, ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.node_counts == (412, 412, 412)
+        assert peak < 18 * 2**20
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):

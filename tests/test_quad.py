@@ -228,6 +228,20 @@ class TestPathQuadrature:
         assert np.sum(w * x**31) == pytest.approx((2.0**32 - 1.0) / 32.0, rel=1e-13)
 
 
+class TestPairViews:
+    def test_views_index_their_tables(self):
+        table = np.arange(7.0)
+        i, j = np.ogrid[:4, :4]
+        assert np.array_equal(quad.toeplitz(table, 4), table[i - j + 3])
+        assert np.array_equal(quad.hankel(table, 4), table[i + j])
+        ring = np.arange(5.0)
+        i, j = np.ogrid[:5, :5]
+        assert np.array_equal(quad.toeplitz(ring, 5, wrap=True), ring[(i - j) % 5])
+        assert np.array_equal(quad.hankel(ring, 5, wrap=True), ring[(i + j) % 5])
+        assert not quad.toeplitz(table, 4).flags.writeable
+        assert not quad.hankel(ring, 5, wrap=True).flags.writeable
+
+
 class TestTensorProduct:
     def test_double_pole_product(self):
         res = tensor_result([(1.0, [UNIT] * 2, lambda a, z: 1.0 / z, ones)], "probe")
@@ -291,12 +305,17 @@ class TestTensorProduct:
         assert res.err_estimate == 0.0
         assert res.node_counts == ()
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_matches_brute_force_sum(self, k):
+    @pytest.mark.parametrize("k, row_block", [
+        *(pytest.param(k, quad.ROW_BLOCK, id=str(k)) for k in (1, 2, 3, 4, 5)),
+        pytest.param(3, 4, id="3-row-blocks"),
+    ])
+    def test_matches_brute_force_sum(self, monkeypatch, k, row_block):
         # Random complex Laurent-polynomial factors on axes of distinct sizes, with
         # non-symmetric pair factors, so a transposed pair factor or a swapped axis changes
         # the sum.  The brute force calls them on explicitly sliced half axes, the engine on
-        # the full grid only.
+        # the full grid only.  A row block of 4 splits axis 0 (6 nodes) into a full and a
+        # partial block.
+        monkeypatch.setattr(quad, "ROW_BLOCK", row_block)
         rng = np.random.default_rng(k)
         axes = [circle_axis([(0j, 1.0, 2 * n)]) for n in (3, 4, 5, 6, 7)[:k]]
         powers = np.arange(-3, 4)
