@@ -362,8 +362,11 @@ def weyl_linearity_check(
 
     Integrates the point-mass-start moment against the tilted step weights
     prod_a e^{-theta (x - y_a)} over the truncated ordered chamber
-    {y_1 < ... < y_k <= x, y_a > x - Y} and compares with
-    she_halfflat_moment_collapsed(k, x, t, theta).
+    {y_1 < ... < y_k <= x, y_a > lo = x - Y} and compares with
+    she_halfflat_moment_collapsed(k, x, t, theta).  The outer y_k axis is
+    Gauss-Legendre on [lo, x]; for k = 2 the inner y_1 integral of
+    e^{-theta (x - y_1)} e^{y_1 z_1} over [lo, y_2] is taken in closed form,
+    with divisor z_1 + theta != 0 because Re z_1 > 0 and theta >= 0.
     """
     if k not in (1, 2):
         raise DomainError(f"need k in {{1, 2}}, got {k}")
@@ -375,10 +378,10 @@ def weyl_linearity_check(
     depth = math.sqrt(2.0 * t * math.log(1e8)) + abs(x) + 4.0 * math.sqrt(t) + 4.0
     lo = x - depth
     axes = _free_axes(k, t, max(abs(x), abs(lo)), rule)
+    y, wy = _chamber_grid(lo, x)
     if k == 1:
         z = axes[0].z
         wz = axes[0].w * np.exp(0.5 * t * z * z)
-        y, wy = _chamber_grid(lo, x)
         vals = np.exp(np.outer(y, z)) @ wz
         boundary = abs(vals[0] * math.exp(-theta * (x - lo)))
         chamber = complex(np.sum(wy * np.exp(-theta * (x - y)) * vals))
@@ -389,18 +392,11 @@ def weyl_linearity_check(
         kernel = _free_pair(0, 1, z1[:, None], z2[None, :])
         kernel *= w1[:, None]
         kernel *= w2
-        y2, wy2 = _chamber_grid(lo, x)
-        glue = kernel @ np.exp(np.outer(z2, y2))
-        chamber = 0j
-        boundary = 0.0
-        for j in range(y2.size):
-            y1, wy1 = _chamber_grid(lo, y2[j])
-            vals = np.exp(np.outer(y1, z1)) @ glue[:, j]
-            if j == 0:
-                boundary = abs(vals[0]) * math.exp(-theta * (2.0 * x - y1[0] - y2[0]))
-            inner = np.sum(wy1 * np.exp(-theta * (x - y1)) * vals)
-            chamber += wy2[j] * math.exp(-theta * (x - y2[j])) * inner
-        chamber *= 2.0
+        glue = kernel @ np.exp(np.outer(z2, y))
+        start = np.exp(z1 * lo - theta * (x - lo))
+        boundary = abs(start @ glue[:, 0]) * math.exp(-theta * (x - y[0]))
+        inner = (np.exp(np.outer(z1, y) - theta * (x - y)) - start[:, None]) / (z1 + theta)[:, None]
+        chamber = 2.0 * np.sum(wy * np.exp(-theta * (x - y)) * np.sum(inner * glue, axis=0))
     if boundary > 1e-8:
         _warnings.warn(
             f"chamber truncated before the integrand decayed (boundary {boundary:.2e})",

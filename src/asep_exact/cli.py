@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -220,6 +221,8 @@ _COMMAND_HELP = {
 }
 
 
+# Built once per process: parse_args leaves no state on the parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asep-exact",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,18 +315,54 @@ class TestCollapsedMoment:
             bose.she_halfflat_moment_collapsed(2, 0.0, 1.0, -0.5)
 
 
+def nested_chamber_k2(x: float, t: float, theta: float) -> complex:
+    """The k = 2 chamber sum with the inner y_1 axis on Gauss-Legendre panels too.
+
+    One panel grid on [lo, y_2] per outer node y_2, the integrand summed over
+    the z_1 line at every (y_1, y_2): the quadrature the closed form replaced.
+    """
+    rule = QuadratureRule()
+    depth = math.sqrt(2.0 * t * math.log(1e8)) + abs(x) + 4.0 * math.sqrt(t) + 4.0
+    lo = x - depth
+    axes = bose._free_axes(2, t, max(abs(x), abs(lo)), rule)
+    z1, z2 = axes[0].z, axes[1].z
+    kernel = bose._free_pair(0, 1, z1[:, None], z2[None, :])
+    kernel *= (axes[0].w * np.exp(0.5 * t * z1 * z1))[:, None]
+    kernel *= axes[1].w * np.exp(0.5 * t * z2 * z2)
+    y2, wy2 = bose._chamber_grid(lo, x)
+    glue = kernel @ np.exp(np.outer(z2, y2))
+    chamber = 0j
+    for j in range(y2.size):
+        y1, wy1 = bose._chamber_grid(lo, y2[j])
+        vals = np.exp(np.outer(y1, z1)) @ glue[:, j]
+        inner = np.sum(wy1 * np.exp(-theta * (x - y1)) * vals)
+        chamber += wy2[j] * math.exp(-theta * (x - y2[j])) * inner
+    return 2.0 * chamber
+
+
+@pytest.mark.filterwarnings("error")
 class TestWeylLinearity:
+    # Every gap below measures 1.1e-16 to 5.0e-16; a truncation warning fails the test.
     def test_single_point_no_tilt(self):
-        assert bose.weyl_linearity_check(1, 0.3, 1.0, 0.0) < 1e-6
+        assert bose.weyl_linearity_check(1, 0.3, 1.0, 0.0) < 1e-12
 
     def test_single_point_tilted(self):
-        assert bose.weyl_linearity_check(1, 0.0, 1.0, 1.0) < 1e-6
+        assert bose.weyl_linearity_check(1, 0.0, 1.0, 1.0) < 1e-12
 
     def test_pair_no_tilt(self):
-        assert bose.weyl_linearity_check(2, 0.0, 0.5, 0.0) < 1e-4
+        assert bose.weyl_linearity_check(2, 0.0, 0.5, 0.0) < 1e-12
 
     def test_pair_tilted(self):
-        assert bose.weyl_linearity_check(2, 0.4, 0.8, 1.0) < 1e-4
+        assert bose.weyl_linearity_check(2, 0.4, 0.8, 1.0) < 1e-12
+
+    @pytest.mark.parametrize("x, t, theta", [(0.3, 0.7, 0.4), (0.0, 0.5, 0.0), (-1.0, 1.5, 0.2)])
+    def test_closed_inner_axis_matches_nested_panels(self, monkeypatch, x, t, theta):
+        # With the collapsed value replaced by the nested-panel chamber sum, the
+        # check returns |closed-form chamber sum - nested-panel chamber sum|.
+        reference = nested_chamber_k2(x, t, theta)
+        monkeypatch.setattr(bose, "she_halfflat_moment_collapsed",
+                            lambda *args, **kwargs: SimpleNamespace(value=reference))
+        assert bose.weyl_linearity_check(2, x, t, theta) <= 1e-13 * abs(reference)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):

@@ -442,6 +442,36 @@ class TestConfigFile:
         assert "config" in err
 
 
+class TestParserCache:
+    MOMENT = ["moment", "--tau", "0.5", "--x", "4", "--t", "0", "--method", "halfflat"]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_earlier_flags_do_not_reach_later_calls(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("k = 2\ntau = 0.3\n")
+        runs = [(self.MOMENT + ["--k", "3"], "3", 0.5 ** 6),
+                (self.MOMENT, "1", 0.5 ** 2),
+                (self.MOMENT + ["--config", str(config)], "2", 0.5 ** 4),
+                (self.MOMENT, "1", 0.5 ** 2)]
+        for argv, k, value in runs:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            _, _, rows = parse_csv(out)
+            assert rows[0]["k_or_m"] == k
+            assert float(rows[0]["value"]) == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["moment", "--help"]])
+    def test_help_matches_a_fresh_parser(self, argv, capsys):
+        run_cli(self.MOMENT + ["--k", "3"], capsys)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(argv)
+        assert out == capsys.readouterr().out
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_special_unloaded(self):
         # scipy.special and scipy.sparse are imported inside the functions
