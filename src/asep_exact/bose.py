@@ -15,6 +15,8 @@ Four evaluators, cross-checking each other:
   (point-mass) moments against the tilted step weights over the ordered
   chamber and compares with the collapsed formula.
 
+Settings are plain arguments, each checked once: nodes >= 8, the floor of every
+line, by _lines; the ladder by _validate_ladder; alpha > 0 where it is read.
 Every vertical line is a trapezoid rule (see _lines), truncated where the
 Gaussian factor has decayed below TAIL_CUT.  The lines of one term share
 their step, so every pair factor, a function of z_a - z_b and z_a + z_b, is
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .qfunc import DomainError, PoleError
 from .quad import (
     Axis,
     MomentResult,
-    QuadratureRule,
     gl_panels,
     hankel,
     line_axes,
@@ -46,7 +46,6 @@ from .quad import (
 
 __all__ = [
     "LADDER_MARGIN",
-    "BoseParams",
     "log_gamma",
     "default_ladder",
     "delta_bose_moment",
@@ -81,28 +80,6 @@ def log_gamma(z):
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class BoseParams:
-    """Contour abscissas for the point-interaction evaluators.
-
-    alpha_ladder overrides the vertical-line abscissas of the ordered-point
-    formula; entries must descend with gaps above one and end positive,
-    each inequality strict with margin LADDER_MARGIN.  alpha is the common
-    abscissa of the collapsed equal-point formula.
-    """
-
-    alpha_ladder: tuple[float, ...] | None = None
-    alpha: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.alpha < LADDER_MARGIN:
-            raise DomainError(f"need alpha > 0, got {self.alpha}")
-        if self.alpha_ladder is not None:
-            ladder = tuple(float(a) for a in self.alpha_ladder)
-            object.__setattr__(self, "alpha_ladder", ladder)
-            _validate_ladder(ladder)
-
-
 def default_ladder(k: int, theta: float) -> tuple[float, ...]:
     """Descending abscissas with 1.25 gaps, centered near the tilt.
 
@@ -113,10 +90,8 @@ def default_ladder(k: int, theta: float) -> tuple[float, ...]:
 
 
 def _validate_ladder(alpha: tuple[float, ...]) -> None:
-    k = len(alpha)
-    if k == 0:
-        raise DomainError("empty abscissa ladder")
-    for a in range(k - 1):
+    # Nonempty: delta_bose_moment matches its length to at least one point first.
+    for a in range(len(alpha) - 1):
         if alpha[a] - alpha[a + 1] - 1.0 < LADDER_MARGIN:
             raise DomainError(
                 f"ladder needs alpha[{a}] > alpha[{a + 1}] + 1, got {alpha}"
@@ -129,7 +104,7 @@ def _validate_ladder(alpha: tuple[float, ...]) -> None:
 # Vertical-line axes for the shared tensor evaluator.
 
 
-def _lines(lines, poles: float, theta: float, rule: QuadratureRule) -> list[Axis]:
+def _lines(lines, poles: float, theta: float, nodes: int) -> list[Axis]:
     """Trapezoid axes on the lines (abscissa, freq, gauss) of one term, on one step.
 
     Along its line the integrand decays like e^(-gauss y^2), and the line
@@ -138,13 +113,15 @@ def _lines(lines, poles: float, theta: float, rule: QuadratureRule) -> list[Axis
     of half-width d, at most poles (the distance to the nearest singularity),
     the rule errs like e^(freq d + gauss d^2 - 2 pi d / h): TAIL_CUT is met
     at h = 2 pi d / (log(1/TAIL_CUT) + freq d + gauss d^2), which is widest at
-    d = sqrt(log(1/TAIL_CUT) / gauss).
+    d = sqrt(log(1/TAIL_CUT) / gauss).  Each line takes at least nodes >= 8 nodes.
     """
+    if nodes < 8:
+        raise DomainError(f"need nodes >= 8, got {nodes}")
     target = math.log(1.0 / TAIL_CUT)
     d = min([poles] + [math.sqrt(target / g) for _, _, g in lines])
     excess = max((f * d + g * d * d for _, f, g in lines), default=0.0)
     pieces = [(c, math.sqrt(target / g) + abs(theta) + 4.0) for c, _, g in lines]
-    return line_axes(pieces, d, TAIL_CUT * math.exp(-excess), rule.nodes_per_piece)
+    return line_axes(pieces, d, TAIL_CUT * math.exp(-excess), nodes)
 
 
 def _differences(za, zb) -> np.ndarray:
@@ -185,27 +162,25 @@ def delta_bose_moment(
     xs,
     t: float,
     theta: float,
-    bose: BoseParams | None = None,
-    rule: QuadratureRule | None = None,
+    ladder: tuple[float, ...] | None = None,
+    nodes: int = 64,
 ) -> MomentResult:
     """Ordered-point moments for the tilted one-sided step start.
 
     k-fold integral over the descending ladder of vertical lines of
     prod_{a<b} (z_a - z_b)/(z_a - z_b - 1) * (z_a + z_b - 1)/(z_a + z_b)
     against weights exp((t/2)(z_a - theta)^2 + (z_a - theta) x_a) / z_a.
+    ladder (default_ladder if None) must descend with gaps above one and end
+    positive, each inequality strict with margin LADDER_MARGIN.
     """
     xs = _check_points(xs)
     k = len(xs)
     _check_time(t)
     if theta < 0:
         raise DomainError(f"need theta >= 0, got {theta}")
-    rule = rule or QuadratureRule()
-    if bose is not None and bose.alpha_ladder is not None:
-        ladder = bose.alpha_ladder
-        if len(ladder) != k:
-            raise DomainError(f"ladder length {len(ladder)} != number of points {k}")
-    else:
-        ladder = default_ladder(k, theta)
+    ladder = default_ladder(k, theta) if ladder is None else ladder
+    if len(ladder) != k:
+        raise DomainError(f"ladder length {len(ladder)} != number of points {k}")
     _validate_ladder(ladder)
     offset = max(0.5 * t * (a - theta) ** 2 for a in ladder)
     if offset > 100.0:
@@ -216,7 +191,7 @@ def delta_bose_moment(
         )
     # The pole of 1/z at 0 is nearest the last line; z_a + z_b = 0 is farther.
     lines = [(c, abs(t * (c - theta) + x), 0.5 * t) for c, x in zip(ladder, xs)]
-    axes = _lines(lines, min(_pair_pole_distance(ladder), ladder[-1]), theta, rule)
+    axes = _lines(lines, min(_pair_pole_distance(ladder), ladder[-1]), theta, nodes)
 
     def diag(a, z):
         return np.exp(0.5 * t * (z - theta) ** 2 + (z - theta) * xs[a]) / z
@@ -229,7 +204,7 @@ def delta_bose_moment(
     return tensor_result([(1.0, axes, diag, pair)], "tilted_lines")
 
 
-def narrow_wedge_moment(xs, t: float, rule: QuadratureRule | None = None) -> MomentResult:
+def narrow_wedge_moment(xs, t: float, nodes: int = 64) -> MomentResult:
     """Point-mass-start moments at strictly ordered points.
 
     Same ladder-of-lines structure with the single cross factor
@@ -238,8 +213,7 @@ def narrow_wedge_moment(xs, t: float, rule: QuadratureRule | None = None) -> Mom
     xs = _check_points(xs)
     k = len(xs)
     _check_time(t)
-    rule = rule or QuadratureRule()
-    axes = _free_axes(k, t, max(abs(v) for v in xs), rule)
+    axes = _free_axes(k, t, max(abs(v) for v in xs), nodes)
 
     def diag(a, z):
         return np.exp(0.5 * t * z * z + z * xs[a])
@@ -253,18 +227,18 @@ def _free_pair(a, b, za, zb):
     return np.ascontiguousarray(toeplitz(diff / (diff - 1.0), zb.shape[1]))
 
 
-def _free_axes(k: int, t: float, x_scale: float, rule: QuadratureRule) -> list[Axis]:
+def _free_axes(k: int, t: float, x_scale: float, nodes: int) -> list[Axis]:
     """Line axes for the point-mass-start integrand, reused by the chamber check."""
     ladder = default_ladder(k, 0.0)
     lines = [(c, abs(t * c) + x_scale, 0.5 * t) for c in ladder]
-    return _lines(lines, _pair_pole_distance(ladder), 0.0, rule)
+    return _lines(lines, _pair_pole_distance(ladder), 0.0, nodes)
 
 
 # ---------------------------------------------------------------------------
 # Collapsed equal-point formula (string expansion with Gamma ratios).
 
 
-def _collapsed_term(parts, x, t, theta, alpha, rule):
+def _collapsed_term(parts, x, t, theta, alpha, nodes):
     """One string composition's term over equal-abscissa lines, weighted 2^k k! / ell!.
 
     k = sum(parts) and ell = len(parts); the empty composition is the zeroth moment, 1.
@@ -285,7 +259,7 @@ def _collapsed_term(parts, x, t, theta, alpha, rule):
     # |w_a - w_b| = (n_a + n_b)/2 >= 1.  Poles warned about above do not set the step.
     poles = min([alpha, 1.0] + [r for r in near if r >= 1e-6])
     lines = [(alpha, n * abs(t * (alpha - theta) + x), 0.5 * t * n) for n in parts]
-    axes = _lines(lines, poles, theta, rule)
+    axes = _lines(lines, poles, theta, nodes)
 
     def diag(a, w):
         n_a = parts[a]
@@ -322,10 +296,10 @@ def she_halfflat_moment_collapsed(
     x: float,
     t: float,
     theta: float,
-    bose: BoseParams | None = None,
-    rule: QuadratureRule | None = None,
+    alpha: float = 0.5,
+    nodes: int = 64,
 ) -> MomentResult:
-    """Equal-point moments via the string expansion on one common abscissa.
+    """Equal-point moments via the string expansion on one common abscissa alpha > 0.
 
     2^k k! sum over string counts ell and compositions of k into ell
     positive strings, each contributing an ell-fold equal-abscissa line
@@ -339,10 +313,10 @@ def she_halfflat_moment_collapsed(
     _check_time(t)
     if theta < 0:
         raise DomainError(f"need theta >= 0, got {theta}")
-    alpha = bose.alpha if bose is not None else 0.5
-    rule = rule or QuadratureRule()
+    if alpha < LADDER_MARGIN:
+        raise DomainError(f"need alpha > 0, got {alpha}")
     strings = (parts for ell in range(k + 1) for parts in compositions(k, ell))
-    terms = (_collapsed_term(parts, x, t, theta, alpha, rule) for parts in strings)
+    terms = (_collapsed_term(parts, x, t, theta, alpha, nodes) for parts in strings)
     return tensor_result(terms, "collapsed_strings")
 
 
@@ -356,7 +330,7 @@ def _chamber_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weyl_linearity_check(
-    k: int, x: float, t: float, theta: float, rule: QuadratureRule | None = None
+    k: int, x: float, t: float, theta: float, nodes: int = 64
 ) -> float:
     """Absolute gap between the chamber route and the collapsed formula.
 
@@ -373,11 +347,10 @@ def weyl_linearity_check(
     _check_time(t)
     if theta < 0:
         raise DomainError(f"need theta >= 0, got {theta}")
-    rule = rule or QuadratureRule()
-    collapsed = she_halfflat_moment_collapsed(k, x, t, theta, rule=rule).value
+    collapsed = she_halfflat_moment_collapsed(k, x, t, theta, nodes=nodes).value
     depth = math.sqrt(2.0 * t * math.log(1e8)) + abs(x) + 4.0 * math.sqrt(t) + 4.0
     lo = x - depth
-    axes = _free_axes(k, t, max(abs(x), abs(lo)), rule)
+    axes = _free_axes(k, t, max(abs(x), abs(lo)), nodes)
     y, wy = _chamber_grid(lo, x)
     if k == 1:
         z = axes[0].z

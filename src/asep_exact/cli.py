@@ -72,7 +72,6 @@ import numpy as np
 from . import __version__
 from .airy import CBRT2, ConsistencyError, KernelSpec, NystromGrid, airy_oracles, halfflat_limit_cdf
 from .bose import (
-    BoseParams,
     delta_bose_moment,
     narrow_wedge_moment,
     she_halfflat_moment_collapsed,
@@ -91,8 +90,8 @@ from .exact import (
     tau_laplace_series,
     verify_ansatz,
 )
-from .qfunc import DomainError, ModelParams, PoleError, QTruncation
-from .quad import CostGuardError, QuadratureRule
+from .qfunc import DomainError, ModelParams, PoleError
+from .quad import CostGuardError
 from .sim import MC_BITGEN, Observable, ctmc_exact_expectation, default_window, mc_expectation
 
 MOMENT_METHODS = ("halfflat", "nested", "partition")
@@ -169,7 +168,8 @@ _OPTION_TABLES: dict[str, tuple[Opt, ...]] = {
         Opt("t", float, 1.0, "time"),
         Opt("samples", int, 10_000, "number of Monte Carlo replicas (>= 100)"),
         Opt("seed", int, None, "stream seed (required)"),
-        Opt("window", _int_pair, None, "lattice window 'left,right' (default: drift-aware)"),
+        Opt("window", _int_pair, None,
+            "lattice window 'left,right' (default: 4t + 32 sites past 0 and the observed sites)"),
     ) + _OUT_OPTS,
     "ctmc-oracle": _MODEL_OPTS + _OBS_OPTS + (
         Opt("t", float, 1.0, "time"),
@@ -190,8 +190,9 @@ _OPTION_TABLES: dict[str, tuple[Opt, ...]] = {
         Opt("x", _float_tuple, (0.0,), "comma-separated evaluation points"),
         Opt("t", float, 1.0, "time"),
         Opt("theta", float, 0.0, "tilt of the initial data"),
-        Opt("alpha", float, 0.5, "common abscissa of the collapsed formula"),
-        Opt("ladder", _float_tuple, None, "override abscissas for the ordered formula"),
+        Opt("alpha", float, None, "common abscissa of halfflat-collapsed (default: 0.5)"),
+        Opt("ladder", _float_tuple, None,
+            "line abscissas of tilted, one per point (default: 1.25 apart, down to theta + 0.5)"),
         Opt("nodes", int, 64, "quadrature nodes per contour piece (floor)"),
     ) + _OUT_OPTS,
     "airy21": (
@@ -238,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--" + opt.name.replace("_", "-"),
                 type=opt.conv,
                 default=argparse.SUPPRESS,
-                help=f"{opt.help} (default: {opt.default})",
+                help=opt.help if opt.default is None else f"{opt.help} (default: {opt.default})",
             )
     return parser
 
@@ -344,8 +345,7 @@ def _params(cfg: dict) -> ModelParams:
 
 
 def _ev(cfg: dict) -> EvalParams:
-    return EvalParams(params=_params(cfg), rule=QuadratureRule(nodes_per_piece=cfg["nodes"]),
-                      trunc=QTruncation(tol=cfg["tol"]))
+    return EvalParams(params=_params(cfg), tol=cfg["tol"], nodes=cfg["nodes"])
 
 
 def _cmd_moment(cfg: dict) -> int:
@@ -442,25 +442,24 @@ def _cmd_bose(cfg: dict) -> int:
     xs = cfg["x"]
     kind = cfg["kind"]
     k = cfg["k"] if cfg["k"] is not None else len(xs)
-    rule = QuadratureRule(nodes_per_piece=cfg["nodes"])
-    t, theta = cfg["t"], cfg["theta"]
+    t, theta, nodes = cfg["t"], cfg["theta"], cfg["nodes"]
     if kind in ("tilted", "narrow-wedge") and k != len(xs):
         raise DomainError(f"--k {k} does not match the {len(xs)} points in --x")
+    for name, reader in (("ladder", "tilted"), ("alpha", "halfflat-collapsed")):
+        if kind != reader and cfg[name] is not None:
+            raise DomainError(f"{kind} does not read --{name}; drop it")
     start = time.perf_counter()
     if kind == "tilted":
-        bose = None
-        if cfg["ladder"] is not None:
-            bose = BoseParams(alpha_ladder=cfg["ladder"], alpha=cfg["alpha"])
-        res = delta_bose_moment(xs, t, theta, bose, rule)
+        res = delta_bose_moment(xs, t, theta, cfg["ladder"], nodes)
     elif kind == "narrow-wedge":
         if theta != 0.0:
             raise DomainError("narrow-wedge has no tilt; drop --theta")
-        res = narrow_wedge_moment(xs, t, rule)
+        res = narrow_wedge_moment(xs, t, nodes)
     else:
         if len(xs) != 1:
             raise DomainError("halfflat-collapsed takes a single point in --x")
-        res = she_halfflat_moment_collapsed(
-            k, xs[0], t, theta, BoseParams(alpha=cfg["alpha"]), rule)
+        alpha = {} if cfg["alpha"] is None else {"alpha": cfg["alpha"]}
+        res = she_halfflat_moment_collapsed(k, xs[0], t, theta, nodes=nodes, **alpha)
     value, err = _real_with_residual(res.value, res.err_estimate)
     rows = [{"kind": kind, "k": k, "xs": ",".join(_fmt_float(v) for v in xs), "t": t,
              "theta": theta, "value": value, "err": err,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, count, permutations
 
@@ -32,12 +32,11 @@ import numpy as np
 
 from . import quad
 from .qfunc import (
-    DEFAULT_TRUNC,
+    DEFAULT_TOL,
     MAX_TERMS,
     DomainError,
     ModelParams,
     PoleError,
-    QTruncation,
     germ_f,
     germ_g,
     poch_inf,
@@ -49,7 +48,6 @@ from .quad import (
     Axis,
     CostGuardError,
     MomentResult,
-    QuadratureRule,
     c1_rho_radius,
     circle_axis,
     circle_nodes,
@@ -121,15 +119,21 @@ def partitions_of(k: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Model parameters plus truncation and quadrature settings.
+    """Model parameters plus the --tol and --nodes settings, checked here.
 
-    rule.nodes_per_piece and trunc.tol are the floor and target error of every
-    circle (quad.circle_nodes) and Mellin-Barnes line (quad.line_axes).
+    tol, in (0, 1), is the target error of every circle (quad.circle_nodes), Mellin-Barnes
+    line (quad.line_axes), Laplace series and q-product; nodes >= 8 is their node floor.
     """
 
     params: ModelParams
-    trunc: QTruncation = field(default_factory=lambda: DEFAULT_TRUNC)
-    rule: QuadratureRule = field(default_factory=QuadratureRule)
+    tol: float = DEFAULT_TOL
+    nodes: int = 64
+
+    def __post_init__(self) -> None:
+        if self.nodes < 8:
+            raise DomainError(f"need nodes >= 8, got {self.nodes}")
+        if not (0.0 < self.tol < 1.0):
+            raise DomainError(f"need 0 < tol < 1, got {self.tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,7 @@ def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
     ratios = (rho / (1.0 - tau - tau * rho), rho / (tau**-0.5 - 1.0),
               rho / ((1.0 - tau * (1.0 + rho)) / (tau * (1.0 + rho))))
     amp = t * params.q * (1.0 - tau + tau * rho) / rho
-    n = circle_nodes(ev.trunc.tol, ev.rule.nodes_per_piece, ratios, (amp,))
+    n = circle_nodes(ev.tol, ev.nodes, ratios, (amp,))
     axes = [circle_axis([(1.0 + 0j, rho, n)])] * len(xs)
 
     def diag(a, z):
@@ -292,8 +296,8 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     tau = params.tau
     if k == 0:
         return MomentResult(1.0 + 0j, 0.0, "nested_tensor", ())
-    tol = ev.trunc.tol
-    floor = ev.rule.nodes_per_piece
+    tol = ev.tol
+    floor = ev.nodes
     r, s = nested_radii(k, params)
     site = x + 1
     amp_res = t * params.q * tau * (1.0 - tau)
@@ -347,11 +351,11 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         raise DomainError(f"need t >= 0, got {t}")
     params = ev.params
     tau = params.tau
-    tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
+    tol = ev.tol if k <= 3 else max(ev.tol, 1e-8)
     radius = tau**0.75
     site = x + 1
     amp_res = t * params.q * tau * (1.0 - tau)
-    n = circle_nodes(tol, ev.rule.nodes_per_piece, (tau**0.25,), (amp_res / (radius - tau),))
+    n = circle_nodes(tol, ev.nodes, (tau**0.25,), (amp_res / (radius - tau),))
     axis = circle_axis([(0j, radius, n)])
     kfact = q_factorial(k, tau)
     # Strings pair through the prefix table of u = w_a w_b / tau^2 on the N products
@@ -394,10 +398,10 @@ def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
 def _nu_axis(k: int, ev: EvalParams) -> Axis:
     """The circle of the order-k composition terms: |w| = (1 + tau^(-1/2)) / 2."""
     tau = ev.params.tau
-    tol = ev.trunc.tol if k <= 3 else max(ev.trunc.tol, 1e-8)
+    tol = ev.tol if k <= 3 else max(ev.tol, 1e-8)
     radius = 0.5 * (1.0 + tau**-0.5)
     ratios = (1.0 / radius, radius * tau**0.5, radius * radius * tau)
-    return circle_axis([(0j, radius, circle_nodes(tol, ev.rule.nodes_per_piece, ratios))])
+    return circle_axis([(0j, radius, circle_nodes(tol, ev.nodes, ratios))])
 
 
 def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
@@ -458,14 +462,14 @@ def _laplace_orders(zeta: complex, m_max: float, ks, ev: EvalParams) -> dict:
     """Kept orders {k: [(m, zeta^m), ...]} of the moment series, for each k in ks.
 
     Order k keeps k <= m <= m_max with k <= _series_k_cap(m), and stops at the
-    first m with |zeta^m / m_tau!| < trunc.tol, the bound on each term.
+    first m with |zeta^m / m_tau!| < ev.tol, the bound on each term.
     """
     tau = ev.params.tau
 
     def kept(k):
         m_fact = q_factorial(k, tau)
         for m in count(k):
-            if m > m_max or _series_k_cap(m) < k or abs(zeta**m / m_fact) < ev.trunc.tol:
+            if m > m_max or _series_k_cap(m) < k or abs(zeta**m / m_fact) < ev.tol:
                 return
             yield m, zeta**m
             m_fact *= (1.0 - tau ** (m + 1)) / (1.0 - tau)
@@ -477,7 +481,7 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
     """E[e_tau(zeta tau^(N_x))] summed from the moment expansion.
 
     Each order k <= 4 sums the m that _laplace_orders keeps, with one set of
-    prefix tables: m_max or the first m with |zeta^m / m_tau!| < trunc.tol
+    prefix tables: m_max or the first m with |zeta^m / m_tau!| < ev.tol
     ends it.  Nothing checks the tail past m_max, so near |zeta| = 1 a small
     m_max truncates silently (the value carries no error estimate).  Orders
     k > _series_k_cap(m) are dropped unbounded: at tau = 0.3, x = 0, t = 0.5
@@ -504,14 +508,14 @@ def _mb_trapezoid(zeta: complex, w_axis: Axis, ev: EvalParams, tol: float) -> Ax
     """
     d = 0.5 - 2.0 * math.log(abs(w_axis.z[0])) / math.log(1.0 / ev.params.tau)
     half_width = math.log(1.0 / tol) / (math.pi - abs(np.angle(-zeta)))
-    return line_axes([(0.5, half_width)], d, tol, ev.rule.nodes_per_piece)[0]
+    return line_axes([(0.5, half_width)], d, tol, ev.nodes)[0]
 
 
 def _mb_w_axis(ev: EvalParams, tol: float) -> Axis:
     """The w circle |w| = (1 + tau^(-1/4)) / 2, between the poles on |w| = 1 and tau^(-1/4)."""
     tau = ev.params.tau
     radius = 0.5 * (1.0 + tau**-0.25)
-    n_w = circle_nodes(tol, ev.rule.nodes_per_piece, (1.0 / radius, radius * tau**0.25))
+    n_w = circle_nodes(tol, ev.nodes, (1.0 / radius, radius * tau**0.25))
     return circle_axis([(0j, radius, n_w)])
 
 
@@ -521,7 +525,7 @@ def _mb_diag_grid(zeta, x, t, ev, line, w_axis):
     (s_nodes, s_weights), w_nodes = line, w_axis.z
     s_factor = np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta)) * s_weights
     # germ_g first: its first q-product is w-only, so a cap refusal precedes the grids.
-    g_grid = germ_g(w_nodes[None, :], s_nodes[:, None], tau, ev.trunc)
+    g_grid = germ_g(w_nodes[None, :], s_nodes[:, None], tau, ev.tol)
     f_grid = germ_f(w_nodes[None, :], s_nodes[:, None], x + 1, t, ev.params)
     det_diag = -1.0 / (w_nodes[None, :] * (np.exp(s_nodes * math.log(tau))[:, None] - 1.0))
     return s_factor[:, None] * f_grid * g_grid * det_diag * w_axis.w[None, :]
@@ -548,10 +552,10 @@ def _mb_order2(zeta, x, t, ev, line, w_axis) -> complex:
     a_k = np.exp(np.concatenate([s_nodes + s_nodes[0], s_nodes[1:] + s_nodes[-1]]) * math.log(tau))
     # On the trapezoid circle w_x w_y = w_0 w_r, r = x + y mod n_w: each q-product is a table row.
     z = w[0] * w
-    pochs = poch_inf(z[:, None] * a_s, tau, ev.trunc)
+    pochs = poch_inf(z[:, None] * a_s, tau, ev.tol)
     # Per row r, ifft of M_k / (w_y - w_x): sum_k M_k c_k = sum_m fft(c)_m ifft(M)_m.
     n_fft = -(-a_k.size // 64) * 64  # a multiple of 64 keeps the FFT on small radices
-    m_hat = poch_inf(z[:, None] * a_k, tau, ev.trunc) * poch_inf(z, tau, ev.trunc)[:, None]
+    m_hat = poch_inf(z[:, None] * a_k, tau, ev.tol) * poch_inf(z, tau, ev.tol)[:, None]
     m_hat = np.fft.ifft(m_hat, n_fft)
     u = a_s[:, None] * w
     acc = 0j
@@ -599,8 +603,8 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
                              f"at |zeta|={abs(zeta)!r}, tau={ev.params.tau!r}; use --k-max 1")
     residue_points = {k: _nu_axis(k, ev).z.size ** k for k, orders in kept.items() if orders}
     if k_max >= 2:
-        w_axis = _mb_w_axis(ev, max(ev.trunc.tol, 1e-4))
-        line = _mb_trapezoid(zeta, w_axis, ev, max(ev.trunc.tol, 1e-8))
+        w_axis = _mb_w_axis(ev, max(ev.tol, 1e-4))
+        line = _mb_trapezoid(zeta, w_axis, ev, max(ev.tol, 1e-8))
         points = (line.z.size * w_axis.z.size) ** 2
         if points > quad.MAX_POINTS:
             hint = max(residue_points.values(), default=0) <= quad.MAX_POINTS
@@ -613,8 +617,8 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
                 f"order-{k} residue grid of {points} points exceeds budget {quad.MAX_POINTS}")
     total = 1.0 + 0j
     if k_max >= 1:
-        w_axis1 = _mb_w_axis(ev, ev.trunc.tol)
-        line1 = _mb_trapezoid(zeta, w_axis1, ev, ev.trunc.tol)
+        w_axis1 = _mb_w_axis(ev, ev.tol)
+        line1 = _mb_trapezoid(zeta, w_axis1, ev, ev.tol)
         total += complex(np.sum(_mb_diag_grid(zeta, x, t, ev, line1, w_axis1)))
     if k_max >= 2:
         total += _mb_order2(zeta, x, t, ev, line, w_axis)

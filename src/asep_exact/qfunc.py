@@ -18,8 +18,7 @@ __all__ = [
     "DomainError",
     "PoleError",
     "ModelParams",
-    "QTruncation",
-    "DEFAULT_TRUNC",
+    "DEFAULT_TOL",
     "MAX_TERMS",
     "poch_inf",
     "poch_table",
@@ -76,38 +75,30 @@ class ModelParams:
         return self.q - self.p
 
 
-@dataclass(frozen=True)
-class QTruncation:
-    """Target error of node counts (quad.circle_nodes), Laplace series and q-products."""
-
-    tol: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tol < 1.0):
-            raise DomainError(f"need 0 < tol < 1, got {self.tol}")
-
-
-DEFAULT_TRUNC = QTruncation()
+# Target error of node counts (quad.circle_nodes), Laplace series and q-products.
+DEFAULT_TOL = 1e-14
 
 # Most factors one infinite product may take; a tail bound that needs more
 # is refused rather than truncated.
 MAX_TERMS = 4096
 
 
-def _num_terms(a_max: float, q: float, trunc: QTruncation) -> int:
+def _num_terms(a_max: float, q: float, tol: float) -> int:
     # Geometric tail: |log prod_{n>N}| <= |a| q^{N+1} / (1-q) < tol.
+    if not (0.0 < tol < 1.0):
+        raise DomainError(f"need 0 < tol < 1, got {tol}")
     if a_max == 0.0:
         return 1
-    n = math.ceil(math.log(trunc.tol * (1.0 - q) / max(1.0, a_max)) / math.log(q))
+    n = math.ceil(math.log(tol * (1.0 - q) / max(1.0, a_max)) / math.log(q))
     n = max(n, 1) + 2
     if n > MAX_TERMS:
         raise ArithmeticError(
-            f"q-product at q={q:.6g} needs {n} terms for tol={trunc.tol}, cap is {MAX_TERMS}"
+            f"q-product at q={q:.6g} needs {n} terms for tol={tol}, cap is {MAX_TERMS}"
         )
     return n
 
 
-def poch_inf(a, q: float, trunc: QTruncation = DEFAULT_TRUNC):
+def poch_inf(a, q: float, tol: float = DEFAULT_TOL):
     """Infinite q-Pochhammer symbol prod_{n>=0} (1 - q^n a).
 
     Parameters
@@ -116,12 +107,14 @@ def poch_inf(a, q: float, trunc: QTruncation = DEFAULT_TRUNC):
         Argument(s); any magnitude is allowed since only q^n a must shrink.
     q : float
         Base, strictly inside (0, 1).
-    trunc : QTruncation
-        Tolerance; the product stops once the geometric tail bound drops
-        below trunc.tol.
+    tol : float
+        Target error, in (0, 1); the product stops once the geometric tail
+        bound drops below it.
 
     Raises
     ------
+    DomainError
+        If q or tol lies outside (0, 1).
     ArithmeticError
         If that bound needs more than MAX_TERMS factors.
     """
@@ -129,7 +122,7 @@ def poch_inf(a, q: float, trunc: QTruncation = DEFAULT_TRUNC):
         raise DomainError(f"need 0 < q < 1, got {q}")
     arr = np.asarray(a)
     a_max = float(np.max(np.abs(arr))) if arr.size else 0.0
-    n = _num_terms(a_max, q, trunc)
+    n = _num_terms(a_max, q, tol)
     out = np.ones_like(arr, dtype=complex)
     qn = 1.0
     for _ in range(n):
@@ -181,12 +174,12 @@ def q_binomial(n: int, k: int, q: float) -> float:
     return out
 
 
-def q_exp(x, q: float, trunc: QTruncation = DEFAULT_TRUNC):
+def q_exp(x, q: float, tol: float = DEFAULT_TOL):
     """q-exponential 1 / ((1-q) x; q)_inf.
 
     Agrees with sum_k x^k / k_q! for |x| < 1 and continues it beyond.
     """
-    den = poch_inf((1.0 - q) * np.asarray(x, dtype=complex), q, trunc)
+    den = poch_inf((1.0 - q) * np.asarray(x, dtype=complex), q, tol)
     if np.any(np.abs(den) < 1e-250):
         raise PoleError(f"q_exp pole at x={x}")
     out = np.asarray(1.0 / den)
@@ -222,15 +215,15 @@ def germ_f(w, n, x: int, t: float, params: ModelParams):
     return out if (np.ndim(w) or np.ndim(n)) else complex(out)
 
 
-def germ_g(w, n, tau: float, trunc: QTruncation = DEFAULT_TRUNC):
+def germ_g(w, n, tau: float, tol: float = DEFAULT_TOL):
     """Single-variable Pochhammer weight.
 
     (-w;tau)_inf/(-tau^n w;tau)_inf * (tau^{2n} w^2;tau)_inf/(tau^n w^2;tau)_inf.
     """
     warr = np.asarray(w, dtype=complex)
     tn = _tau_pow(n, tau)
-    num = poch_inf(-warr, tau, trunc) * poch_inf(tn * tn * warr**2, tau, trunc)
-    den = poch_inf(-tn * warr, tau, trunc) * poch_inf(tn * warr**2, tau, trunc)
+    num = poch_inf(-warr, tau, tol) * poch_inf(tn * tn * warr**2, tau, tol)
+    den = poch_inf(-tn * warr, tau, tol) * poch_inf(tn * warr**2, tau, tol)
     if np.any(np.abs(den) < 1e-250):
         raise PoleError(f"germ_g pole at w={w}, n={n}")
     out = np.asarray(num / den)

@@ -45,7 +45,6 @@ from .qfunc import DomainError, ModelParams
 
 __all__ = [
     "CostGuardError",
-    "QuadratureRule",
     "MomentResult",
     "Axis",
     "MAX_POINTS",
@@ -73,15 +72,6 @@ MAX_LINE_NODES = 1 << 13
 
 class CostGuardError(RuntimeError):
     """Tensor evaluation would exceed a cost budget (MAX_POINTS, MAX_LINE_NODES)."""
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    nodes_per_piece: int = 64
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_piece < 8:
-            raise DomainError(f"need nodes_per_piece >= 8, got {self.nodes_per_piece}")
 
 
 @dataclass(frozen=True)

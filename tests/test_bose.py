@@ -18,7 +18,7 @@ import pytest
 
 from asep_exact import bose
 from asep_exact.qfunc import DomainError, PoleError
-from asep_exact.quad import CostGuardError, QuadratureRule, tensor_result
+from asep_exact.quad import CostGuardError, tensor_result
 
 
 def phi(x: float, t: float) -> float:
@@ -75,7 +75,7 @@ class TestLogGamma:
             bose.log_gamma(-3.0)
 
 
-class TestBoseParams:
+class TestBoseSettings:
     def test_default_ladder_is_valid(self):
         for k in (1, 2, 3):
             for theta in (0.0, 2.5):
@@ -86,16 +86,16 @@ class TestBoseParams:
                 assert ladder[-1] >= bose.LADDER_MARGIN
 
     def test_ladder_validation(self):
-        with pytest.raises(DomainError):
-            bose.BoseParams(alpha_ladder=(1.5, 0.6))
-        with pytest.raises(DomainError):
-            bose.BoseParams(alpha_ladder=(1.5, -0.2))
-        with pytest.raises(DomainError):
-            bose.BoseParams(alpha_ladder=())
+        with pytest.raises(DomainError, match="alpha\\[0\\] > alpha\\[1\\] \\+ 1"):
+            bose.delta_bose_moment((0.0, 0.5), 1.0, 0.0, ladder=(1.5, 0.6))
+        with pytest.raises(DomainError, match="end positive"):
+            bose.delta_bose_moment((0.0, 0.5), 1.0, 0.0, ladder=(1.5, -0.2))
+        with pytest.raises(DomainError, match="ladder length 0"):
+            bose.delta_bose_moment((0.0,), 1.0, 0.0, ladder=())
 
     def test_field_validation(self):
-        with pytest.raises(DomainError):
-            bose.BoseParams(alpha=0.0)
+        with pytest.raises(DomainError, match="need alpha > 0"):
+            bose.she_halfflat_moment_collapsed(2, 0.3, 0.6, 0.0, alpha=0.0)
 
 
 class TestDeltaBoseMoment:
@@ -127,7 +127,7 @@ class TestDeltaBoseMoment:
     def test_ladder_independence(self):
         a = bose.delta_bose_moment((0.0, 0.6), 0.9, 0.0)
         b = bose.delta_bose_moment(
-            (0.0, 0.6), 0.9, 0.0, bose=bose.BoseParams(alpha_ladder=(2.2, 0.7))
+            (0.0, 0.6), 0.9, 0.0, ladder=(2.2, 0.7)
         )
         assert abs(a.value - b.value) < 1e-7
 
@@ -140,7 +140,7 @@ class TestDeltaBoseMoment:
         # The step follows the strip to the pair pole z_a - z_b = 1, 0.1 away here.
         default = bose.delta_bose_moment((-0.5, 0.0), 0.6, 0.0)
         near = bose.delta_bose_moment(
-            (-0.5, 0.0), 0.6, 0.0, bose=bose.BoseParams(alpha_ladder=(1.6, 0.5))
+            (-0.5, 0.0), 0.6, 0.0, ladder=(1.6, 0.5)
         )
         assert abs(near.value - default.value) < 1e-8
 
@@ -148,13 +148,13 @@ class TestDeltaBoseMoment:
         # 1e-4 from the pole the lines would need about 1.8e6 nodes each.
         with pytest.raises(CostGuardError, match="budget"):
             bose.delta_bose_moment(
-                (-0.5, 0.0), 0.6, 0.0, bose=bose.BoseParams(alpha_ladder=(1.5001, 0.5))
+                (-0.5, 0.0), 0.6, 0.0, ladder=(1.5001, 0.5)
             )
 
     def test_far_ladder_warns(self):
         with pytest.warns(RuntimeWarning, match="far from the tilt"):
             bose.delta_bose_moment(
-                (0.0,), 1.0, 30.0, bose=bose.BoseParams(alpha_ladder=(0.5,))
+                (0.0,), 1.0, 30.0, ladder=(0.5,)
             )
 
     def test_domain_validation(self):
@@ -170,7 +170,7 @@ class TestDeltaBoseMoment:
             bose.delta_bose_moment((0.0,), 1.0, -1.0)
         with pytest.raises(DomainError):
             bose.delta_bose_moment(
-                (0.0,), 1.0, 0.0, bose=bose.BoseParams(alpha_ladder=(1.8, 0.5))
+                (0.0,), 1.0, 0.0, ladder=(1.8, 0.5)
             )
 
 
@@ -213,7 +213,7 @@ class TestNarrowWedgeMoment:
 
     def test_stable_under_node_doubling(self):
         a = bose.narrow_wedge_moment((0.0, 0.5), 1.0)
-        b = bose.narrow_wedge_moment((0.0, 0.5), 1.0, rule=QuadratureRule(nodes_per_piece=128))
+        b = bose.narrow_wedge_moment((0.0, 0.5), 1.0, nodes=128)
         assert abs(a.value - b.value) < 1e-8
 
     def test_domain_validation(self):
@@ -249,9 +249,8 @@ class TestCollapsedMoment:
         assert abs(col.value - sep.value) < 1e-6
 
     def test_string_order_invariance(self):
-        rule = QuadratureRule()
-        a = tensor_result([bose._collapsed_term((1, 2), 0.3, 0.6, 0.0, 0.5, rule)], "probe")
-        b = tensor_result([bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, rule)], "probe")
+        a = tensor_result([bose._collapsed_term((1, 2), 0.3, 0.6, 0.0, 0.5, 64)], "probe")
+        b = tensor_result([bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, 64)], "probe")
         assert abs(a.value - b.value) < 1e-12
 
     @pytest.mark.parametrize("parts,alpha", [((1, 1), 0.5), ((1, 2), 0.5), ((2, 1), 0.7),
@@ -259,7 +258,7 @@ class TestCollapsedMoment:
     def test_hankel_pair_matches_direct_gamma_ratios(self, parts, alpha):
         # Lines of different lengths on one step; at alpha 0.5 the (1, 1) pair has the
         # reflection zero 1/Gamma(0) where w_a + w_b = 1.
-        _, axes, _, pair = bose._collapsed_term(parts, 0.3, 0.6, 0.0, alpha, QuadratureRule())
+        _, axes, _, pair = bose._collapsed_term(parts, 0.3, 0.6, 0.0, alpha, 64)
         wa, wb = axes[0].z[:, None], axes[1].z[None, :]
         na, nb = parts
         d, s = 0.5 * (na - nb), 0.5 * (na + nb)
@@ -285,8 +284,8 @@ class TestCollapsedMoment:
     def test_alpha_one_matches_alpha_three_quarters(self, k):
         # At alpha 1.0 the (1, 1) pairs have base - s = 1 on their antidiagonal, where
         # 1/Gamma(base - s) by reflection put log_gamma on its pole at 0.
-        ref = bose.she_halfflat_moment_collapsed(k, 0.3, 0.6, 0.0, bose.BoseParams(alpha=0.75))
-        got = bose.she_halfflat_moment_collapsed(k, 0.3, 0.6, 0.0, bose.BoseParams(alpha=1.0))
+        ref = bose.she_halfflat_moment_collapsed(k, 0.3, 0.6, 0.0, alpha=0.75)
+        got = bose.she_halfflat_moment_collapsed(k, 0.3, 0.6, 0.0, alpha=1.0)
         assert abs(got.value - ref.value) <= got.err_estimate + ref.err_estimate
 
     def test_node_counts_one_entry_per_axis(self):
@@ -303,7 +302,7 @@ class TestCollapsedMoment:
     def test_near_pole_abscissa_warns(self):
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             bose.she_halfflat_moment_collapsed(
-                3, 0.3, 0.6, 0.0, bose=bose.BoseParams(alpha=0.25 + 2e-7)
+                3, 0.3, 0.6, 0.0, alpha=0.25 + 2e-7
             )
 
     def test_domain_validation(self):
@@ -321,10 +320,9 @@ def nested_chamber_k2(x: float, t: float, theta: float) -> complex:
     One panel grid on [lo, y_2] per outer node y_2, the integrand summed over
     the z_1 line at every (y_1, y_2): the quadrature the closed form replaced.
     """
-    rule = QuadratureRule()
     depth = math.sqrt(2.0 * t * math.log(1e8)) + abs(x) + 4.0 * math.sqrt(t) + 4.0
     lo = x - depth
-    axes = bose._free_axes(2, t, max(abs(x), abs(lo)), rule)
+    axes = bose._free_axes(2, t, max(abs(x), abs(lo)), 64)
     z1, z2 = axes[0].z, axes[1].z
     kernel = bose._free_pair(0, 1, z1[:, None], z2[None, :])
     kernel *= (axes[0].w * np.exp(0.5 * t * z1 * z1))[:, None]

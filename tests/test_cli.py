@@ -24,9 +24,8 @@ import pytest
 
 import asep_exact
 from asep_exact import cli
-from asep_exact.bose import she_halfflat_moment_collapsed
+from asep_exact.bose import delta_bose_moment, she_halfflat_moment_collapsed
 from asep_exact.qfunc import ModelParams
-from asep_exact.quad import QuadratureRule
 from asep_exact.sim import Observable, ctmc_exact_expectation
 
 
@@ -120,7 +119,9 @@ class TestMomentCommand:
         ["simulate", "--tau", "0.5", "--seed", "1", "--window=5,2"],
         ["ctmc-oracle", "--tau", "0.5", "--window=5,2"],
         ["ctmc-oracle", "--tau", "0.5", "--window=0,0"],
-    ], ids=["nodes", "tol", "samples", "mc-window", "ctmc-window", "ctmc-empty-window"])
+        ["bose", "--nodes", "4"],
+    ], ids=["nodes", "tol", "samples", "mc-window", "ctmc-window", "ctmc-empty-window",
+            "bose-nodes"])
     def test_library_guards_refuse_bad_settings(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
@@ -140,8 +141,8 @@ class TestMomentCommand:
              "--method", "halfflat", "--nodes", "96", "--tol", "1e-12"], capsys)
         assert code == 0
         (ev,) = seen
-        assert ev.rule.nodes_per_piece == 96
-        assert ev.trunc.tol == 1e-12
+        assert ev.nodes == 96
+        assert ev.tol == 1e-12
         assert ev.params.tau == pytest.approx(0.5, abs=1e-15)
 
     def test_numerical_failure_exits_two(self, capsys):
@@ -268,7 +269,7 @@ class TestBoseCommand:
              "--t", "0.6", "--theta", "0.5"], capsys)
         assert code == 0
         _, _, rows = parse_csv(out)
-        direct = she_halfflat_moment_collapsed(2, 0.3, 0.6, 0.5, rule=QuadratureRule())
+        direct = she_halfflat_moment_collapsed(2, 0.3, 0.6, 0.5)
         assert float(rows[0]["value"]) == float(direct.value.real)
 
     def test_ladder_on_the_pair_pole_exits_two(self, capsys):
@@ -321,6 +322,35 @@ class TestBoseCommand:
         code, _, err = run_cli(["bose", "--k", "2", "--x", "0", "--t", "1"], capsys)
         assert code == 2
         assert "does not match" in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--kind", "narrow-wedge", "--x", "0", "--ladder", "2.5"], "--ladder"),
+        (["--kind", "halfflat-collapsed", "--k", "2", "--x", "0", "--ladder", "9"], "--ladder"),
+        (["--kind", "tilted", "--x", "0", "--ladder", "2.5", "--alpha", "0"], "--alpha"),
+        (["--kind", "narrow-wedge", "--x", "0", "--alpha", "0.5"], "--alpha"),
+    ], ids=["wedge-ladder", "collapsed-ladder", "tilted-alpha", "wedge-alpha"])
+    def test_option_the_kind_ignores_is_refused(self, argv, option, capsys):
+        code, out, err = run_cli(["bose", *argv], capsys)
+        assert code == 2 and out == ""
+        assert f"does not read {option}" in err
+
+    def test_alpha_reaches_the_collapsed_formula(self, capsys):
+        # An omitted --alpha is the library default, 0.5; a given one is passed on.
+        base = ["bose", "--kind", "halfflat-collapsed", "--k", "2", "--x", "0.3", "--t", "0.6"]
+        values = []
+        for extra in ([], ["--alpha", "0.5"], ["--alpha", "0.75"]):
+            code, out, _ = run_cli(base + extra, capsys)
+            assert code == 0
+            values.append(float(parse_csv(out)[2][0]["value"]))
+        assert values[0] == values[1]
+        assert values[2] == float(she_halfflat_moment_collapsed(2, 0.3, 0.6, 0.0, 0.75).value.real)
+
+    def test_ladder_reaches_the_tilted_formula(self, capsys):
+        code, out, _ = run_cli(["bose", "--x=-0.5,0", "--t", "0.6", "--ladder", "1.6,0.5"],
+                               capsys)
+        assert code == 0
+        direct = delta_bose_moment((-0.5, 0.0), 0.6, 0.0, ladder=(1.6, 0.5))
+        assert float(parse_csv(out)[2][0]["value"]) == float(direct.value.real)
 
 
 class TestAiry21Command:
@@ -559,6 +589,16 @@ class TestArgumentErrors:
     def test_missing_subcommand_exits_two(self, capsys):
         code, _, _ = run_cli([], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", list(cli._OPTION_TABLES))
+    def test_help_names_only_real_defaults(self, command, capsys):
+        # An option without a default gets no "(default: None)"; --window's default
+        # is sim.default_window, which has no drift term.
+        code, out, _ = run_cli([command, "--help"], capsys)
+        text = " ".join(out.split())  # argparse wraps help lines
+        assert code == 0
+        assert "(default: None)" not in text and "drift-aware" not in text
+        assert "(default: 64)" in text or command not in ("moment", "laplace", "bose")
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)

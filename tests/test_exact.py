@@ -24,7 +24,6 @@ from asep_exact.qfunc import (
     DomainError,
     ModelParams,
     PoleError,
-    QTruncation,
     poch_table,
     q_factorial,
 )
@@ -245,7 +244,7 @@ class TestPartitionMoment:
 
     def test_depth_five_with_raised_budget(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_POINTS", 1 << 33)
-        ev = ex.EvalParams(params=ModelParams.from_tau(0.2), trunc=QTruncation(tol=1e-6))
+        ev = ex.EvalParams(params=ModelParams.from_tau(0.2), tol=1e-6)
         val = ex.partition_moment(5, 2, 0.0, ev)
         assert abs(val.value - 0.2**5) < 1e-6
 
@@ -459,7 +458,7 @@ class TestNodeCounts:
     """node_counts has one entry per integration axis of the largest grid summed."""
 
     def test_one_entry_per_integration_axis(self):
-        floor = EV.rule.nodes_per_piece
+        floor = EV.nodes
         half = ex.halfflat_moment(2, 3, 0.7, EV).node_counts
         part = ex.partition_moment(4, 2, 0.0, make_ev(0.3)).node_counts
         assert len(half) == 2 and len(set(half)) == 1 and half[0] >= floor
@@ -493,7 +492,7 @@ class TestTauLaplace:
         assert abs(residues - lines) < 1e-13
 
     def test_order_one_circle_at_the_target(self):
-        # The order-1 w-circle is sized for trunc.tol like every circle, so the line
+        # The order-1 w-circle is sized for ev.tol like every circle, so the line
         # integral meets its residue series to the last digits; a circle at 1e-9 leaves
         # them 1.3e-13 apart.
         ev = make_ev(0.5)
@@ -597,9 +596,9 @@ class TestTauLaplace:
         assert abs(val - zeta / (1.0 - zeta)) < 1e-8
 
     def test_line_reproduces_geometric_series(self):
-        # The order-1 line: the same trapezoid, sized for trunc.tol.
+        # The order-1 line: the same trapezoid, sized for ev.tol.
         zeta = -0.37
-        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), EV, EV.trunc.tol)
+        s_nodes, s_weights = ex._mb_trapezoid(zeta, ex._mb_w_axis(EV, 1e-4), EV, EV.tol)
         val = np.sum(
             s_weights * np.pi / np.sin(-np.pi * s_nodes) * np.exp(s_nodes * np.log(-zeta))
         )
@@ -820,4 +819,10 @@ class TestCostControls:
         assert abs(residues - lines) < 1e-13
 
     def test_default_parameters(self):
-        assert EV.rule.nodes_per_piece >= 8
+        assert EV.nodes >= 8
+
+    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": 2.0}, {"nodes": 4}],
+                             ids=["tol-0", "tol-2", "nodes-4"])
+    def test_bad_settings_refused(self, bad):
+        with pytest.raises(DomainError, match="need 0 < tol < 1|need nodes >= 8"):
+            make_ev(0.5, **bad)

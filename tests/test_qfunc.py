@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asep_exact.qfunc import (
-    DEFAULT_TRUNC,
+    DEFAULT_TOL,
     MAX_TERMS,
     DomainError,
     ModelParams,
     PoleError,
-    QTruncation,
     germ_f,
     germ_g,
     poch_inf,
@@ -71,7 +70,7 @@ class TestPochInf:
             a = radius * RNG.uniform(0, 1) * np.exp(2j * np.pi * RNG.uniform())
             ref = brute_poch(a, q, 10 * n_short)
             got = poch_inf(a, q)
-            assert abs(got - ref) <= DEFAULT_TRUNC.tol * (1 + abs(ref)) * 10
+            assert abs(got - ref) <= DEFAULT_TOL * (1 + abs(ref)) * 10
 
     def test_array_input(self):
         a = np.array([0.0, 0.5, 1.0 + 0.2j])
@@ -80,9 +79,15 @@ class TestPochInf:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
 
     def test_loose_truncation_still_bounded(self):
-        trunc = QTruncation(tol=1e-6)
-        got = poch_inf(0.5, 0.5, trunc)
+        got = poch_inf(0.5, 0.5, tol=1e-6)
         assert abs(got - brute_poch(0.5, 0.5, 200)) < 1e-6
+
+    @pytest.mark.parametrize("tol", [0.0, 2.0])
+    def test_tol_outside_unit_interval_refused(self, tol):
+        # Refused before the zero-argument shortcut, so a = 0 is no way around it.
+        for a in (0.5, 0.0):
+            with pytest.raises(DomainError, match="need 0 < tol < 1"):
+                poch_inf(a, 0.5, tol)
 
     def test_term_cap_refuses_instead_of_truncating(self):
         # At q = 0.999 the tail bound needs 39,127 factors, far past the cap.

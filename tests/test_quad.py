@@ -14,12 +14,12 @@ from scipy.special import airy as scipy_airy
 
 import asep_exact
 from asep_exact import airy as am
+from asep_exact import bose
 from asep_exact import exact as ex
 from asep_exact import quad
 from asep_exact.qfunc import DomainError, ModelParams
 from asep_exact.quad import (
     CostGuardError,
-    QuadratureRule,
     _validate_nested,
     c1_rho_radius,
     circle_axis,
@@ -538,8 +538,16 @@ class TestStandardContours:
 
 class TestPieceValidation:
     def test_rejects_bad_rule(self):
-        with pytest.raises(DomainError):
-            QuadratureRule(nodes_per_piece=4)
+        # The node floor is refused by EvalParams for circles and Mellin-Barnes lines,
+        # and by bose._lines for every delta-Bose line, k = 0 strings included.
+        with pytest.raises(DomainError, match="need nodes >= 8"):
+            ex.EvalParams(params=ModelParams.from_tau(0.5), nodes=4)
+        for call in (lambda: bose.narrow_wedge_moment((0.0,), 1.0, nodes=4),
+                     lambda: bose.delta_bose_moment((0.0,), 1.0, 0.0, nodes=4),
+                     lambda: bose.she_halfflat_moment_collapsed(0, 0.0, 1.0, 0.0, nodes=4),
+                     lambda: bose.weyl_linearity_check(1, 0.0, 1.0, 0.0, nodes=4)):
+            with pytest.raises(DomainError, match="need nodes >= 8"):
+                call()
 
 
 def _uses(tree: ast.AST) -> list[tuple[str, int]]:
