@@ -92,11 +92,11 @@ def default_ladder(k: int, theta: float) -> tuple[float, ...]:
 def _validate_ladder(alpha: tuple[float, ...]) -> None:
     # Nonempty: delta_bose_moment matches its length to at least one point first.
     for a in range(len(alpha) - 1):
-        if alpha[a] - alpha[a + 1] - 1.0 < LADDER_MARGIN:
+        if not (alpha[a] - alpha[a + 1] - 1.0 >= LADDER_MARGIN):
             raise DomainError(
                 f"ladder needs alpha[{a}] > alpha[{a + 1}] + 1, got {alpha}"
             )
-    if alpha[-1] < LADDER_MARGIN:
+    if not (alpha[-1] >= LADDER_MARGIN):
         raise DomainError(f"ladder must end positive, got {alpha}")
 
 
@@ -140,7 +140,7 @@ def _pair_pole_distance(ladder) -> float:
 
 
 def _check_time(t: float) -> None:
-    if t <= 0:
+    if not (t > 0):
         raise DomainError(f"need t > 0, got {t}")
 
 
@@ -176,7 +176,7 @@ def delta_bose_moment(
     xs = _check_points(xs)
     k = len(xs)
     _check_time(t)
-    if theta < 0:
+    if not (theta >= 0):
         raise DomainError(f"need theta >= 0, got {theta}")
     ladder = default_ladder(k, theta) if ladder is None else ladder
     if len(ladder) != k:
@@ -311,9 +311,9 @@ def she_halfflat_moment_collapsed(
     if k < 0 or k > 3:
         raise DomainError(f"need 0 <= k <= 3, got {k}")
     _check_time(t)
-    if theta < 0:
+    if not (theta >= 0):
         raise DomainError(f"need theta >= 0, got {theta}")
-    if alpha < LADDER_MARGIN:
+    if not (alpha >= LADDER_MARGIN):
         raise DomainError(f"need alpha > 0, got {alpha}")
     strings = (parts for ell in range(k + 1) for parts in compositions(k, ell))
     terms = (_collapsed_term(parts, x, t, theta, alpha, nodes) for parts in strings)
@@ -345,7 +345,7 @@ def weyl_linearity_check(
     if k not in (1, 2):
         raise DomainError(f"need k in {{1, 2}}, got {k}")
     _check_time(t)
-    if theta < 0:
+    if not (theta >= 0):
         raise DomainError(f"need theta >= 0, got {theta}")
     collapsed = she_halfflat_moment_collapsed(k, x, t, theta, nodes=nodes).value
     depth = math.sqrt(2.0 * t * math.log(1e8)) + abs(x) + 4.0 * math.sqrt(t) + 4.0

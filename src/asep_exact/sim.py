@@ -19,14 +19,14 @@ Two independent evaluators of the same dynamics:
   put back in replica order;
 - ctmc_exact_expectation lists every configuration of a small closed
   window in combinadic-rank order and steps the distribution by the
-  transposed uniformized kernel: the pattern of the forward kernel with
-  p and q swapped, in int32 CSR, with the diagonal as the last entry of
-  each row.  Its Poisson weights start from a left truncation point, so
-  large lambda t neither underflows nor loses mass, and fix the step
-  count N up front.  Each hop changes the L1 distance from the start by
-  one, so the kernel is built only on the light cone, the states within
-  N hops, and step n multiplies only the rows within n hops: about 20
-  bytes per state of the window and under 160 per kept state at peak.
+  transposed uniformized kernel, K^T = (q/lam) A + (p/lam) A^T + D, with
+  only the right-hop pattern A stored, as int32 CSR.  Its Poisson weights
+  start from a left truncation point, so large lambda t neither underflows
+  nor loses mass, and fix the step count N up front.  Each hop changes the
+  L1 distance from the start by one, so A is built only on the light cone,
+  the states within N hops, and step n multiplies only the rows within n
+  hops: about 20 bytes per state of the window and about 100 per kept
+  state at peak.
 
 Both serve as ground truth for the contour-integral formulas in the exact
 module.
@@ -115,8 +115,14 @@ def _check_observable_window(obs: Observable, left: int, right: int) -> None:
             raise DomainError(f"observable site {x} outside window [{left}, {right}]")
 
 
+def _check_time(t: float) -> None:
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"need finite t >= 0, got {t}")
+
+
 def default_window(obs: Observable, t: float) -> tuple[int, int]:
     """Window wide enough that boundary effects are negligible at time t."""
+    _check_time(t)
     w = math.ceil(4.0 * t) + 32
     lo = min(min(obs.sites()), 0)
     hi = max(max(obs.sites()), 0)
@@ -218,8 +224,7 @@ def mc_expectation(
     """
     if samples < 100:
         raise DomainError(f"need samples >= 100, got {samples}")
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
+    _check_time(t)
     if window is None:
         window = default_window(obs, t)
     _check_observable_window(obs, window[0], window[1])
@@ -301,68 +306,84 @@ def _light_cone(configs: np.ndarray, init_sites: np.ndarray, n_max: int):
     return keep[np.argsort(dist, kind="stable")], shells
 
 
-def _ball_kernel(
-    states: np.ndarray,
-    ranks: np.ndarray,
-    table: np.ndarray,
-    init_sites: np.ndarray,
-    edge: int,
-    p: float,
-    q: float,
-):
-    """K^T on the ball as int32 CSR (indptr, indices, data), diagonal included.
+def _right_hops(states, ranks, table, init_sites, edge: int, p: float, q: float):
+    """The right-hop pattern A of the ball as int32 CSR (indptr, indices), and the diagonal.
 
-    Row i is the state states[i], of colex rank ranks[i].  p and q are the
-    per-step probabilities of a right and a left hop.  x -> y is a right
-    hop exactly when y -> x is a left hop of the same particle, so row y of
-    K^T holds y's right-hop targets at q and its left-hop targets at p,
-    particle by particle, and last 1 - (its total hop probability) on the
-    diagonal.  Moving particle j from c to c + 1 raises the colex rank by
-    C(c, j).  Rows from edge on make up the outer shell; their hops away
-    from the start leave the ball and are dropped, since the distribution
-    is zero there whenever such a row is stepped.
+    Row i is the state states[i], of colex rank ranks[i], and lists the rows
+    it reaches by one right hop, particle by particle; moving particle j
+    from c to c + 1 raises the colex rank by C(c, j).  Rows from edge on make
+    up the outer shell; their hops away from the start leave the ball and
+    are dropped, since the distribution is zero there whenever such a row is
+    stepped.  p and q are the per-step probabilities of a right and a left
+    hop, and the diagonal is 1 - (the probability of the free hops), added
+    right then left for each particle.
     """
     size, n_part = states.shape
     n_sites = table.shape[0] - 2  # _comb_table has rows 0..n_sites + 1
-    outer = np.arange(size) >= edge
-
-    def hops(block):
-        """(particle, whether right, its sites, rows free to hop, rows kept in the ball)."""
-        sub, out = states[block], outer[block]
-        for j in range(n_part):
-            c = sub[:, j]
-            free = c < n_sites - 1 if j + 1 == n_part else sub[:, j + 1] - c > 1
-            yield j, True, c, free, free & ~(out & (c >= init_sites[j]))
-            free = c > 0 if j == 0 else c - sub[:, j - 1] > 1
-            yield j, False, c, free, free & ~(out & (c <= init_sites[j]))
-
-    indptr = np.ones(size + 1, dtype=np.int32)
-    indptr[0] = 0
-    for *_, kept in hops(slice(None)):
-        indptr[1:] += kept
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
     index = np.empty(table[n_sites, n_part], dtype=np.int32)
     index[ranks] = np.arange(size, dtype=np.int32)
-    # Row blocks keep the masks and gathers small and the writes local.
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    diag = np.empty(size)
+    chunks = []
+    # Row blocks keep the masks and gathers small; a block holds one column per particle.
     for lo in range(0, size, _KERNEL_BLOCK):
-        block = slice(lo, lo + _KERNEL_BLOCK)
-        fill, base = indptr[:-1][block].copy(), ranks[block]
-        leave = np.zeros(fill.size)
-        for j, right, c, free, kept in hops(block):
-            leave += np.where(free, p if right else q, 0.0)
-            rows = np.flatnonzero(kept)
-            pos, c = fill[rows], c[rows]
-            if right:
-                indices[pos] = index[base[rows] + table[c, j]]
-            else:
-                indices[pos] = index[base[rows] - table[c - 1, j]]
-            data[pos] = q if right else p
-            fill[rows] += 1
-        indices[fill] = np.arange(lo, lo + fill.size, dtype=np.int32)
-        data[fill] = 1.0 - leave
-    return indptr, indices, data
+        sub, base = states[lo : lo + _KERNEL_BLOCK], ranks[lo : lo + _KERNEL_BLOCK]
+        outer = np.arange(lo, lo + base.size) >= edge
+        targets = np.full(sub.shape, -1, dtype=np.int32)
+        leave = np.zeros(base.size)
+        for j in range(n_part):
+            c = sub[:, j]
+            right = c < n_sites - 1 if j + 1 == n_part else sub[:, j + 1] - c > 1
+            leave += np.where(right, p, 0.0)
+            leave += np.where(c > 0 if j == 0 else c - sub[:, j - 1] > 1, q, 0.0)
+            rows = np.flatnonzero(right & ~(outer & (c >= init_sites[j])))
+            targets[rows, j] = index[base[rows] + table[c[rows], j]]
+        kept = targets >= 0
+        indptr[lo + 1 : lo + 1 + base.size] = kept.sum(axis=1)
+        chunks.append(targets[kept])
+        diag[lo : lo + base.size] = 1.0 - leave
+    np.cumsum(indptr, out=indptr)
+    return indptr, np.concatenate(chunks), diag
+
+
+def _uniformized_sum(indptr, indices, diag, coefs, v, first, weights, shells, values) -> float:
+    """sum_n weights[n - first] <(K^T)^n v, values> for n = first..first + len(weights) - 1.
+
+    K^T = a A + b A^T + diag, with (a, b) = coefs and A the CSR pattern
+    (indptr, indices), whose arrays are also the CSC arrays of A^T.  v is
+    the start and is overwritten.  At step n the distribution is zero past
+    entry shells[n], so the step multiplies only the rows of A below
+    shells[n + 1] and the rows of A^T below shells[n].  The data array
+    holds a, and A^T reads v scaled in place by b / a, as v is not read again.
+    """
+    # The kernels behind csr_matrix @ v and csc_matrix @ v (y += A x), called
+    # directly on prefixes: a sparse matrix built on short slices copies them,
+    # since scipy prunes views under half their base.  Imported here, not at
+    # module top: scipy.sparse slows every CLI start-up.
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+    a, b = coefs
+    data = np.full(indices.size, a)
+    size = v.size
+    w = np.zeros(size)
+    acc = 0.0
+    last = first + len(weights) - 1
+    for n in range(last + 1):
+        m = int(shells[n])
+        if n >= first:
+            # w, free until the next step, holds the products; np.sum adds them
+            # pairwise, where a BLAS dot missed by up to 2e-14 relative on the
+            # 888,030 states of (-12, 14) at t = 10.
+            acc += weights[n - first] * float(np.multiply(v[:m], values[:m], out=w[:m]).sum())
+        if n < last:
+            top = int(shells[n + 1])
+            np.multiply(diag[:m], v[:m], out=w[:m])
+            w[m:top] = 0.0
+            csr_matvec(top, size, indptr[: top + 1], indices[: indptr[top]], data[: indptr[top]], v, w)
+            v[:m] *= b / a
+            csc_matvec(top, m, indptr[: m + 1], indices[: indptr[m]], data[: indptr[m]], v, w)
+            v, w = w, v
+    return acc
 
 
 def ctmc_exact_expectation(
@@ -379,19 +400,17 @@ def ctmc_exact_expectation(
     distance d from the start by one, so after n steps the distribution is
     exactly zero outside d <= n, and only the light cone d <= N is kept
     (_light_cone), ranked by (d, colex rank).  The distribution steps by
-    the transpose K^T of the uniformized kernel P = I + Q/lam on those
-    states: the off-diagonal pattern of K with p and q swapped and the
-    diagonal of P as the last entry of each row, one CSR with int32
-    indices at 12 bytes per entry (_ball_kernel).  Step n multiplies only
-    the rows with d <= n, a prefix, and dots only that prefix, summed
-    pairwise, with the observable, which is evaluated on the kept states
-    alone.  At peak this takes about 20 bytes per state of the window, for
-    the table and the distances, and under 160 per kept state.  Every
-    distribution entry is the one that stepping all states gives, bit for
-    bit.  Deterministic.
+    the transpose of the uniformized kernel P = I + Q/lam on those states,
+    K^T = (q/lam) A + (p/lam) A^T + D, since y -> x is a right hop exactly
+    when x -> y is a left hop of the same particle.  Only the right-hop
+    pattern A (_right_hops, int32 CSR) and the diagonal D of P are stored,
+    and _uniformized_sum steps them on row prefixes.  The observable is
+    evaluated on the kept states alone.  At peak this takes about 20 bytes
+    per state of the window, for the table and the distances, and about 100
+    per kept state: 12 per entry of A, with its data array, and 8 for each
+    of D, the values and the two vectors.  Deterministic.
     """
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
+    _check_time(t)
     left, right = int(window[0]), int(window[1])
     _check_observable_window(obs, left, right)
     n_sites = right - left + 1
@@ -405,7 +424,7 @@ def ctmc_exact_expectation(
     if n_part == 0 or t == 0.0:
         return float(_observable_values(obs, init_sites[None, :] + left, params)[0])
 
-    lam = float(n_part)
+    lam, p, q = float(n_part), params.p, params.q
     first, weights = _poisson_weights(lam * t)
     stop = np.flatnonzero(np.cumsum(weights) >= 1.0 - 1e-12)
     if stop.size == 0:
@@ -416,36 +435,14 @@ def ctmc_exact_expectation(
     configs = _colex_table(n_sites, n_part, table)
     ranks, shells = _light_cone(configs, init_sites, n_max)
     states = configs[ranks]
-    # Each array is dropped once read for the last time: the kernel build sets
-    # the peak, and the stepping loop holds only the CSR and three vectors.
+    # Each array is dropped once read for the last time: the stepper holds only
+    # the pattern, its data array, the diagonal, the values and two vectors.
     del configs
     values = _observable_values(obs, states.astype(np.int64) + left, params)
     edge = int(shells[-2]) if n_max > 0 else 0
-    indptr, indices, data = _ball_kernel(
-        states, ranks, table, init_sites, edge, params.p / lam, params.q / lam
-    )
+    indptr, indices, diag = _right_hops(states, ranks, table, init_sites, edge, p / lam, q / lam)
     del states, ranks
-    # csr_matvec is the kernel behind csr_matrix @ v (y += A x, row by row),
-    # called directly on a row prefix: a csr_matrix built on short slices
-    # copies them, since scipy prunes views under half their base.  Imported
-    # here, not at module top: scipy.sparse slows every CLI start-up.
-    from scipy.sparse._sparsetools import csr_matvec
-
-    size = values.size
-    v = np.zeros(size)
-    v[0] = 1.0
-    w = np.zeros(size)
-    acc = 0.0
-    for n in range(n_max + 1):
-        if n >= first:
-            # w, free until the next step, holds the products; np.sum adds them
-            # pairwise, where a BLAS dot missed by up to 2e-14 relative on the
-            # 888,030 states of (-12, 14) at t = 10.
-            m = int(shells[n])
-            acc += weights[n - first] * float(np.multiply(v[:m], values[:m], out=w[:m]).sum())
-        if n < n_max:
-            m = int(shells[n + 1])
-            w[:m] = 0.0
-            csr_matvec(m, size, indptr[: m + 1], indices[: indptr[m]], data[: indptr[m]], v, w)
-            v, w = w, v
-    return acc
+    start = np.zeros(values.size)
+    start[0] = 1.0
+    return _uniformized_sum(indptr, indices, diag, (q / lam, p / lam), start, first, weights,
+                            shells, values)

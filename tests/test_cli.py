@@ -158,6 +158,14 @@ class TestMomentCommand:
             assert err.startswith("error:") and message in err
 
 
+    @pytest.mark.parametrize("method", ["nested", "halfflat"])
+    def test_nan_time_is_refused_by_name(self, method, capsys):
+        code, out, err = run_cli(
+            ["moment", "--tau", "0.5", "--x", "0", "--t", "nan", "--method", method], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: need t >= 0, got nan\n"
+
+
 class TestSimulateCommand:
     def test_time_zero_is_deterministic(self, capsys):
         code, out, _ = run_cli(
@@ -185,6 +193,13 @@ class TestSimulateCommand:
             ["simulate", "--tau", "0.5", "--t", "0.1", "--samples", "100"], capsys)
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_refused(self, t, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--tau", "0.5", "--seed", "1", "--samples", "100", "--t", t], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: need finite t >= 0, got {t}\n"
 
     def test_same_seed_identical_bytes(self, tmp_path):
         args = ["simulate", "--tau", "0.5", "--k", "1", "--x", "2", "--t", "0.2",
@@ -222,6 +237,13 @@ class TestCtmcCommand:
         assert code == 0
         _, _, rows = parse_csv(out)
         assert abs(float(rows[0]["mean"]) - 0.6) < 1e-9
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_refused(self, t, capsys):
+        code, out, err = run_cli(
+            ["ctmc-oracle", "--tau", "0.5", "--window=-4,6", "--t", t], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: need finite t >= 0, got {t}\n"
 
     def test_window_is_required(self, capsys):
         code, _, err = run_cli(["ctmc-oracle", "--tau", "0.5", "--t", "0.1"], capsys)
@@ -333,6 +355,19 @@ class TestBoseCommand:
         code, out, err = run_cli(["bose", *argv], capsys)
         assert code == 2 and out == ""
         assert f"does not read {option}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--x", "0", "--t", "nan"], "need t > 0, got nan"),
+        (["--x", "0", "--theta", "nan"], "need theta >= 0, got nan"),
+        (["--x", "0", "--ladder", "nan"], "ladder must end positive, got (nan,)"),
+        (["--kind", "halfflat-collapsed", "--k", "2", "--x", "0", "--alpha", "nan"],
+         "need alpha > 0, got nan"),
+    ], ids=["t", "theta", "ladder", "alpha"])
+    def test_nan_setting_is_refused_by_name(self, argv, message, capsys):
+        # Each check is written so that NaN fails it; every comparison with NaN is False.
+        code, out, err = run_cli(["bose", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_alpha_reaches_the_collapsed_formula(self, capsys):
         # An omitted --alpha is the library default, 0.5; a given one is passed on.

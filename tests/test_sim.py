@@ -15,6 +15,8 @@ from asep_exact.sim import (
     Observable,
     _colex_table,
     _comb_table,
+    _light_cone,
+    _right_hops,
     ctmc_exact_expectation,
     default_window,
     mc_expectation,
@@ -113,6 +115,16 @@ class TestMCExpectation:
             mc_expectation(obs, -1.0, PARAMS, 200, seed=0)
         with pytest.raises(DomainError):
             ctmc_exact_expectation(obs, -1.0, PARAMS, (-4, 6))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        obs = Observable.tau_pow_N(1, 0)
+        with pytest.raises(DomainError, match="need finite t >= 0"):
+            mc_expectation(obs, t, PARAMS, 200, seed=0, window=(-4, 6))
+        with pytest.raises(DomainError, match="need finite t >= 0"):
+            default_window(obs, t)
+        with pytest.raises(DomainError, match="need finite t >= 0"):
+            ctmc_exact_expectation(obs, t, PARAMS, (-4, 6))
 
     def test_left_only_drift_crosses_origin_bond(self):
         # With the right rate ~0, the single particle at 2 walks to the
@@ -250,7 +262,10 @@ class TestCTMCOracle:
 
     def test_peak_memory_per_state(self):
         # (-10, 12): 6 particles on 23 sites.  The warm-up call loads
-        # scipy.sparse, so only the arrays of the solve are traced.
+        # scipy.sparse, so only the arrays of the solve are traced.  Storing
+        # only the right-hop pattern peaks at 42 bytes per window state (64
+        # with both hop directions and the diagonal in one CSR); the bound
+        # leaves a margin of about 15%.
         obs = Observable.tau_pow_N(1, 0)
         ctmc_exact_expectation(obs, 1.0, PARAMS, (-3, 4))
         tracemalloc.start()
@@ -259,7 +274,21 @@ class TestCTMCOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 300 * math.comb(23, 6)
+        assert peak < 48 * math.comb(23, 6)
+
+    def test_peak_memory_per_kept_state(self):
+        # At t = 4 on (-12, 14) the light cone holds 808,317 of the 888,030
+        # states, and the stepping arrays set the peak: 98.5 bytes per kept
+        # state (171 with both hop directions and the diagonal in one CSR).
+        obs = Observable.tau_pow_N(1, 0)
+        ctmc_exact_expectation(obs, 1.0, PARAMS, (-3, 4))
+        tracemalloc.start()
+        try:
+            ctmc_exact_expectation(obs, 4.0, PARAMS, (-12, 14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 808_317
 
     def test_short_time_builds_only_the_light_cone(self):
         # At t = 0.25 the series stops after 17 steps, and 27,383 of the 888,030
@@ -303,6 +332,65 @@ class TestColexTable:
         assert got.dtype == np.min_scalar_type(n_sites - 1)
         assert np.array_equal(got, ref[np.argsort(_colex_ranks(ref, table), kind="stable")])
         assert np.array_equal(_colex_ranks(got, table), np.arange(n))
+
+
+class TestRightHopKernel:
+    """The stored right-hop pattern A and diagonal D against an itertools brute force."""
+
+    @pytest.mark.parametrize("window, n_max", [
+        ((-3, 4), 2), ((-5, 6), 3), ((-4, 7), 5), ((-5, 6), 40),
+    ], ids=["two-particles", "three-particles", "four-particles", "whole-window"])
+    def test_pattern_and_diagonal_match_dense_kernel(self, window, n_max):
+        # tau = 0.3 makes p != q, so a kernel with the two rates swapped fails.
+        # The uniformized kernel P is built by hand over every state of the
+        # window; K^T restricted to the states within n_max hops of the start
+        # must equal (q/lam) A + (p/lam) A^T + D exactly.
+        params = ModelParams.from_tau(0.3)
+        left, right = window
+        n_sites = right - left + 1
+        init = np.arange(2 - left, right + 1 - left, 2)
+        n_part = init.size
+        lam = float(n_part)
+        p, q = params.p / lam, params.q / lam
+        table = _comb_table(n_sites, n_part)
+        ranks, shells = _light_cone(_colex_table(n_sites, n_part, table), init, n_max)
+        states = _colex_table(n_sites, n_part, table)[ranks]
+        indptr, indices, diag = _right_hops(states, ranks, table, init, int(shells[-2]), p, q)
+
+        every = list(itertools.combinations(range(n_sites), n_part))
+        dist = {c: sum(abs(a - b) for a, b in zip(c, init.tolist())) for c in every}
+        cone = sorted((c for c in every if dist[c] <= n_max), key=lambda c: (dist[c], c[::-1]))
+        assert [tuple(row) for row in states.tolist()] == cone
+        pos = {c: i for i, c in enumerate(cone)}
+        full = {c: i for i, c in enumerate(every)}
+        kernel = np.zeros((len(every), len(every)))
+        want_rows, want_diag, dropped = [], [], 0
+        for c in cone:
+            row, leave = [], 0.0
+            for a, y in enumerate(c):
+                for z, rate in ((y + 1, p), (y - 1, q)):
+                    if 0 <= z < n_sites and z not in c:
+                        leave += rate
+                        hop = tuple(sorted(c[:a] + (z,) + c[a + 1 :]))
+                        kernel[full[c], full[hop]] = rate
+                        if z > y and hop in pos:
+                            row.append(pos[hop])
+                        dropped += hop not in pos
+            want_rows.append(row)
+            want_diag.append(1.0 - leave)
+            kernel[full[c], full[c]] = 1.0 - leave
+
+        got_rows = [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(len(cone))]
+        assert got_rows == want_rows
+        assert indptr.dtype == indices.dtype == np.int32
+        assert np.array_equal(diag, want_diag)
+        assert (dropped > 0) == (len(cone) < len(every))
+        a = np.zeros((len(cone), len(cone)))
+        for i, row in enumerate(want_rows):
+            a[i, row] = 1.0
+        order = [full[c] for c in cone]
+        restricted = kernel[np.ix_(order, order)].T
+        assert np.array_equal(q * a + p * a.T + np.diag(diag), restricted)
 
 
 def _brute_value(obs: Observable, sites: tuple[int, ...], tau: float) -> float:
