@@ -77,6 +77,8 @@ ROUTE_NEG_X = -2.5
 ROUTE_POS_X = 3.0
 TRUNCATION_FLOOR = 1e-18
 IMAG_TOL = 1e-8
+# r values per kernel stack: a few MB of temporaries whatever len(r) is
+R_BLOCK = 16
 
 __all__ = [
     "ConsistencyError",
@@ -129,8 +131,9 @@ class NystromGrid:
     lower : float
         Left endpoint; the determinant lives on L^2([lower, oo)).
     span : float, optional
-        Truncation length; the kernel decays superexponentially so the
-        truncation error is dominated by quadrature error.
+        Truncation length.  The kernel decays superexponentially, but not
+        fast enough on split_pos at negative r: at x = 8 span 10 is off by
+        3.7e-7 at r = -3 and 5.0e-4 at r = -8, far above quadrature error.
     n : int, optional
         Number of Gauss-Legendre nodes.
     """
@@ -244,54 +247,61 @@ def _contour_factors(spec: KernelSpec, route: str):
     return u, wu, v, wv, exp_u, exp_v, coupling
 
 
-def _kernel_matrix(
-    lam: np.ndarray,
-    lam_prime: np.ndarray,
-    spec: KernelSpec,
-    route: str | None = None,
-) -> np.ndarray:
-    """Crossover kernel on the grid lam x lam_prime as a dense matrix.
+def _swept_residue(lam: np.ndarray) -> np.ndarray:
+    """2^{-1/3} Ai(2^{-1/3}(lam_i + lam_j)) for each row of lam; symmetric, so
+    airy_ai is taken on the upper triangle and mirrored."""
+    i, j = np.triu_indices(lam.shape[-1])
+    tri = INV_CBRT2 * airy_ai(INV_CBRT2 * (lam[..., i] + lam[..., j]))
+    out = np.empty(lam.shape + lam.shape[-1:])
+    out[..., i, j] = tri
+    out[..., j, i] = tri
+    return out
 
-    The contours, their exponents and the coupling depend on (spec, route)
-    alone and come from _contour_factors, so a run of calls at one x (an
-    airy21 row of r values) builds them once.  The ray guards, the
-    lam-dependent exponentials, the two matrix products and the split_pos
-    Airy term are computed on every call.
+
+def _kernel_stack(
+    lowers: np.ndarray, offsets: np.ndarray, spec: KernelSpec, route: str | None = None
+) -> np.ndarray:
+    """Crossover kernel on each grid lower + offsets, stacked as (lowers, n, n).
+
+    On lam_i = lower + s_i the u-side factor exp(-(lam_i - shift) u + exp_u) w_u
+    is exp(-(lower - shift) u), which alone moves with lower, times the table
+    exp(-s_i u + exp_u) w_u; the v side splits the same way.  So the two
+    tables are built once per call, each lower adds U + V exponentials and
+    two diagonal scalings, and the coupling product over all lowers is one
+    matrix product.  The contours, exponents and coupling come from
+    _contour_factors; the ray guards run for every lower.
     """
     route = _route(spec.x) if route is None else route
     if route == "split_neg" and spec.x > 0.0:
         raise DomainError("split_neg route requires x <= 0")
-    shift = 2.0 ** (-2.0 / 3.0) * spec.x**2 if spec.x <= 0.0 else 0.0
-    lam = np.asarray(lam, dtype=float)
-    lam_prime = np.asarray(lam_prime, dtype=float)
     u, wu, v, wv, exp_u, exp_v, coupling = _contour_factors(spec, route)
-    if route == "split_neg":
-        lh, lhp = lam, lam_prime
-    else:
-        lh, lhp = lam - shift, lam_prime - shift
-
-    _guard_rays(np.real(exp_u) - np.real(u) * float(np.min(lh)), "u")
-    _guard_rays(np.real(exp_v) + np.real(v) * float(np.max(lhp)), "v")
-
-    left = np.exp(np.outer(-lh, u) + exp_u[None, :]) * wu[None, :]
-    right = np.exp(np.outer(v, lhp) + exp_v[:, None]) * wv[:, None]
-    kernel = left @ (coupling @ right)
-
+    shift = 2.0 ** (-2.0 / 3.0) * spec.x**2 if spec.x <= 0.0 and route != "split_neg" else 0.0
+    s = np.asarray(offsets, dtype=float)
+    base = np.asarray(lowers, dtype=float) - shift
+    for b in base:
+        _guard_rays(np.real(exp_u) - np.real(u) * (b + s.min()), "u")
+        _guard_rays(np.real(exp_v) + np.real(v) * (b + s.max()), "v")
+    left = np.exp(np.outer(-s, u) + exp_u) * wu
+    right = np.exp(np.outer(v, s) + exp_v[:, None]) * wv[:, None]
+    scaled = np.exp(np.outer(v, base))[:, :, None] * right[:, None, :]
+    inner = (coupling @ scaled.reshape(v.size, -1)).reshape(u.size, base.size, s.size)
+    kernel = (np.exp(np.outer(base, -u))[:, None, :] * left) @ inner.transpose(1, 0, 2)
     if route == "split_pos":
-        args = INV_CBRT2 * (lh[:, None] + lhp[None, :])
-        kernel = kernel + INV_CBRT2 * airy_ai(args)
+        kernel += _swept_residue(base[:, None] + s)
     return kernel
 
 
-def _nystrom_det(kernel_matrix: np.ndarray, weights: np.ndarray) -> float:
+def _nystrom_det(kernel_matrix: np.ndarray, weights: np.ndarray):
+    """det(I - K) for one n x n kernel (a float) or a stack of them (an array)."""
     root = np.sqrt(weights)
-    m = root[:, None] * kernel_matrix * root[None, :]
-    det = np.linalg.det(np.eye(len(weights)) - m)
-    if abs(det.imag) >= IMAG_TOL:
+    det = np.atleast_1d(np.linalg.det(np.eye(len(weights)) - root[:, None] * kernel_matrix * root))
+    # written so that NaN fails it: every comparison with NaN is False
+    bad = ~(np.abs(det.imag) < IMAG_TOL)
+    if bad.any():
         raise ConsistencyError(
-            f"determinant imaginary part {det.imag:.3e} exceeds {IMAG_TOL}"
+            f"determinant imaginary part {det.imag[bad][0]:.3e} exceeds {IMAG_TOL}"
         )
-    return float(det.real)
+    return float(det.real[0]) if kernel_matrix.ndim == 2 else det.real
 
 
 def airy_oracles(s: float, grid: NystromGrid | None = None) -> tuple[float, float]:
@@ -336,22 +346,25 @@ def airy_oracles(s: float, grid: NystromGrid | None = None) -> tuple[float, floa
 
 def halfflat_limit_cdf(
     x: float,
-    r: float,
+    r,
     spec: KernelSpec | None = None,
     grid: NystromGrid | None = None,
-) -> float:
+):
     """Predicted limiting CDF of the scaled half-flat height at (x, r).
 
-    Thin wrapper: evaluates det(I - K) on L^2([2^{1/3} r, oo)) for the
-    crossover kernel at spatial parameter x, which is the conjectured limit
-    of the probability that the centered height at position t^{2/3} x,
-    scaled by t^{1/3} and with the parabola removed on x <= 0, stays above
-    -r.
+    Evaluates det(I - K) on L^2([2^{1/3} r, oo)) for the crossover kernel at
+    spatial parameter x, which is the conjectured limit of the probability
+    that the centered height at position t^{2/3} x, scaled by t^{1/3} and
+    with the parabola removed on x <= 0, stays above -r.  A sequence of r
+    is evaluated as stacks of at most R_BLOCK determinants (_kernel_stack),
+    which share the r-free parts of the kernel.
 
     Parameters
     ----------
-    x, r : float
-        Spatial parameter and CDF argument.
+    x : float
+        Spatial parameter.
+    r : float or 1-D sequence of float
+        CDF argument(s); every one must be finite.
     spec : KernelSpec, optional
         Contour settings; the spatial parameter is forced to x.
     grid : NystromGrid, optional
@@ -359,15 +372,21 @@ def halfflat_limit_cdf(
 
     Returns
     -------
-    float
-        Determinant value in [0, 1] up to discretization error.
+    float or numpy.ndarray
+        Determinant value(s) in [0, 1] up to discretization error: a float
+        for scalar r, else an array of len(r).
     """
     spec = KernelSpec(x=x) if spec is None else dataclasses.replace(spec, x=x)
-    lower = CBRT2 * r
-    grid = (
-        NystromGrid(lower=lower)
-        if grid is None
-        else dataclasses.replace(grid, lower=lower)
-    )
-    xi, w = grid.nodes()
-    return _nystrom_det(_kernel_matrix(xi, xi, spec), w)
+    grid = NystromGrid(lower=0.0) if grid is None else dataclasses.replace(grid, lower=0.0)
+    rs = np.asarray(r, dtype=float)
+    if rs.ndim > 1:
+        raise DomainError("r must be a scalar or a 1-D sequence")
+    if not np.all(np.isfinite(rs)):
+        raise DomainError(f"need finite r, got {rs[~np.isfinite(rs)][0]}")
+    offsets, w = grid.nodes()
+    lowers = CBRT2 * np.atleast_1d(rs)
+    out = np.empty(lowers.size)
+    for i in range(0, lowers.size, R_BLOCK):
+        block = _kernel_stack(lowers[i : i + R_BLOCK], offsets, spec)
+        out[i : i + R_BLOCK] = _nystrom_det(block, w)
+    return float(out[0]) if rs.ndim == 0 else out

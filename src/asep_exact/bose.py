@@ -140,7 +140,7 @@ def _pair_pole_distance(ladder) -> float:
 
 
 def _check_time(t: float) -> None:
-    if not (t > 0):
+    if not (0 < t < math.inf):
         raise DomainError(f"need t > 0, got {t}")
 
 

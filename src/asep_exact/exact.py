@@ -199,7 +199,7 @@ def qtilde_moments(xs, t: float, ev: EvalParams) -> MomentResult:
         raise DomainError(f"need 1 <= k <= 4 sites, got {len(xs)}")
     if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
         raise DomainError(f"sites must be strictly increasing, got {xs}")
-    if not (t >= 0):
+    if not (0 <= t < math.inf):
         raise DomainError(f"need t >= 0, got {t}")
     return _qtilde_value(xs, t, ev)
 
@@ -236,7 +236,7 @@ def verify_ansatz(xs, t: float, ev: EvalParams) -> AnsatzReport:
         raise DomainError(f"need 1 <= k <= 3 sites, got {len(xs)}")
     if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
         raise DomainError(f"sites must be strictly increasing, got {xs}")
-    if not (t > 0):
+    if not (0 < t < math.inf):
         raise DomainError(f"need t > 0, got {t}")
     params = ev.params
     u = _qtilde_value(xs, t, ev).value
@@ -290,7 +290,7 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     """Expected tau^(k N_x) at time t via k nested two-piece contours."""
     if k < 0 or k > 3:
         raise DomainError(f"need 0 <= k <= 3, got {k}")
-    if not (t >= 0):
+    if not (0 <= t < math.inf):
         raise DomainError(f"need t >= 0, got {t}")
     params = ev.params
     tau = params.tau
@@ -347,7 +347,7 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     """Expected tau^(k N_x) as a partition sum over geometric strings."""
     if k < 0 or k > 5:
         raise DomainError(f"need 0 <= k <= 5, got {k}")
-    if not (t >= 0):
+    if not (0 <= t < math.inf):
         raise DomainError(f"need t >= 0, got {t}")
     params = ev.params
     tau = params.tau
@@ -437,7 +437,7 @@ def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     """Expected tau^(m N_x) at time t via the composition expansion."""
     if m < 0 or m > 4:
         raise DomainError(f"need 0 <= m <= 4, got {m}")
-    if not (t >= 0):
+    if not (0 <= t < math.inf):
         raise DomainError(f"need t >= 0, got {t}")
     mfact = q_factorial(m, ev.params.tau)
     terms = (term for k in range(m + 1) for term in _nu_terms(k, [(m, mfact)], x, t, ev))
@@ -488,11 +488,11 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
     they cost 5.8e-7 at zeta = -0.5 and 7.7e-4 at -0.9 (m_max = 40).
     """
     zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
+    if not (abs(zeta) < 1.0):
         raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if m_max < 8:
         raise DomainError(f"need m_max >= 8, got {m_max}")
-    if not (t >= 0):
+    if not (0 <= t < math.inf):
         raise DomainError(f"need t >= 0, got {t}")
     kept = _laplace_orders(zeta, m_max, range(5), ev)
     terms = (term for k, orders in kept.items() for term in _nu_terms(k, orders, x, t, ev))
@@ -590,11 +590,11 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     zeta = complex(zeta)
     if math.pi - abs(np.angle(-zeta)) < 0.3:
         raise DomainError("zeta must lie at least 0.3 rad from the nonnegative real axis")
-    if abs(zeta) >= 1.0:
+    if not (abs(zeta) < 1.0):
         raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if k_max < 0 or k_max > 2:
         raise DomainError(f"need 0 <= k_max <= 2, got {k_max}")
-    if not (t >= 0):
+    if not (0 <= t < math.inf):
         raise DomainError(f"need t >= 0, got {t}")
     # Residue orders from 2 on, which --k-max 1 would need, are sized even when k_max is 2.
     # The k_max = 0 order-1 tail holds tables of 2m factors: capped like any q-product,

@@ -129,9 +129,13 @@ def default_window(obs: Observable, t: float) -> tuple[int, int]:
     return (lo - w, hi + w)
 
 
-def _observable_values(obs: Observable, positions: np.ndarray, params: ModelParams) -> np.ndarray:
+def _observable_values(
+    obs: Observable, positions: np.ndarray, params: ModelParams, origin: int = 0
+) -> np.ndarray:
     """Evaluate the observable on a (replicas, particles) position matrix.
 
+    positions holds sites minus origin, so a narrow table of window-local
+    sites is compared against sites shifted by -origin, with no wide copy.
     The height h = 2 J + 2 (N_x - N_0) - x takes the net current J across
     the bond (0, 1) as N_0, the particle count at or left of the origin,
     which it equals on every path of a closed window whose particles all
@@ -140,26 +144,26 @@ def _observable_values(obs: Observable, positions: np.ndarray, params: ModelPara
     tau = params.tau
     n_part = positions.shape[1]
     if obs.kind == "tau_pow_N":
-        n_x = np.sum(positions <= obs.x, axis=1)
+        n_x = np.sum(positions <= obs.x - origin, axis=1)
         table = tau ** (obs.k * np.arange(n_part + 1, dtype=np.float64))
         return table[n_x]
     if obs.kind == "qtilde_product":
         out = np.ones(positions.shape[0], dtype=np.float64)
         table = tau ** np.arange(n_part + 1, dtype=np.float64)
         for x in obs.xs:
-            eta = np.any(positions == x, axis=1)
-            n_prev = np.sum(positions <= x - 1, axis=1)
+            eta = np.any(positions == x - origin, axis=1)
+            n_prev = np.sum(positions <= x - 1 - origin, axis=1)
             out *= eta * table[n_prev]
         return out
     if obs.kind == "etau_of_zeta_tauN":
-        n_x = np.sum(positions <= obs.x, axis=1)
+        n_x = np.sum(positions <= obs.x - origin, axis=1)
         table = np.empty(n_part + 1, dtype=np.float64)
         for j in range(n_part + 1):
             val = q_exp(obs.zeta * tau**j, tau)
             table[j] = float(np.real(val))
         return table[n_x]
     if obs.kind == "height_indicator":
-        h = 2 * np.sum(positions <= obs.x, axis=1) - obs.x
+        h = 2 * np.sum(positions <= obs.x - origin, axis=1) - obs.x
         return (h >= obs.threshold).astype(np.float64)
     raise DomainError(f"unknown observable kind {obs.kind!r}")
 
@@ -438,7 +442,7 @@ def ctmc_exact_expectation(
     # Each array is dropped once read for the last time: the stepper holds only
     # the pattern, its data array, the diagonal, the values and two vectors.
     del configs
-    values = _observable_values(obs, states.astype(np.int64) + left, params)
+    values = _observable_values(obs, states, params, origin=left)
     edge = int(shells[-2]) if n_max > 0 else 0
     indptr, indices, diag = _right_hops(states, ranks, table, init_sites, edge, p / lam, q / lam)
     del states, ranks

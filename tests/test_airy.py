@@ -141,61 +141,63 @@ class TestSpecValidation:
         assert abs(np.sum(w) - 9.0) < 1e-12
 
 
+def kernel_on(lam, spec, route=None):
+    """Kernel matrix on the nodes lam, as the one-lower case of the stack."""
+    return am._kernel_stack([lam[0]], np.asarray(lam) - lam[0], spec, route)[0]
+
+
 class TestCrossoverKernel:
     def test_kernel_is_real(self):
-        lam = np.linspace(-2.0, 6.0, 9)
+        offsets = np.linspace(0.0, 8.0, 9)
         for x in (-4.0, 0.0, 4.0):
-            vals = am._kernel_matrix(lam, lam, am.KernelSpec(x=x))
+            vals = am._kernel_stack([-2.0, 0.5], offsets, am.KernelSpec(x=x))
+            assert vals.shape == (2, 9, 9)
             assert np.max(np.abs(np.imag(vals))) < 1e-8
 
     def test_super_exponential_decay(self):
-        spec = am.KernelSpec(x=0.0)
-        far = am._kernel_matrix(np.array([12.0]), np.array([12.0]), spec)[0, 0]
-        near = am._kernel_matrix(np.array([2.0]), np.array([2.0]), spec)[0, 0]
+        near, far = am._kernel_stack([2.0, 12.0], [0.0], am.KernelSpec(x=0.0))[:, 0, 0]
         assert abs(far) < 1e-6 * abs(near)
 
     def test_node_doubling_stability(self):
-        one, two = np.array([1.0]), np.array([2.0])
-        coarse = am._kernel_matrix(one, two, am.KernelSpec(x=0.0))[0, 0]
-        fine = am._kernel_matrix(one, two, am.KernelSpec(x=0.0, nodes_per_ray=192))[0, 0]
+        lam = np.array([1.0, 2.0])
+        coarse = kernel_on(lam, am.KernelSpec(x=0.0))[0, 1]
+        fine = kernel_on(lam, am.KernelSpec(x=0.0, nodes_per_ray=192))[0, 1]
         assert abs(coarse - fine) < 1e-8
 
     @pytest.mark.parametrize("x", [-2.5, -1.0])
     def test_route_overlap_negative(self, x):
         spec = am.KernelSpec(x=x)
         xi, w = am.NystromGrid(lower=-1.26).nodes()
-        direct = am._nystrom_det(am._kernel_matrix(xi, xi, spec, route="direct"), w)
-        shifted = am._nystrom_det(am._kernel_matrix(xi, xi, spec, route="split_neg"), w)
+        direct = am._nystrom_det(kernel_on(xi, spec, route="direct"), w)
+        shifted = am._nystrom_det(kernel_on(xi, spec, route="split_neg"), w)
         assert abs(direct - shifted) < 1e-10
 
     @pytest.mark.parametrize("x", [1.5, 3.0])
     def test_route_overlap_positive(self, x):
         spec = am.KernelSpec(x=x)
         xi, w = am.NystromGrid(lower=-1.26).nodes()
-        direct = am._nystrom_det(am._kernel_matrix(xi, xi, spec, route="direct"), w)
-        split = am._nystrom_det(am._kernel_matrix(xi, xi, spec, route="split_pos"), w)
+        direct = am._nystrom_det(kernel_on(xi, spec, route="direct"), w)
+        split = am._nystrom_det(kernel_on(xi, spec, route="split_pos"), w)
         assert abs(direct - split) < 1e-10
 
     def test_split_neg_rejects_positive_x(self):
         spec = am.KernelSpec(x=1.0)
         with pytest.raises(DomainError):
-            am._kernel_matrix(np.array([0.0]), np.array([0.0]), spec, route="split_neg")
+            am._kernel_stack([0.0], [0.0], spec, route="split_neg")
 
     def test_truncation_warning_fires(self):
         spec = am.KernelSpec(x=3.0, ray_length=6.0)
-        lam = np.linspace(-6.0, 4.0, 20)
         with pytest.warns(RuntimeWarning, match="ray too short"):
-            am._kernel_matrix(lam, lam, spec)
+            kernel_on(np.linspace(-6.0, 4.0, 20), spec)
 
     def test_no_warning_at_defaults(self):
-        lam = np.linspace(-3.8, 6.2, 20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            am._kernel_matrix(lam, lam, am.KernelSpec(x=0.0))
+            kernel_on(np.linspace(-3.8, 6.2, 20), am.KernelSpec(x=0.0))
 
 
 class TestContourCache:
-    """_kernel_matrix reuses the contour factors of one (spec, route)."""
+    """_kernel_stack reuses the contour factors of one (spec, route)."""
 
     GRID = [(x, r) for x in (-4.0, -2.5, 0.0, 3.0, 4.0) for r in (-1.0, 0.5)]
 
@@ -218,11 +220,10 @@ class TestContourCache:
 
     def test_split_neg_refused_with_a_warm_cache(self):
         spec = am.KernelSpec(x=1.0)
-        lam = np.array([0.0])
-        am._kernel_matrix(lam, lam, spec, route="direct")
+        am._kernel_stack([0.0], [0.0], spec, route="direct")
         for _ in range(2):
             with pytest.raises(DomainError):
-                am._kernel_matrix(lam, lam, spec, route="split_neg")
+                am._kernel_stack([0.0], [0.0], spec, route="split_neg")
 
     def test_short_rays_warn_on_every_call(self):
         spec = am.KernelSpec(x=3.0, ray_length=6.0)
@@ -230,8 +231,96 @@ class TestContourCache:
         am._contour_factors.cache_clear()
         for _ in range(3):
             with pytest.warns(RuntimeWarning, match="ray too short"):
-                am._kernel_matrix(lam, lam, spec)
+                kernel_on(lam, spec)
         assert am._contour_factors.cache_info().hits == 2
+
+
+def unfactored_kernel(lam, spec):
+    """The kernel with lam inside each exponential, as one value per call built it.
+
+    Returns the kernel and the scale sum |left| |coupling| |right| of its terms.
+    """
+    route = am._route(spec.x)
+    u, wu, v, wv, exp_u, exp_v, coupling = am._contour_factors(spec, route)
+    shift = 2.0 ** (-2.0 / 3.0) * spec.x**2 if route == "direct" and spec.x <= 0.0 else 0.0
+    lh = lam - shift
+    left = np.exp(np.outer(-lh, u) + exp_u) * wu
+    right = np.exp(np.outer(v, lh) + exp_v[:, None]) * wv[:, None]
+    kernel = left @ (coupling @ right)
+    if route == "split_pos":
+        kernel = kernel + am.INV_CBRT2 * am.airy_ai(am.INV_CBRT2 * (lh[:, None] + lh[None, :]))
+    return kernel, np.abs(left) @ (np.abs(coupling) @ np.abs(right))
+
+
+class TestKernelStack:
+    """A row of r values is one stack of determinants; it must match per-r calls."""
+
+    XS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
+    RS = [-3.0 + 0.5 * i for i in range(13)]
+
+    @pytest.mark.parametrize("x", XS)
+    def test_factored_kernel_matches_unfactored_form(self, x):
+        # exp(a) exp(b) against exp(a + b): a rounding of eps |a + b| each, with
+        # exponents below 50 in modulus on these grids
+        spec = am.KernelSpec(x=x)
+        offsets = am.NystromGrid(lower=0.0).nodes()[0]
+        lowers = CBRT2 * np.array([-3.0, -1.0, 0.0, 1.5, 3.0])
+        stack = am._kernel_stack(lowers, offsets, spec)
+        for lower, kernel in zip(lowers, stack):
+            ref, scale = unfactored_kernel(lower + offsets, spec)
+            assert np.max(np.abs(kernel - ref) / scale) < 50 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("x", XS)
+    def test_batched_row_matches_per_r_calls(self, x):
+        batched = am.halfflat_limit_cdf(x, self.RS)
+        assert isinstance(batched, np.ndarray) and batched.shape == (13,)
+        single = [am.halfflat_limit_cdf(x, r) for r in self.RS]
+        assert all(isinstance(v, float) for v in single)
+        assert np.max(np.abs(batched - single)) < 1e-14
+
+    def test_split_pos_fine_grid_matches_per_r_calls(self):
+        spec = am.KernelSpec(x=8.0, nodes_per_ray=192)
+        grid = am.NystromGrid(lower=0.0, n=80)
+        rs = [-3.0, -1.0, 0.5, 2.0]
+        batched = am.halfflat_limit_cdf(8.0, rs, spec, grid)
+        single = [am.halfflat_limit_cdf(8.0, r, spec, grid) for r in rs]
+        assert np.max(np.abs(batched - single)) < 1e-14
+
+    def test_swept_residue_equals_full_airy_matrix(self):
+        lam = CBRT2 * np.array([-3.0, 0.5])[:, None] + am.NystromGrid(lower=0.0).nodes()[0]
+        full = am.INV_CBRT2 * am.airy_ai(am.INV_CBRT2 * (lam[:, :, None] + lam[:, None, :]))
+        assert np.array_equal(am._swept_residue(lam), full)
+
+    def test_long_list_equals_its_blocks(self):
+        assert am.R_BLOCK == 16
+        rs = np.linspace(-3.0, 3.0, 40)
+        whole = am.halfflat_limit_cdf(2.0, rs)
+        blocks = np.concatenate([am.halfflat_limit_cdf(2.0, rs[i : i + 16])
+                                 for i in range(0, 40, 16)])
+        assert np.array_equal(whole, blocks)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_refuses_the_whole_call(self, bad, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("kernel built before r was checked")
+
+        monkeypatch.setattr(am, "_kernel_stack", no_kernel)
+        with pytest.raises(DomainError, match="finite r"):
+            am.halfflat_limit_cdf(0.0, [-1.0, 0.0, bad, 1.0])
+        with pytest.raises(DomainError, match="finite r"):
+            am.halfflat_limit_cdf(0.0, bad)
+
+    def test_nan_determinant_in_one_block_refuses_the_call(self):
+        # exp(-(lower - shift) u) overflows at r = -120 on a split_neg row;
+        # the imaginary-part check must fail on NaN, not let it through
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(am.ConsistencyError):
+                am.halfflat_limit_cdf(-8.0, [-120.0, 0.0])
+
+    def test_matrix_r_is_refused(self):
+        with pytest.raises(DomainError):
+            am.halfflat_limit_cdf(0.0, [[0.0, 1.0]])
 
 
 class TestFredholmDet:
@@ -266,6 +355,15 @@ class TestFredholmDet:
         matrix = 1j * np.exp(-((xi[:, None] + xi[None, :]) ** 2))
         with pytest.raises(am.ConsistencyError):
             am._nystrom_det(matrix, w)
+
+    def test_nan_determinant_in_a_stack_raises(self):
+        # abs(nan) >= tol is False: the check must be written so that NaN fails it
+        xi, w = am.NystromGrid(lower=0.0).nodes()
+        good = np.exp(-((xi[:, None] + xi[None, :]) ** 2)).astype(complex)
+        stack = np.stack([good, good, np.full_like(good, complex(math.nan, math.nan))])
+        assert am._nystrom_det(stack[:2], w).shape == (2,)
+        with np.errstate(invalid="ignore"), pytest.raises(am.ConsistencyError):
+            am._nystrom_det(stack, w)
 
 
 class TestAiryOracles:

@@ -19,11 +19,13 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
 import asep_exact
 from asep_exact import cli
+from asep_exact.airy import halfflat_limit_cdf
 from asep_exact.bose import delta_bose_moment, she_halfflat_moment_collapsed
 from asep_exact.qfunc import ModelParams
 from asep_exact.sim import Observable, ctmc_exact_expectation
@@ -165,6 +167,13 @@ class TestMomentCommand:
         assert code == 2 and out == ""
         assert err == "error: need t >= 0, got nan\n"
 
+    @pytest.mark.parametrize("method", ["nested", "halfflat", "partition"])
+    def test_infinite_time_is_refused_by_name(self, method, capsys):
+        code, out, err = run_cli(
+            ["moment", "--tau", "0.5", "--x", "0", "--t", "inf", "--method", method], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: need t >= 0, got inf\n"
+
 
 class TestSimulateCommand:
     def test_time_zero_is_deterministic(self, capsys):
@@ -275,6 +284,14 @@ class TestLaplaceCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "|zeta| < 1" in err
 
+    @pytest.mark.parametrize("rep", ["series", "mb", "both"])
+    def test_nan_zeta_is_refused_by_name(self, rep, capsys):
+        code, out, err = run_cli(
+            ["laplace", "--tau", "0.5", "--zeta", "nan", "--x", "0", "--t", "1",
+             "--rep", rep], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: need |zeta| < 1, got nan\n"
+
 
 class TestBoseCommand:
     def test_single_point_gaussian_value(self, capsys):
@@ -369,6 +386,11 @@ class TestBoseCommand:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_infinite_time_is_refused_by_name(self, capsys):
+        code, out, err = run_cli(["bose", "--x", "0", "--t", "inf"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: need t > 0, got inf\n"
+
     def test_alpha_reaches_the_collapsed_formula(self, capsys):
         # An omitted --alpha is the library default, 0.5; a given one is passed on.
         base = ["bose", "--kind", "halfflat-collapsed", "--k", "2", "--x", "0.3", "--t", "0.6"]
@@ -409,6 +431,27 @@ class TestAiry21Command:
             vals = [float(r["value"]) for r in rows if float(r["x"]) == x]
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert vals == sorted(vals)
+
+    def test_row_matches_per_value_library_calls(self, capsys):
+        code, out, _ = run_cli(["airy21", "--x=4", "--r=-1,0,1"], capsys)
+        assert code == 0
+        for row in parse_csv(out)[2]:
+            assert abs(float(row["value"]) - halfflat_limit_cdf(4.0, float(row["r"]))) < 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        ["--x=-8", "--r=-120,0"],
+        ["--x=0", "--r=-20"],
+        ["--x=0", "--r=nan"],
+        ["--x=0", "--r=inf"],
+        ["--x=0", "--r=0,nan,1"],
+    ], ids=["overflow-row", "far-left", "nan", "inf", "nan-in-row"])
+    def test_unusable_r_exits_two(self, argv, capsys):
+        # no row is printed: a NaN, inf or out-of-range determinant is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(["airy21", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestOutputFormats:
