@@ -30,7 +30,7 @@ evaluator's internal error estimate, floored by the imaginary residual of
 a nominally real value (laplace returns no estimate, so there err is only
 |Im value|); runtime is wall seconds and is the only nondeterministic
 column (airy21 evaluates each x-row of r values in one call, so each of
-its rows carries an equal share of that call, contour build included).
+its rows carries an equal share of that call).
 
 A config file given by --config holds `key = value` lines (blank lines and
 '#' comments ignored); keys are the long option names of the chosen
@@ -41,8 +41,8 @@ command line (`--x=-4,0,4`).
 
 Rows are evaluated in a plain loop, in input order (airy21 one x-row per
 call).  Settings are checked once, where they are used: choices by the
-option parser, rates, node counts, tolerances, sample counts, windows and
-finite r by the library call that takes them.
+option parser, rates, node counts, tolerances, sample counts, windows,
+finite x and r and a finite span by the library call that takes them.
 
 The verify batteries mirror the package's acceptance checks at desk scale.
 airy/airy2-marginal compares the crossover distribution at x = -8 with the
@@ -71,7 +71,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .airy import CBRT2, ConsistencyError, KernelSpec, NystromGrid, airy_oracles, halfflat_limit_cdf
+from .airy import CBRT2, ConsistencyError, NystromGrid, airy_oracles, halfflat_limit_cdf
 from .bose import (
     delta_bose_moment,
     narrow_wedge_moment,
@@ -197,12 +197,11 @@ _OPTION_TABLES: dict[str, tuple[Opt, ...]] = {
         Opt("nodes", int, 64, "quadrature nodes per contour piece (floor)"),
     ) + _OUT_OPTS,
     "airy21": (
-        Opt("x", _float_tuple, (0.0,), "comma-separated crossover parameters"),
+        Opt("x", _float_tuple, (0.0,),
+            "comma-separated crossover parameters; the sign picks the kernel's Airy form"),
         Opt("r", _float_tuple, (0.0,), "comma-separated distribution arguments"),
-        Opt("ray_length", float, 8.0, "length of each kernel contour ray"),
-        Opt("ray_nodes", int, 96, "quadrature nodes per kernel ray"),
-        Opt("span", float, 10.0, "length of the determinant discretization interval"),
-        Opt("grid_n", int, 40, "Gauss-Legendre nodes for the determinant"),
+        Opt("span", float, 10.0, "length of the Nystrom interval [2^(1/3) r, 2^(1/3) r + span]"),
+        Opt("grid_n", int, 40, "Gauss-Legendre nodes on that interval"),
     ) + _OUT_OPTS,
     "verify": (
         Opt("suite", _choice(*VERIFY_SUITES, "all"), "all", "which battery to run"),
@@ -218,7 +217,7 @@ _COMMAND_HELP = {
     "ctmc-oracle": "exact finite-window expectations via uniformization",
     "laplace": "tau-Laplace transform by the series and Mellin-Barnes routes",
     "bose": "point-interaction moment evaluators for the continuum limit",
-    "airy21": "crossover-distribution values on an (x, r) grid",
+    "airy21": "crossover-distribution values det(I - K) on an (x, r) grid, K in Airy form",
     "verify": "deterministic self-check batteries with pass/fail rows",
 }
 
@@ -475,15 +474,12 @@ def _cmd_airy21(cfg: dict) -> int:
     for x in cfg["x"]:
         start = time.perf_counter()
         values = halfflat_limit_cdf(
-            x, cfg["r"],
-            spec=KernelSpec(x=x, ray_length=cfg["ray_length"], nodes_per_ray=cfg["ray_nodes"]),
-            grid=NystromGrid(lower=0.0, span=cfg["span"], n=cfg["grid_n"]),
-        )
+            x, cfg["r"], grid=NystromGrid(lower=0.0, span=cfg["span"], n=cfg["grid_n"]))
         share = (time.perf_counter() - start) / max(len(values), 1)
         rows.extend({"x": x, "r": r, "value": float(value), "runtime": share}
                     for r, value in zip(cfg["r"], values))
     _emit(cfg, ("x", "r", "value", "runtime"), rows,
-          {"ray_nodes": cfg["ray_nodes"], "grid_n": cfg["grid_n"]})
+          {"span": cfg["span"], "grid_n": cfg["grid_n"]})
     return 0
 
 
@@ -604,11 +600,7 @@ def _suite_airy(scale: float, seed: int) -> list[dict]:
     rows.append(_check("airy", "airy1-marginal", worst, 5e-3 * scale))
 
     coarse = halfflat_limit_cdf(1.0, 0.5)
-    fine = halfflat_limit_cdf(
-        1.0, 0.5,
-        spec=KernelSpec(x=1.0, ray_length=10.0, nodes_per_ray=192),
-        grid=NystromGrid(lower=0.0, span=14.0, n=80),
-    )
+    fine = halfflat_limit_cdf(1.0, 0.5, grid=NystromGrid(lower=0.0, span=14.0, n=80))
     rows.append(_check("airy", "grid-stability", abs(coarse - fine), 1e-5 * scale))
     return rows
 

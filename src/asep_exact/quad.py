@@ -6,7 +6,7 @@ the poles and essential singularities of the integrand, and vertical lines
 (line_axes) stepped from the strip of analyticity about them.  An Axis is
 its nodes and weights; its half grid, every other node with twice the
 weight, gives the error estimate.  Gauss-Legendre panels (gl_panels) serve
-the Airy rays and the delta-Bose chamber check, outside the engine.
+the delta-Bose chamber check, outside the engine.
 
 Each value is a weighted sum of k-fold integrals of prod_a d_a(z_a)
 prod_{a<b} P_ab(z_a, z_b) over such axes, and tensor_result, the one engine,
@@ -53,7 +53,6 @@ __all__ = [
     "circle_axis",
     "line_axes",
     "gl_panels",
-    "panel_count",
     "toeplitz",
     "hankel",
     "tensor_result",
@@ -175,16 +174,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def panel_count(length: float, n_nodes: int) -> int:
-    """Panels for about n_nodes nodes on a piece of the given length.
-
-    Bounded panel width (1 unit at 64 nodes) keeps 16-point Gauss-Legendre
-    accurate on peaked or exponentially decaying factors; more nodes shrink
-    the width proportionally.
-    """
-    return max(1, math.ceil(n_nodes / 16), math.ceil(length * n_nodes / 64.0))
 
 
 def gl_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from asep_exact.airy import CBRT2, KernelSpec, NystromGrid, airy_oracles, halfflat_limit_cdf
+from asep_exact.airy import CBRT2, NystromGrid, airy_oracles, halfflat_limit_cdf
 from asep_exact.bose import (
     delta_bose_moment,
     narrow_wedge_moment,
@@ -243,9 +243,7 @@ def test_criterion_8_crossover_determinant_properties():
     worst_refine = 0.0
     for x, r in ((-4.0, 0.0), (0.0, 1.0), (4.0, -1.0)):
         coarse = halfflat_limit_cdf(x, r)
-        fine = halfflat_limit_cdf(x, r,
-                                  spec=KernelSpec(x=x, nodes_per_ray=192),
-                                  grid=NystromGrid(lower=0.0, n=80))
+        fine = halfflat_limit_cdf(x, r, grid=NystromGrid(lower=0.0, span=14.0, n=80))
         worst_refine = max(worst_refine, abs(coarse - fine))
     elapsed = time.monotonic() - start
 

@@ -1,14 +1,16 @@
 """Tests for the crossover-kernel Fredholm determinant machinery.
 
-Oracle strategy: airy_ai (a wrapper of scipy.special.airy) is checked
-against an independent Maclaurin series and against mpmath reference values;
-the closed-form Airy2 comparison oracle is checked against a Nystrom
+Oracle strategy: airy_ai (scipy.special.airy, and Bessel identities past
+|s| = 10) is checked against an independent Maclaurin series, against
+mpmath reference values and against scipy.special.airy itself; the
+closed-form Airy2 comparison oracle is checked against a Nystrom
 determinant of the integral form of the Airy kernel, with a different
-truncation and node count; the crossover determinant is checked
-against its own CDF properties, against route-to-route agreement on
-overlapping validity windows, and against the two Airy limit oracles at
-large |x|. No expected value is asserted without one of these independent
-routes backing it.
+truncation and node count; the crossover determinant is checked against its
+own CDF properties, against a direct evaluation of the double contour
+integral (contour_det, which shares no Airy function with the module),
+against its kernel integrated entry by entry, and against the two Airy limit
+oracles at large |x|. No expected value is asserted without one of these
+independent routes backing it.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from math import gamma
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 from scipy.special import airy as scipy_airy
 
 from asep_exact import airy as am
 from asep_exact.qfunc import DomainError
+from asep_exact.quad import CostGuardError, gl_panels
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -93,6 +97,59 @@ def scipy_airy1_det(s: float) -> float:
     return scipy_det(s, lambda xi: scipy_airy(xi[:, None] + xi[None, :])[0])
 
 
+def wedge_axis(base: float, angle: float, length: float, panels: int):
+    """Two rays of 16-point Gauss-Legendre panels through base, traversed upward.
+
+    The incoming ray base + s e^{-i angle} is traversed inward (direction -1,
+    nodes reversed), then the outgoing ray base + s e^{i angle}, s in
+    [0, length]; the weights carry the 1/(2 pi i) prefactor.
+    """
+    s, ws = gl_panels(0.0, length, panels)
+    zs, wts = [], []
+    for direction in (-1, 1):
+        e = np.exp(1j * (direction * angle))
+        zs.append((base + s * e)[::direction])
+        wts.append((direction * ws * e / (2j * math.pi))[::direction])
+    return np.concatenate(zs), np.concatenate(wts)
+
+
+def contour_det(x: float, r: float) -> float:
+    """det(I - K) on L^2([2^{1/3} r, oo)) from the crossover kernel's double contour integral.
+
+    K(l, l') = (1/(2 pi i))^2 int du int dv e^{u^3/3 + a u^2 - l~ u}
+    e^{-v^3/3 - a v^2 + l~' v} 2u / (u^2 - v^2), a = 2^{-1/3} x and
+    l~ = l - a^2 for x <= 0 (the parabolic shift), l~ = l for x > 0: u on
+    rays through 1 + b at angles +-pi/3, v on rays through b at angles
+    +-2 pi/3. Moving both contours right by b = max(-a, 0) crosses no pole
+    (Re(u - v) >= 1, and u + v = 0 only off the rays) and keeps the
+    integrand small on them: with b = 0 the value at x = -2.5, r = -3
+    moves by up to 7e-13 as the ray length and panels change. One lower
+    end, no batching, no Airy function.
+    """
+    a = x / CBRT2
+    b = max(-a, 0.0)
+    u, wu = wedge_axis(1.0 + b, math.pi / 3.0, 10.0, 20)
+    v, wv = wedge_axis(b, 2.0 * math.pi / 3.0, 10.0, 20)
+    lam, w = am.NystromGrid(lower=CBRT2 * r).nodes()
+    shifted = lam - (a * a if x <= 0.0 else 0.0)
+    left = np.exp(np.outer(-shifted, u) + u**3 / 3.0 + a * u**2) * wu
+    right = np.exp(np.outer(v, shifted) + (-(v**3) / 3.0 - a * v**2)[:, None]) * wv[:, None]
+    kernel = left @ ((2.0 * u[:, None] / (u[:, None] ** 2 - v[None, :] ** 2)) @ right)
+    root = np.sqrt(w)
+    det = np.linalg.det(np.eye(lam.size) - root[:, None] * kernel * root)
+    assert abs(det.imag) < 1e-12
+    return float(det.real)
+
+
+def stack(lowers, offsets, x: float) -> np.ndarray:
+    """_kernel_stack on the y-axes that halfflat_limit_cdf gives these lowers."""
+    a = am.INV_CBRT2 * x
+    lowers = np.asarray(lowers, dtype=float)
+    lengths, counts = am._y_axes(lowers + (a * a if x > 0.0 else 0.0), a)
+    return am._kernel_stack(lowers, np.asarray(offsets, dtype=float), x, lengths,
+                            counts.astype(int))
+
+
 class TestWedgeAiry:
     def test_reference_value_at_zero(self):
         assert abs(am.airy_ai(0.0) - 0.3550280538878172) < 1e-10
@@ -105,6 +162,15 @@ class TestWedgeAiry:
         for s in np.linspace(-6.0, 6.0, 25):
             assert abs(am.airy_ai(float(s)) - airy_series(float(s))) < 1e-10
 
+    def test_bessel_branches_match_scipy(self):
+        # past |s| = 10 airy_ai takes K_{1/3} and J_{+-1/3}; there both it and
+        # scipy.special.airy are within 2e-13 of mpmath, relative to the envelope
+        s = np.concatenate([-np.linspace(10.01, 60.0, 200), np.linspace(10.01, 100.0, 200)])
+        ref = scipy_airy(s)[0]
+        envelope = np.where(s < 0.0, np.abs(s) ** -0.25 / math.sqrt(math.pi), np.abs(ref))
+        assert np.max(np.abs(am.airy_ai(s) - ref) / envelope) < 2e-13
+        assert am.airy_ai(110.0) == 0.0 and am.airy_ai(1e300) == 0.0
+
     def test_scalar_and_shape(self):
         assert isinstance(am.airy_ai(1.0), float)
         out = am.airy_ai(np.zeros((2, 3)))
@@ -113,21 +179,19 @@ class TestWedgeAiry:
 
 
 class TestSpecValidation:
-    def test_kernel_spec_rejects_short_rays(self):
-        with pytest.raises(DomainError):
-            am.KernelSpec(x=0.0, ray_length=5.0)
-
-    def test_kernel_spec_rejects_sparse_nodes(self):
-        with pytest.raises(DomainError):
-            am.KernelSpec(x=0.0, nodes_per_ray=16)
-
-    def test_kernel_spec_rejects_nonfinite_x(self):
-        with pytest.raises(DomainError):
-            am.KernelSpec(x=math.inf)
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_cdf_rejects_nonfinite_x(self, x):
+        with pytest.raises(DomainError, match="finite x"):
+            am.halfflat_limit_cdf(x, 0.0)
 
     def test_grid_rejects_short_span(self):
         with pytest.raises(DomainError):
             am.NystromGrid(lower=0.0, span=6.0)
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf])
+    def test_grid_rejects_nonfinite_span(self, span):
+        with pytest.raises(DomainError, match="span must be finite"):
+            am.NystromGrid(lower=0.0, span=span)
 
     def test_grid_rejects_few_nodes(self):
         with pytest.raises(DomainError):
@@ -141,115 +205,85 @@ class TestSpecValidation:
         assert abs(np.sum(w) - 9.0) < 1e-12
 
 
-def kernel_on(lam, spec, route=None):
-    """Kernel matrix on the nodes lam, as the one-lower case of the stack."""
-    return am._kernel_stack([lam[0]], np.asarray(lam) - lam[0], spec, route)[0]
-
-
 class TestCrossoverKernel:
     def test_kernel_is_real(self):
         offsets = np.linspace(0.0, 8.0, 9)
         for x in (-4.0, 0.0, 4.0):
-            vals = am._kernel_stack([-2.0, 0.5], offsets, am.KernelSpec(x=x))
-            assert vals.shape == (2, 9, 9)
-            assert np.max(np.abs(np.imag(vals))) < 1e-8
+            vals = stack([-2.0, 0.5], offsets, x)
+            assert vals.shape == (2, 9, 9) and vals.dtype == np.float64
 
     def test_super_exponential_decay(self):
-        near, far = am._kernel_stack([2.0, 12.0], [0.0], am.KernelSpec(x=0.0))[:, 0, 0]
+        near, far = stack([2.0, 12.0], [0.0], 0.0)[:, 0, 0]
         assert abs(far) < 1e-6 * abs(near)
 
-    def test_node_doubling_stability(self):
-        lam = np.array([1.0, 2.0])
-        coarse = kernel_on(lam, am.KernelSpec(x=0.0))[0, 1]
-        fine = kernel_on(lam, am.KernelSpec(x=0.0, nodes_per_ray=192))[0, 1]
-        assert abs(coarse - fine) < 1e-8
+    def test_node_doubling_stability(self, monkeypatch):
+        # the y-axis rule is converged: twice its nodes move no kernel entry
+        # by more than roundoff
+        offsets = am.NystromGrid(lower=0.0).nodes()[0]
+        lowers = CBRT2 * np.array([-6.0, -3.0, 0.0, 2.0])
+        xs = (-8.0, -1.0, 0.0, 1.0, 3.0)
+        coarse = [stack(lowers, offsets, x) for x in xs]
+        monkeypatch.setattr(am, "Y_NODES", 2 * am.Y_NODES)
+        monkeypatch.setattr(am, "Y_DENSITY", 2 * am.Y_DENSITY)
+        for x, kernels in zip(xs, coarse):
+            assert np.max(np.abs(stack(lowers, offsets, x) - kernels)) < 1e-13
 
-    @pytest.mark.parametrize("x", [-2.5, -1.0])
+    @pytest.mark.parametrize("x", [-2.5, -1.0, 0.0])
     def test_route_overlap_negative(self, x):
-        spec = am.KernelSpec(x=x)
-        xi, w = am.NystromGrid(lower=-1.26).nodes()
-        direct = am._nystrom_det(kernel_on(xi, spec, route="direct"), w)
-        shifted = am._nystrom_det(kernel_on(xi, spec, route="split_neg"), w)
-        assert abs(direct - shifted) < 1e-10
+        # the x <= 0 Airy form against the double contour integral
+        rs = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        values = am.halfflat_limit_cdf(x, rs)
+        assert max(abs(v - contour_det(x, r)) for r, v in zip(rs, values)) < 1e-13
 
-    @pytest.mark.parametrize("x", [1.5, 3.0])
+    @pytest.mark.parametrize("x", [1.0, 1.5, 2.0, 3.0])
     def test_route_overlap_positive(self, x):
-        spec = am.KernelSpec(x=x)
-        xi, w = am.NystromGrid(lower=-1.26).nodes()
-        direct = am._nystrom_det(kernel_on(xi, spec, route="direct"), w)
-        split = am._nystrom_det(kernel_on(xi, spec, route="split_pos"), w)
-        assert abs(direct - split) < 1e-10
+        # the x > 0 Airy form, residue included, against the double contour integral
+        rs = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        values = am.halfflat_limit_cdf(x, rs)
+        assert max(abs(v - contour_det(x, r)) for r, v in zip(rs, values)) < 1e-13
 
-    def test_split_neg_rejects_positive_x(self):
-        spec = am.KernelSpec(x=1.0)
-        with pytest.raises(DomainError):
-            am._kernel_stack([0.0], [0.0], spec, route="split_neg")
-
-    def test_truncation_warning_fires(self):
-        spec = am.KernelSpec(x=3.0, ray_length=6.0)
-        with pytest.warns(RuntimeWarning, match="ray too short"):
-            kernel_on(np.linspace(-6.0, 4.0, 20), spec)
+    def test_forms_agree_across_zero(self):
+        # x = +-1e-9 take the two forms; they differ by 2e-9 dF/dx (about 5e-10),
+        # and their mean is F(0) to second order
+        rs = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        plus = am.halfflat_limit_cdf(1e-9, rs)
+        minus = am.halfflat_limit_cdf(-1e-9, rs)
+        assert np.max(np.abs(plus - minus)) < 1e-9
+        assert np.max(np.abs(0.5 * (plus + minus) - am.halfflat_limit_cdf(0.0, rs))) < 1e-13
 
     def test_no_warning_at_defaults(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kernel_on(np.linspace(-3.8, 6.2, 20), am.KernelSpec(x=0.0))
+            for x in (-8.0, 0.0, 2.0, 8.0):
+                am.halfflat_limit_cdf(x, [-20.0, -3.0, 0.0, 3.0] if x <= 0.0 else [-3.0, 3.0])
 
 
-class TestContourCache:
-    """_kernel_stack reuses the contour factors of one (spec, route)."""
+def entrywise_kernel(lam, x, i, j):
+    """K(lam_i, lam_j), its y-integral taken alone by adaptive quadrature.
 
-    GRID = [(x, r) for x in (-4.0, -2.5, 0.0, 3.0, 4.0) for r in (-1.0, 0.5)]
-
-    def test_cold_and_warm_values_are_identical(self):
-        assert {am._route(x) for x, _ in self.GRID} == {"split_neg", "direct", "split_pos"}
-        cold = []
-        for x, r in self.GRID:
-            am._contour_factors.cache_clear()
-            cold.append(am.halfflat_limit_cdf(x, r))
-        am._contour_factors.cache_clear()
-        for x, _ in self.GRID:
-            am.halfflat_limit_cdf(x, 0.0)
-            warm = [am.halfflat_limit_cdf(x, r) for r in (-1.0, 0.5)]
-            assert am._contour_factors.cache_info().hits > 0
-            assert warm == [v for (xc, _), v in zip(self.GRID, cold) if xc == x]
-
-    def test_factors_are_read_only(self):
-        for factor in am._contour_factors(am.KernelSpec(x=0.0), "direct"):
-            assert not factor.flags.writeable
-
-    def test_split_neg_refused_with_a_warm_cache(self):
-        spec = am.KernelSpec(x=1.0)
-        am._kernel_stack([0.0], [0.0], spec, route="direct")
-        for _ in range(2):
-            with pytest.raises(DomainError):
-                am._kernel_stack([0.0], [0.0], spec, route="split_neg")
-
-    def test_short_rays_warn_on_every_call(self):
-        spec = am.KernelSpec(x=3.0, ray_length=6.0)
-        lam = np.linspace(-6.0, 4.0, 20)
-        am._contour_factors.cache_clear()
-        for _ in range(3):
-            with pytest.warns(RuntimeWarning, match="ray too short"):
-                kernel_on(lam, spec)
-        assert am._contour_factors.cache_info().hits == 2
-
-
-def unfactored_kernel(lam, spec):
-    """The kernel with lam inside each exponential, as one value per call built it.
-
-    Returns the kernel and the scale sum |left| |coupling| |right| of its terms.
+    Closed-form K_Ai, the residue and the integrand all take Ai and Ai' from
+    scipy.special.airy, with no Bessel branch and no truncation rule.
     """
-    route = am._route(spec.x)
-    u, wu, v, wv, exp_u, exp_v, coupling = am._contour_factors(spec, route)
-    shift = 2.0 ** (-2.0 / 3.0) * spec.x**2 if route == "direct" and spec.x <= 0.0 else 0.0
-    lh = lam - shift
-    left = np.exp(np.outer(-lh, u) + exp_u) * wu
-    right = np.exp(np.outer(v, lh) + exp_v[:, None]) * wv[:, None]
-    kernel = left @ (coupling @ right)
-    if route == "split_pos":
-        kernel = kernel + am.INV_CBRT2 * am.airy_ai(am.INV_CBRT2 * (lh[:, None] + lh[None, :]))
-    return kernel, np.abs(left) @ (np.abs(coupling) @ np.abs(right))
+    a = x / CBRT2
+    hat = lam + a * a if x > 0.0 else lam
+    (ai_i, aip_i, _, _), (ai_j, aip_j, _, _) = scipy_airy(hat[i]), scipy_airy(hat[j])
+    if i == j:
+        k_ai = aip_i**2 - hat[i] * ai_i**2
+    else:
+        k_ai = (ai_i * aip_j - aip_i * ai_j) / (hat[i] - hat[j])
+    sigma = 1.0 if x <= 0.0 else -1.0
+
+    def integrand(y):
+        return (math.exp(-2.0 * abs(a) * y) * scipy_airy(hat[i] + sigma * y)[0]
+                * scipy_airy(hat[j] - sigma * y)[0])
+
+    upper = max(1.0, 30.0 - hat.min())
+    integral = scipy_quad(integrand, 0.0, upper, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+    value = k_ai + sigma * integral
+    if x > 0.0:
+        value += (math.exp(-a * (lam[i] - lam[j])) / CBRT2
+                  * scipy_airy((lam[i] + lam[j]) / CBRT2)[0])
+    return value
 
 
 class TestKernelStack:
@@ -260,15 +294,17 @@ class TestKernelStack:
 
     @pytest.mark.parametrize("x", XS)
     def test_factored_kernel_matches_unfactored_form(self, x):
-        # exp(a) exp(b) against exp(a + b): a rounding of eps |a + b| each, with
-        # exponents below 50 in modulus on these grids
-        spec = am.KernelSpec(x=x)
+        # the stack takes each y-integral as one product of Ai tables on a shared
+        # y-axis; entry by entry, adaptive quadrature must give the same kernel.
+        # On x > 0 the residue's factor e^{-a(l_i - l_j)} reaches e^{63} at x = 8,
+        # and an exponent that large rounds to a relative 63 eps
         offsets = am.NystromGrid(lower=0.0).nodes()[0]
-        lowers = CBRT2 * np.array([-3.0, -1.0, 0.0, 1.5, 3.0])
-        stack = am._kernel_stack(lowers, offsets, spec)
-        for lower, kernel in zip(lowers, stack):
-            ref, scale = unfactored_kernel(lower + offsets, spec)
-            assert np.max(np.abs(kernel - ref) / scale) < 50 * np.finfo(float).eps
+        lowers = CBRT2 * np.array([-3.0, 0.0, 3.0])
+        for lower, kernel in zip(lowers, stack(lowers, offsets, x)):
+            lam = lower + offsets
+            for i, j in ((0, 0), (0, 39), (39, 0), (12, 27), (27, 12), (39, 39)):
+                ref = entrywise_kernel(lam, x, i, j)
+                assert abs(kernel[i, j] - ref) < 1e-14 * (1.0 + abs(ref))
 
     @pytest.mark.parametrize("x", XS)
     def test_batched_row_matches_per_r_calls(self, x):
@@ -278,18 +314,24 @@ class TestKernelStack:
         assert all(isinstance(v, float) for v in single)
         assert np.max(np.abs(batched - single)) < 1e-14
 
-    def test_split_pos_fine_grid_matches_per_r_calls(self):
-        spec = am.KernelSpec(x=8.0, nodes_per_ray=192)
+    def test_positive_form_fine_grid_matches_per_r_calls(self):
         grid = am.NystromGrid(lower=0.0, n=80)
         rs = [-3.0, -1.0, 0.5, 2.0]
-        batched = am.halfflat_limit_cdf(8.0, rs, spec, grid)
-        single = [am.halfflat_limit_cdf(8.0, r, spec, grid) for r in rs]
+        batched = am.halfflat_limit_cdf(8.0, rs, grid)
+        single = [am.halfflat_limit_cdf(8.0, r, grid) for r in rs]
         assert np.max(np.abs(batched - single)) < 1e-14
 
     def test_swept_residue_equals_full_airy_matrix(self):
-        lam = CBRT2 * np.array([-3.0, 0.5])[:, None] + am.NystromGrid(lower=0.0).nodes()[0]
-        full = am.INV_CBRT2 * am.airy_ai(am.INV_CBRT2 * (lam[:, :, None] + lam[:, None, :]))
-        assert np.array_equal(am._swept_residue(lam), full)
+        # at x = 8 the grid sits past l^ = 36 and the y-axis is empty, so the
+        # kernel is K_Ai plus the residue, whose Ai is taken on the upper
+        # triangle and mirrored
+        offsets = am.NystromGrid(lower=0.0).nodes()[0]
+        lowers = CBRT2 * np.array([-3.0, 0.5])
+        lam = lowers[:, None] + offsets
+        a = am.INV_CBRT2 * 8.0
+        conj = np.exp(-a * (offsets[:, None] - offsets))
+        full = am.INV_CBRT2 * (conj * am.airy_ai(am.INV_CBRT2 * (lam[:, :, None] + lam[:, None, :])))
+        assert np.array_equal(stack(lowers, offsets, 8.0), am._airy_kernel(lam + a * a) + full)
 
     def test_long_list_equals_its_blocks(self):
         assert am.R_BLOCK == 16
@@ -310,17 +352,52 @@ class TestKernelStack:
         with pytest.raises(DomainError, match="finite r"):
             am.halfflat_limit_cdf(0.0, bad)
 
-    def test_nan_determinant_in_one_block_refuses_the_call(self):
-        # exp(-(lower - shift) u) overflows at r = -120 on a split_neg row;
-        # the imaginary-part check must fail on NaN, not let it through
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(am.ConsistencyError):
-                am.halfflat_limit_cdf(-8.0, [-120.0, 0.0])
+    def test_nan_determinant_in_one_block_refuses_the_call(self, monkeypatch):
+        # a NaN kernel for one r of a row must refuse the row, not print NaN
+        airy_kernel = am._airy_kernel
+
+        def poisoned(xi):
+            kernel = airy_kernel(xi)
+            kernel[xi[:, 0] < -5.0] = math.nan
+            return kernel
+
+        monkeypatch.setattr(am, "_airy_kernel", poisoned)
+        with np.errstate(invalid="ignore"), pytest.raises(am.ConsistencyError, match="not finite"):
+            am.halfflat_limit_cdf(-8.0, [-20.0 + i for i in range(20)])
 
     def test_matrix_r_is_refused(self):
         with pytest.raises(DomainError):
             am.halfflat_limit_cdf(0.0, [[0.0, 1.0]])
+
+    def test_tables_past_the_budget_are_refused_before_any_node(self, monkeypatch):
+        def no_nodes(n):
+            raise AssertionError(f"{n} Gauss-Legendre nodes built before the budget check")
+
+        monkeypatch.setattr(am, "_leggauss", no_nodes)
+        # 16 x 1e6 x 1e6 grid entries; and at x = 0, r = -300 about 5,500 y-nodes
+        for x, r, n in ((0.0, 0.0, 10**6), (0.0, -300.0, 80)):
+            with pytest.raises(CostGuardError, match="budget"):
+                am.halfflat_limit_cdf(x, [0.0, r], am.NystromGrid(lower=0.0, n=n))
+
+    def test_every_tested_grid_is_within_the_budget(self):
+        # the largest tables the tests and the benchmark build: r = -20 at x = 0 on
+        # the doubled grid (span 20, n 80), and r = -120 at x = -8
+        for x, r, grid in ((0.0, -20.0, am.NystromGrid(0.0, span=20.0, n=80)),
+                           (-8.0, -120.0, am.NystromGrid(0.0, span=20.0, n=80)),
+                           (-8.0, -120.0, None)):
+            assert abs(am.halfflat_limit_cdf(x, r, grid)) < 1e-150
+
+    def test_unresolved_grid_is_refused(self):
+        # 40 nodes on span 10 alias the kernel's oscillation past r of about -200
+        am.halfflat_limit_cdf(-8.0, -200.0)
+        with pytest.raises(DomainError, match="cannot resolve"):
+            am.halfflat_limit_cdf(-8.0, [0.0, -210.0])
+        assert am.halfflat_limit_cdf(-8.0, -210.0, am.NystromGrid(0.0, n=80)) < 1e-60
+
+    def test_value_outside_unit_interval_is_refused(self):
+        # x = 4, r = -15: the span truncates the kernel and the determinant is 9e15
+        with pytest.raises(am.ConsistencyError, match=r"outside \[0, 1\]"):
+            am.halfflat_limit_cdf(4.0, [0.0, -15.0])
 
 
 class TestFredholmDet:
@@ -342,25 +419,24 @@ class TestFredholmDet:
     )
     def test_grid_refinement_stability(self, x, r):
         base = am.halfflat_limit_cdf(x, r)
-        refined = am.halfflat_limit_cdf(
-            x,
-            r,
-            spec=am.KernelSpec(x=x, ray_length=10.0, nodes_per_ray=192),
-            grid=am.NystromGrid(lower=0.0, span=14.0, n=80),
-        )
+        refined = am.halfflat_limit_cdf(x, r, grid=am.NystromGrid(lower=0.0, span=14.0, n=80))
         assert abs(base - refined) < 1e-5
 
-    def test_imaginary_determinant_raises(self):
-        xi, w = am.NystromGrid(lower=0.0).nodes()
-        matrix = 1j * np.exp(-((xi[:, None] + xi[None, :]) ** 2))
-        with pytest.raises(am.ConsistencyError):
-            am._nystrom_det(matrix, w)
+    def test_far_left_value_is_not_negative(self):
+        # the contour kernel gave -1.1e-10 here by roundoff; the Airy form, 7.6e-77
+        assert 0.0 <= am.halfflat_limit_cdf(-8.0, -15.0) < 1e-70
+
+    def test_long_span_is_one(self):
+        # every node lies past 1e296, where Ai and the conjugation factor of
+        # the x > 0 residue would give 0 * inf
+        for x in (-2.0, 0.0, 2.0):
+            assert am.halfflat_limit_cdf(x, 0.0, am.NystromGrid(0.0, span=1e300)) == 1.0
 
     def test_nan_determinant_in_a_stack_raises(self):
         # abs(nan) >= tol is False: the check must be written so that NaN fails it
         xi, w = am.NystromGrid(lower=0.0).nodes()
-        good = np.exp(-((xi[:, None] + xi[None, :]) ** 2)).astype(complex)
-        stack = np.stack([good, good, np.full_like(good, complex(math.nan, math.nan))])
+        good = np.exp(-((xi[:, None] + xi[None, :]) ** 2))
+        stack = np.stack([good, good, np.full_like(good, math.nan)])
         assert am._nystrom_det(stack[:2], w).shape == (2,)
         with np.errstate(invalid="ignore"), pytest.raises(am.ConsistencyError):
             am._nystrom_det(stack, w)
@@ -399,8 +475,9 @@ class TestSpatialLimits:
             assert abs(det - oracle) < 1e-6
 
     def test_negative_side_matches_airy_function_form(self):
-        # the contour kernel and its Airy-function form are one kernel, so
-        # the 1/(2|x|) shift of the negative-side law belongs to the kernel
+        # an independent build of the x <= 0 form (the Airy kernel as an
+        # integral, its own y-axis and grid): at large |x| the module agrees
+        # with it, so the 1/(2|x|) shift of the negative-side law belongs to the kernel
         for x in (-4.0, -8.0, -16.0):
             for r in (-1.0, 0.0, 1.0):
                 det = am.halfflat_limit_cdf(x, r)

@@ -19,13 +19,12 @@ import re
 import subprocess
 import sys
 import time
-import warnings
 
 import pytest
 
 import asep_exact
 from asep_exact import cli
-from asep_exact.airy import halfflat_limit_cdf
+from asep_exact.airy import NystromGrid, halfflat_limit_cdf
 from asep_exact.bose import delta_bose_moment, she_halfflat_moment_collapsed
 from asep_exact.qfunc import ModelParams
 from asep_exact.sim import Observable, ctmc_exact_expectation
@@ -439,19 +438,61 @@ class TestAiry21Command:
             assert abs(float(row["value"]) - halfflat_limit_cdf(4.0, float(row["r"]))) < 1e-14
 
     @pytest.mark.parametrize("argv", [
-        ["--x=-8", "--r=-120,0"],
-        ["--x=0", "--r=-20"],
         ["--x=0", "--r=nan"],
         ["--x=0", "--r=inf"],
         ["--x=0", "--r=0,nan,1"],
-    ], ids=["overflow-row", "far-left", "nan", "inf", "nan-in-row"])
+        ["--x=0", "--r=-300", "--grid-n", "80"],
+        ["--x=-8", "--r=-1000,0"],
+        ["--x=4", "--r=-15"],
+    ], ids=["nan", "inf", "nan-in-row", "past-budget", "unresolved", "outside-unit-interval"])
     def test_unusable_r_exits_two(self, argv, capsys):
-        # no row is printed: a NaN, inf or out-of-range determinant is refused
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_cli(["airy21", *argv], capsys)
+        # no row is printed: a NaN or inf r, tables past the budget, a grid too
+        # coarse for the kernel and a value outside [0, 1] are refused
+        code, out, err = run_cli(["airy21", *argv], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("x, rs", [(-8.0, (-120.0, 0.0)), (0.0, (-20.0,))],
+                             ids=["row-with-r-120", "x0-r-20"])
+    def test_far_left_r_computes(self, x, rs, capsys):
+        # the values are below 1e-100; the doubled grid (span 20, n 80) puts
+        # them below 1e-232, so a gap under 1e-90 is the quadrature's
+        code, out, _ = run_cli(["airy21", f"--x={x}", "--r=" + ",".join(map(str, rs))], capsys)
+        assert code == 0
+        doubled = halfflat_limit_cdf(x, rs, NystromGrid(lower=0.0, span=20.0, n=80))
+        for row, r, fine in zip(parse_csv(out)[2], rs, doubled):
+            value = float(row["value"])
+            if r < -10.0:
+                assert abs(value - fine) < 1e-90
+            else:
+                assert value == halfflat_limit_cdf(x, r)
+
+    @pytest.mark.parametrize("argv", [
+        ["--x=nan"],
+        ["--x=-inf"],
+        ["--span", "nan"],
+        ["--span", "inf"],
+        ["--span", "6"],
+        ["--r", "0", "--grid-n", "100000000"],
+    ], ids=["x-nan", "x-inf", "span-nan", "span-inf", "span-short", "grid-past-budget"])
+    def test_unusable_x_or_grid_exits_two(self, argv, capsys):
+        code, out, err = run_cli(["airy21", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_huge_span_prints_one(self, capsys):
+        code, out, _ = run_cli(["airy21", "--x=-2,0,2", "--span", "1e300"], capsys)
+        assert code == 0
+        assert [float(row["value"]) for row in parse_csv(out)[2]] == [1.0, 1.0, 1.0]
+
+    def test_ray_options_are_gone(self, tmp_path, capsys):
+        for flag in ("--ray-length", "--ray-nodes"):
+            code, out, _ = run_cli(["airy21", flag, "8"], capsys)
+            assert code == 2 and out == ""
+        config = tmp_path / "rays.cfg"
+        config.write_text("ray_nodes = 96\n")
+        code, _, err = run_cli(["airy21", "--config", str(config)], capsys)
+        assert code == 2 and "unknown config key" in err
 
 
 class TestOutputFormats:
@@ -520,12 +561,12 @@ class TestConfigFile:
 
     def test_dash_and_underscore_keys_match(self, tmp_path, capsys):
         config = tmp_path / "grid.cfg"
-        config.write_text("ray-nodes = 64\ngrid_n = 32\n")
+        config.write_text("grid-n = 32\nspan = 12\n")
         code, out, _ = run_cli(["airy21", "--config", str(config)], capsys)
         assert code == 0
         header, _, _ = parse_csv(out)
-        assert "ray_nodes=64" in header
         assert "grid_n=32" in header
+        assert "span=12" in header
 
     def test_unknown_key_is_refused(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

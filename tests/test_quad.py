@@ -13,7 +13,6 @@ import pytest
 from scipy.special import airy as scipy_airy
 
 import asep_exact
-from asep_exact import airy as am
 from asep_exact import bose
 from asep_exact import exact as ex
 from asep_exact import quad
@@ -28,6 +27,7 @@ from asep_exact.quad import (
     nested_radii,
     tensor_result,
 )
+from test_airy import wedge_axis
 
 UNIT = circle_axis([(0j, 1.0, 64)])
 EV = ex.EvalParams(params=ModelParams.from_tau(0.5))
@@ -190,15 +190,17 @@ class TestPathQuadrature:
         assert val.imag == pytest.approx(0.0, abs=1e-10)
         assert val.real == pytest.approx(zeta / (1.0 - zeta), abs=1e-8)
 
+    # The wedges of the crossover kernel's contour reference (test_airy.contour_det)
+    # carry Ai in its integral representations.
     def test_airy_wedge_at_origin(self):
-        z, w = am._wedge_axis(1.0, math.pi / 3.0, 8.0, 64)
+        z, w = wedge_axis(1.0, math.pi / 3.0, 8.0, 8)
         val = np.sum(np.exp(z**3 / 3.0) * w)
         assert val.real == pytest.approx(0.3550280538878172, abs=1e-10)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_airy_wedge_against_scipy(self):
         for x in (0.5, 1.0, 2.0):
-            z, w = am._wedge_axis(max(1.0, math.sqrt(x)), math.pi / 3.0, 10.0, 64)
+            z, w = wedge_axis(max(1.0, math.sqrt(x)), math.pi / 3.0, 10.0, 10)
             val = np.sum(np.exp(z**3 / 3.0 - x * z) * w)
             assert val.real == pytest.approx(float(scipy_airy(x)[0]), abs=1e-11)
 
@@ -206,7 +208,7 @@ class TestPathQuadrature:
         # Ai(x) also arises from the exp(-v^3/3 + x v) weight on the
         # outgoing wedge traversed upward.
         x = 0.7
-        z, w = am._wedge_axis(0.0, 2.0 * math.pi / 3.0, 10.0, 64)
+        z, w = wedge_axis(0.0, 2.0 * math.pi / 3.0, 10.0, 10)
         val = np.sum(np.exp(-(z**3) / 3.0 + x * z) * w)
         assert val.real == pytest.approx(float(scipy_airy(x)[0]), abs=1e-11)
 
@@ -530,9 +532,9 @@ class TestStandardContours:
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_wedge_orientations(self):
-        z, _ = am._wedge_axis(1.0, math.pi / 3.0, 5.0, 32)
+        z, _ = wedge_axis(1.0, math.pi / 3.0, 5.0, 3)
         assert np.all(np.diff(z.imag) > 0)
-        z, _ = am._wedge_axis(0.0, 2.0 * math.pi / 3.0, 5.0, 32)
+        z, _ = wedge_axis(0.0, 2.0 * math.pi / 3.0, 5.0, 3)
         assert np.all(np.diff(z.imag) > 0)
 
 
