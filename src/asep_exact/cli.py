@@ -42,7 +42,7 @@ command line (`--x=-4,0,4`).
 Rows are evaluated in a plain loop, in input order (airy21 one x-row per
 call).  Settings are checked once, where they are used: choices by the
 option parser, rates, node counts, tolerances, sample counts, windows,
-finite x and r and a finite span by the library call that takes them.
+finite, non-empty x and r by the library call that takes them.
 
 The verify batteries mirror the package's acceptance checks at desk scale.
 airy/airy2-marginal compares the crossover distribution at x = -8 with the
@@ -71,7 +71,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .airy import CBRT2, ConsistencyError, NystromGrid, airy_oracles, halfflat_limit_cdf
+from .airy import CBRT2, ConsistencyError, _cdf_on_grids, airy_oracles, halfflat_limit_cdf
 from .bose import (
     delta_bose_moment,
     narrow_wedge_moment,
@@ -199,9 +199,8 @@ _OPTION_TABLES: dict[str, tuple[Opt, ...]] = {
     "airy21": (
         Opt("x", _float_tuple, (0.0,),
             "comma-separated crossover parameters; the sign picks the kernel's Airy form"),
-        Opt("r", _float_tuple, (0.0,), "comma-separated distribution arguments"),
-        Opt("span", float, 10.0, "length of the Nystrom interval [2^(1/3) r, 2^(1/3) r + span]"),
-        Opt("grid_n", int, 40, "Gauss-Legendre nodes on that interval"),
+        Opt("r", _float_tuple, (0.0,),
+            "comma-separated distribution arguments; each gets a Nystrom grid sized from it"),
     ) + _OUT_OPTS,
     "verify": (
         Opt("suite", _choice(*VERIFY_SUITES, "all"), "all", "which battery to run"),
@@ -470,16 +469,16 @@ def _cmd_bose(cfg: dict) -> int:
 
 
 def _cmd_airy21(cfg: dict) -> int:
+    if not cfg["x"]:
+        raise DomainError("need at least one x, got none")
     rows = []
     for x in cfg["x"]:
         start = time.perf_counter()
-        values = halfflat_limit_cdf(
-            x, cfg["r"], grid=NystromGrid(lower=0.0, span=cfg["span"], n=cfg["grid_n"]))
-        share = (time.perf_counter() - start) / max(len(values), 1)
+        values = halfflat_limit_cdf(x, cfg["r"])
+        share = (time.perf_counter() - start) / len(values)
         rows.extend({"x": x, "r": r, "value": float(value), "runtime": share}
                     for r, value in zip(cfg["r"], values))
-    _emit(cfg, ("x", "r", "value", "runtime"), rows,
-          {"span": cfg["span"], "grid_n": cfg["grid_n"]})
+    _emit(cfg, ("x", "r", "value", "runtime"), rows, {})
     return 0
 
 
@@ -600,7 +599,7 @@ def _suite_airy(scale: float, seed: int) -> list[dict]:
     rows.append(_check("airy", "airy1-marginal", worst, 5e-3 * scale))
 
     coarse = halfflat_limit_cdf(1.0, 0.5)
-    fine = halfflat_limit_cdf(1.0, 0.5, grid=NystromGrid(lower=0.0, span=14.0, n=80))
+    fine = _cdf_on_grids(1.0, np.array([0.5 * CBRT2]), 20.0 - 0.5 * CBRT2, 64)[0]  # to 20, twice n
     rows.append(_check("airy", "grid-stability", abs(coarse - fine), 1e-5 * scale))
     return rows
 
@@ -616,8 +615,8 @@ _SUITES = {
 
 def _cmd_verify(cfg: dict) -> int:
     scale = cfg["tol_scale"]
-    if scale <= 0:
-        raise DomainError(f"need tol-scale > 0, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"need 0 < tol-scale < inf, got {scale}")
     suites = VERIFY_SUITES if cfg["suite"] == "all" else (cfg["suite"],)
     rows = [row for suite in suites for row in _SUITES[suite](scale, cfg["seed"])]
     _emit(cfg, ("suite", "check", "gap", "tol", "status"), rows,

@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from asep_exact.airy import CBRT2, NystromGrid, airy_oracles, halfflat_limit_cdf
+from asep_exact.airy import CBRT2, airy_oracles, halfflat_limit_cdf
 from asep_exact.bose import (
     delta_bose_moment,
     narrow_wedge_moment,
@@ -50,6 +50,7 @@ from asep_exact.exact import (
 )
 from asep_exact.qfunc import ModelParams
 from asep_exact.sim import Observable, ctmc_exact_expectation, mc_expectation
+from test_airy import refined
 
 pytestmark = pytest.mark.acceptance
 
@@ -243,7 +244,7 @@ def test_criterion_8_crossover_determinant_properties():
     worst_refine = 0.0
     for x, r in ((-4.0, 0.0), (0.0, 1.0), (4.0, -1.0)):
         coarse = halfflat_limit_cdf(x, r)
-        fine = halfflat_limit_cdf(x, r, grid=NystromGrid(lower=0.0, span=14.0, n=80))
+        fine = refined(x, [r])[0]
         worst_refine = max(worst_refine, abs(coarse - fine))
     elapsed = time.monotonic() - start
 
@@ -253,6 +254,6 @@ def test_criterion_8_crossover_determinant_properties():
                    f"unit tail {unit_gap:.3e} vs 1e-6; monotone violation {worst_decrease:.3e} "
                    f"vs 1e-9; negative-side marginal {airy2_gap:.3e} vs 5e-3 "
                    f"(Airy2 shifted by 1/(2|x|)); positive-side marginal "
-                   f"{airy1_gap:.3e} vs 5e-3; grid doubling {worst_refine:.3e} vs 1e-5; "
+                   f"{airy1_gap:.3e} vs 5e-3; grid refinement {worst_refine:.3e} vs 1e-5; "
                    f"runtime {elapsed:.1f}s vs 900s")
     assert passed, line

@@ -8,9 +8,11 @@ determinant of the integral form of the Airy kernel, with a different
 truncation and node count; the crossover determinant is checked against its
 own CDF properties, against a direct evaluation of the double contour
 integral (contour_det, which shares no Airy function with the module),
-against its kernel integrated entry by entry, and against the two Airy limit
-oracles at large |x|. No expected value is asserted without one of these
-independent routes backing it.
+against its kernel integrated entry by entry, against the two Airy limit
+oracles at large |x|, and against itself on a refined grid (refined: to 8
+past the sized span, with twice the nodes) over a derandomized sweep of
+(x, r). No expected value is asserted without one of these independent
+routes backing it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from math import gamma
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import airy as scipy_airy
 
@@ -130,7 +134,9 @@ def contour_det(x: float, r: float) -> float:
     b = max(-a, 0.0)
     u, wu = wedge_axis(1.0 + b, math.pi / 3.0, 10.0, 20)
     v, wv = wedge_axis(b, 2.0 * math.pi / 3.0, 10.0, 20)
-    lam, w = am.NystromGrid(lower=CBRT2 * r).nodes()
+    lower = CBRT2 * r
+    span, n = am._grid(np.float64(lower))
+    lam, w = am._nodes(lower, span, int(n))
     shifted = lam - (a * a if x <= 0.0 else 0.0)
     left = np.exp(np.outer(-shifted, u) + u**3 / 3.0 + a * u**2) * wu
     right = np.exp(np.outer(v, shifted) + (-(v**3) / 3.0 - a * v**2)[:, None]) * wv[:, None]
@@ -142,12 +148,25 @@ def contour_det(x: float, r: float) -> float:
 
 
 def stack(lowers, offsets, x: float) -> np.ndarray:
-    """_kernel_stack on the y-axes that halfflat_limit_cdf gives these lowers."""
+    """_kernel_stack on lower + offsets, on the y-axes that halfflat_limit_cdf gives these lowers."""
     a = am.INV_CBRT2 * x
     lowers = np.asarray(lowers, dtype=float)
     lengths, counts = am._y_axes(lowers + (a * a if x > 0.0 else 0.0), a)
-    return am._kernel_stack(lowers, np.asarray(offsets, dtype=float), x, lengths,
-                            counts.astype(int))
+    lam = lowers[:, None] + np.asarray(offsets, dtype=float)
+    return am._kernel_stack(lam, x, lengths, counts.astype(int))
+
+
+def refined(x: float, rs) -> np.ndarray:
+    """The determinant on each sized span extended by 8, with twice the nodes the rule gives it."""
+    lowers = CBRT2 * np.atleast_1d(np.asarray(rs, dtype=float))
+    spans = am._grid(lowers)[0] + 8.0
+    counts = 2 * np.maximum(am.GRID_NODES, np.ceil(
+        spans * np.sqrt(np.maximum(-lowers, 0.0)) / am.PHASE_PER_NODE))
+    return am._cdf_on_grids(x, lowers, spans, counts)
+
+
+# a fixed grid for kernel-level tests: 40 nodes on [0, 10]
+OFFSETS = am._nodes(0.0, 10.0, 40)[0]
 
 
 class TestWedgeAiry:
@@ -184,25 +203,36 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="finite x"):
             am.halfflat_limit_cdf(x, 0.0)
 
-    def test_grid_rejects_short_span(self):
-        with pytest.raises(DomainError):
-            am.NystromGrid(lower=0.0, span=6.0)
-
-    @pytest.mark.parametrize("span", [math.nan, math.inf])
-    def test_grid_rejects_nonfinite_span(self, span):
-        with pytest.raises(DomainError, match="span must be finite"):
-            am.NystromGrid(lower=0.0, span=span)
-
-    def test_grid_rejects_few_nodes(self):
-        with pytest.raises(DomainError):
-            am.NystromGrid(lower=0.0, n=16)
+    def test_empty_r_is_refused(self):
+        for empty in ([], np.array([])):
+            with pytest.raises(DomainError, match="at least one r"):
+                am.halfflat_limit_cdf(0.0, empty)
 
     def test_grid_nodes_cover_interval(self):
-        grid = am.NystromGrid(lower=-1.0, span=9.0, n=32)
-        xi, w = grid.nodes()
+        xi, w = am._nodes(-1.0, 9.0, 32)
         assert xi.shape == w.shape == (32,)
         assert -1.0 < xi[0] < xi[-1] < 8.0
         assert abs(np.sum(w) - 9.0) < 1e-12
+        rows, weights = am._nodes(np.array([-1.0, 2.0]), np.array([9.0, 4.0]), 32)
+        assert rows.shape == weights.shape == (2, 32)
+        assert np.array_equal(rows[0], xi) and np.allclose(weights.sum(axis=1), [9.0, 4.0])
+
+    def test_grid_follows_the_kernel(self):
+        # [2^{1/3} r, UPPER], at least MIN_SPAN long; past MAX_PHASE radians of
+        # int sqrt(-l) dl the span stops; nodes grow with span sqrt(-l_min)
+        lowers = CBRT2 * np.array([9.0, 0.0, -3.0, -20.0, -120.0])
+        spans, counts = am._grid(lowers)
+        assert np.allclose(spans[:4], [am.MIN_SPAN, am.UPPER, am.UPPER - lowers[2],
+                                       am.UPPER - lowers[3]])
+        depth = -lowers[4]
+        phase = 2.0 / 3.0 * (depth**1.5 - (depth - spans[4]) ** 1.5)
+        assert abs(phase - am.MAX_PHASE) < 1e-9 and spans[4] < depth
+        assert counts.tolist() == [32.0, 32.0, 32.0, 63.0,
+                                   math.ceil(spans[4] * math.sqrt(depth) / 3.0)]
+        # no r gives a span past the budget's reach or a NaN
+        huge = CBRT2 * np.array([-1e300, 1e300])
+        spans, counts = am._grid(huge)
+        assert spans.tolist() == [am.MIN_SPAN, am.MIN_SPAN] and counts[1] == am.GRID_NODES
 
 
 class TestCrossoverKernel:
@@ -218,15 +248,17 @@ class TestCrossoverKernel:
 
     def test_node_doubling_stability(self, monkeypatch):
         # the y-axis rule is converged: twice its nodes move no kernel entry
-        # by more than roundoff
-        offsets = am.NystromGrid(lower=0.0).nodes()[0]
+        # by more than roundoff, taken without the x > 0 conjugation factor
+        # e^{a(l_i - l_j)}, which scales both kernels alike
+        offsets = OFFSETS
         lowers = CBRT2 * np.array([-6.0, -3.0, 0.0, 2.0])
         xs = (-8.0, -1.0, 0.0, 1.0, 3.0)
         coarse = [stack(lowers, offsets, x) for x in xs]
         monkeypatch.setattr(am, "Y_NODES", 2 * am.Y_NODES)
         monkeypatch.setattr(am, "Y_DENSITY", 2 * am.Y_DENSITY)
         for x, kernels in zip(xs, coarse):
-            assert np.max(np.abs(stack(lowers, offsets, x) - kernels)) < 1e-13
+            unconj = np.exp(-am.INV_CBRT2 * max(x, 0.0) * (offsets[:, None] - offsets))
+            assert np.max(np.abs(stack(lowers, offsets, x) - kernels) * unconj) < 1e-13
 
     @pytest.mark.parametrize("x", [-2.5, -1.0, 0.0])
     def test_route_overlap_negative(self, x):
@@ -281,8 +313,8 @@ def entrywise_kernel(lam, x, i, j):
     integral = scipy_quad(integrand, 0.0, upper, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
     value = k_ai + sigma * integral
     if x > 0.0:
-        value += (math.exp(-a * (lam[i] - lam[j])) / CBRT2
-                  * scipy_airy((lam[i] + lam[j]) / CBRT2)[0])
+        value = (math.exp(a * (lam[i] - lam[j])) * value
+                 + scipy_airy((lam[i] + lam[j]) / CBRT2)[0] / CBRT2)
     return value
 
 
@@ -296,9 +328,9 @@ class TestKernelStack:
     def test_factored_kernel_matches_unfactored_form(self, x):
         # the stack takes each y-integral as one product of Ai tables on a shared
         # y-axis; entry by entry, adaptive quadrature must give the same kernel.
-        # On x > 0 the residue's factor e^{-a(l_i - l_j)} reaches e^{63} at x = 8,
-        # and an exponent that large rounds to a relative 63 eps
-        offsets = am.NystromGrid(lower=0.0).nodes()[0]
+        # On x > 0 the factor e^{a(l_i - l_j)} on K_Ai and the integral reaches
+        # e^{63} at x = 8, and an exponent that large rounds to a relative 63 eps
+        offsets = OFFSETS
         lowers = CBRT2 * np.array([-3.0, 0.0, 3.0])
         for lower, kernel in zip(lowers, stack(lowers, offsets, x)):
             lam = lower + offsets
@@ -315,23 +347,39 @@ class TestKernelStack:
         assert np.max(np.abs(batched - single)) < 1e-14
 
     def test_positive_form_fine_grid_matches_per_r_calls(self):
-        grid = am.NystromGrid(lower=0.0, n=80)
-        rs = [-3.0, -1.0, 0.5, 2.0]
-        batched = am.halfflat_limit_cdf(8.0, rs, grid)
-        single = [am.halfflat_limit_cdf(8.0, r, grid) for r in rs]
+        lowers = CBRT2 * np.array([-3.0, -1.0, 0.5, 2.0])
+        spans = np.array([16.0, 14.0, 12.0, 10.0])
+        batched = am._cdf_on_grids(8.0, lowers, spans, 80)
+        single = [am._cdf_on_grids(8.0, lowers[i:i + 1], spans[i], 80)[0] for i in range(4)]
         assert np.max(np.abs(batched - single)) < 1e-14
+
+    def test_node_counts_share_stacks(self, monkeypatch):
+        # r values of one row with different node counts go to different stacks,
+        # and each value lands in its own slot
+        rs = [-20.0, 0.0, -12.0, 1.0, -20.0]
+        calls = []
+        kernel_stack = am._kernel_stack
+
+        def spy(lam, *args):
+            calls.append(lam.shape)
+            return kernel_stack(lam, *args)
+
+        monkeypatch.setattr(am, "_kernel_stack", spy)
+        row = am.halfflat_limit_cdf(-2.0, rs)
+        assert sorted(calls) == [(1, 36), (2, 32), (2, 63)]
+        monkeypatch.undo()
+        assert np.array_equal(row, [am.halfflat_limit_cdf(-2.0, r) for r in rs])
 
     def test_swept_residue_equals_full_airy_matrix(self):
         # at x = 8 the grid sits past l^ = 36 and the y-axis is empty, so the
-        # kernel is K_Ai plus the residue, whose Ai is taken on the upper
-        # triangle and mirrored
-        offsets = am.NystromGrid(lower=0.0).nodes()[0]
+        # kernel is the conjugated K_Ai plus the residue, whose Ai is taken on
+        # the upper triangle and mirrored
         lowers = CBRT2 * np.array([-3.0, 0.5])
-        lam = lowers[:, None] + offsets
+        lam = lowers[:, None] + OFFSETS
         a = am.INV_CBRT2 * 8.0
-        conj = np.exp(-a * (offsets[:, None] - offsets))
-        full = am.INV_CBRT2 * (conj * am.airy_ai(am.INV_CBRT2 * (lam[:, :, None] + lam[:, None, :])))
-        assert np.array_equal(stack(lowers, offsets, 8.0), am._airy_kernel(lam + a * a) + full)
+        conj = np.exp(a * (lam[:, :, None] - lam[:, None, :]))
+        full = am.INV_CBRT2 * am.airy_ai(am.INV_CBRT2 * (lam[:, :, None] + lam[:, None, :]))
+        assert np.array_equal(stack(lowers, OFFSETS, 8.0), conj * am._airy_kernel(lam + a * a) + full)
 
     def test_long_list_equals_its_blocks(self):
         assert am.R_BLOCK == 16
@@ -374,30 +422,36 @@ class TestKernelStack:
             raise AssertionError(f"{n} Gauss-Legendre nodes built before the budget check")
 
         monkeypatch.setattr(am, "_leggauss", no_nodes)
-        # 16 x 1e6 x 1e6 grid entries; and at x = 0, r = -300 about 5,500 y-nodes
-        for x, r, n in ((0.0, 0.0, 10**6), (0.0, -300.0, 80)):
-            with pytest.raises(CostGuardError, match="budget"):
-                am.halfflat_limit_cdf(x, [0.0, r], am.NystromGrid(lower=0.0, n=n))
+        # 16 x 1e6 x 1e6 grid entries
+        with pytest.raises(CostGuardError, match="budget"):
+            am._cdf_on_grids(0.0, np.array([0.0, 1.0]), 10.0, 10**6)
+        # at x = 0, r = -300 about 5,500 y-nodes
+        with pytest.raises(CostGuardError, match="budget"):
+            am.halfflat_limit_cdf(0.0, [0.0, -300.0])
 
     def test_every_tested_grid_is_within_the_budget(self):
-        # the largest tables the tests and the benchmark build: r = -20 at x = 0 on
-        # the doubled grid (span 20, n 80), and r = -120 at x = -8
-        for x, r, grid in ((0.0, -20.0, am.NystromGrid(0.0, span=20.0, n=80)),
-                           (-8.0, -120.0, am.NystromGrid(0.0, span=20.0, n=80)),
-                           (-8.0, -120.0, None)):
-            assert abs(am.halfflat_limit_cdf(x, r, grid)) < 1e-150
+        # the largest tables the tests and the benchmark build: the refined grids
+        # of the sweep's corner r = -25 at x = 0 and of the far-left rows
+        assert abs(refined(0.0, [-25.0])[0]) < 1e-150
+        for x, r in ((-8.0, -120.0), (-8.0, -200.0), (0.0, -20.0)):
+            assert abs(refined(x, [r])[0]) < 1e-150
+            assert abs(am.halfflat_limit_cdf(x, r)) < 1e-150
 
-    def test_unresolved_grid_is_refused(self):
-        # 40 nodes on span 10 alias the kernel's oscillation past r of about -200
-        am.halfflat_limit_cdf(-8.0, -200.0)
-        with pytest.raises(DomainError, match="cannot resolve"):
-            am.halfflat_limit_cdf(-8.0, [0.0, -210.0])
-        assert am.halfflat_limit_cdf(-8.0, -210.0, am.NystromGrid(0.0, n=80)) < 1e-60
+    def test_conjugation_past_double_is_refused(self):
+        # at x = 4, r = -20 the factor e^{a(l - l_min)} on K_Ai reaches e^{59};
+        # the determinant there came out as 1e46
+        with pytest.raises(DomainError, match="conjugation factor"):
+            am.halfflat_limit_cdf(4.0, [0.0, -20.0])
+        # r = -15 is inside the bound; x <= 0 has no conjugation
+        assert abs(am.halfflat_limit_cdf(4.0, -15.0)) < 1e-13
+        assert abs(am.halfflat_limit_cdf(-4.0, -20.0)) < 1e-13
 
-    def test_value_outside_unit_interval_is_refused(self):
-        # x = 4, r = -15: the span truncates the kernel and the determinant is 9e15
+    def test_value_outside_unit_interval_is_refused(self, monkeypatch):
+        # det(I + K_Ai) > 1: a kernel of the wrong sign must not print
+        airy_kernel = am._airy_kernel
+        monkeypatch.setattr(am, "_airy_kernel", lambda xi: -airy_kernel(xi))
         with pytest.raises(am.ConsistencyError, match=r"outside \[0, 1\]"):
-            am.halfflat_limit_cdf(4.0, [0.0, -15.0])
+            am.halfflat_limit_cdf(0.0, [0.0, -3.0])
 
 
 class TestFredholmDet:
@@ -418,9 +472,7 @@ class TestFredholmDet:
         "x, r", [(1.0, 0.5), (-3.0, 0.0), (4.0, -1.0)]
     )
     def test_grid_refinement_stability(self, x, r):
-        base = am.halfflat_limit_cdf(x, r)
-        refined = am.halfflat_limit_cdf(x, r, grid=am.NystromGrid(lower=0.0, span=14.0, n=80))
-        assert abs(base - refined) < 1e-5
+        assert abs(am.halfflat_limit_cdf(x, r) - refined(x, [r])[0]) < 1e-13
 
     def test_far_left_value_is_not_negative(self):
         # the contour kernel gave -1.1e-10 here by roundoff; the Airy form, 7.6e-77
@@ -430,16 +482,46 @@ class TestFredholmDet:
         # every node lies past 1e296, where Ai and the conjugation factor of
         # the x > 0 residue would give 0 * inf
         for x in (-2.0, 0.0, 2.0):
-            assert am.halfflat_limit_cdf(x, 0.0, am.NystromGrid(0.0, span=1e300)) == 1.0
+            assert am._cdf_on_grids(x, np.array([0.0]), 1e300, 40)[0] == 1.0
 
     def test_nan_determinant_in_a_stack_raises(self):
         # abs(nan) >= tol is False: the check must be written so that NaN fails it
-        xi, w = am.NystromGrid(lower=0.0).nodes()
+        xi, w = am._nodes(0.0, 10.0, 40)
         good = np.exp(-((xi[:, None] + xi[None, :]) ** 2))
         stack = np.stack([good, good, np.full_like(good, math.nan)])
         assert am._nystrom_det(stack[:2], w).shape == (2,)
         with np.errstate(invalid="ignore"), pytest.raises(am.ConsistencyError):
             am._nystrom_det(stack, w)
+
+
+class TestSweep:
+    """Each (x, r) prints a value within 1e-13 of the refined grid, or is refused by type."""
+
+    XS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
+    RS = [-3.0 + 0.5 * i for i in range(13)]
+
+    @given(x=st.floats(-8.0, 8.0), r=st.floats(-25.0, 8.0))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_value_or_typed_refusal(self, x, r):
+        try:
+            value = am.halfflat_limit_cdf(x, r)
+        except DomainError as exc:
+            # the one refusal in this range: x > 0 far left, where no digit survives
+            assert "conjugation factor" in str(exc) and x > 0.0
+            return
+        assert abs(value - refined(x, [r])[0]) < 1e-13
+
+    def test_benchmark_grid(self):
+        for x in self.XS:
+            assert np.max(np.abs(am.halfflat_limit_cdf(x, self.RS) - refined(x, self.RS))) < 1e-13
+
+    @pytest.mark.parametrize("x, r", [(8.0, -20.0), (2.0, -7.0), (4.0, -8.0), (4.0, -15.0),
+                                      (-8.0, -120.0), (0.0, -20.0), (-8.0, -200.0)])
+    def test_far_left_rows(self, x, r):
+        # (8, -20) printed 0.243 and (2, -7) -2e-10 on a span of 10; (4, -8)
+        # printed 5.1e-4 and (4, -15) was refused as 9.4e15. All are below 1e-20
+        value = am.halfflat_limit_cdf(x, r)
+        assert abs(value - refined(x, [r])[0]) < 1e-13 and abs(value) < 1e-20
 
 
 class TestAiryOracles:

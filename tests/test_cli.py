@@ -24,10 +24,11 @@ import pytest
 
 import asep_exact
 from asep_exact import cli
-from asep_exact.airy import NystromGrid, halfflat_limit_cdf
+from asep_exact.airy import halfflat_limit_cdf
 from asep_exact.bose import delta_bose_moment, she_halfflat_moment_collapsed
 from asep_exact.qfunc import ModelParams
 from asep_exact.sim import Observable, ctmc_exact_expectation
+from test_airy import refined
 
 
 def run_cli(args, capsys):
@@ -441,49 +442,52 @@ class TestAiry21Command:
         ["--x=0", "--r=nan"],
         ["--x=0", "--r=inf"],
         ["--x=0", "--r=0,nan,1"],
-        ["--x=0", "--r=-300", "--grid-n", "80"],
-        ["--x=-8", "--r=-1000,0"],
-        ["--x=4", "--r=-15"],
-    ], ids=["nan", "inf", "nan-in-row", "past-budget", "unresolved", "outside-unit-interval"])
+        ["--x=0", "--r=-300"],
+        ["--x=4", "--r=-20,0"],
+        ["--x=0", "--r="],
+    ], ids=["nan", "inf", "nan-in-row", "past-budget", "unresolved", "empty"])
     def test_unusable_r_exits_two(self, argv, capsys):
-        # no row is printed: a NaN or inf r, tables past the budget, a grid too
-        # coarse for the kernel and a value outside [0, 1] are refused
+        # no row is printed: a NaN or inf r, tables past the budget, a value
+        # no digit of which survives in double precision, and no r at all
         code, out, err = run_cli(["airy21", *argv], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("x, rs", [(-8.0, (-120.0, 0.0)), (0.0, (-20.0,))],
-                             ids=["row-with-r-120", "x0-r-20"])
+    @pytest.mark.parametrize("x, rs", [(-8.0, (-120.0, 0.0)), (0.0, (-20.0,)),
+                                       (-8.0, (-1000.0,)), (8.0, (-20.0, -7.0))],
+                             ids=["row-with-r-120", "x0-r-20", "x-8-r-1000", "x8-far-left"])
     def test_far_left_r_computes(self, x, rs, capsys):
-        # the values are below 1e-100; the doubled grid (span 20, n 80) puts
-        # them below 1e-232, so a gap under 1e-90 is the quadrature's
+        # the values are below 1e-100 and within 1e-13 of the refined grid
         code, out, _ = run_cli(["airy21", f"--x={x}", "--r=" + ",".join(map(str, rs))], capsys)
         assert code == 0
-        doubled = halfflat_limit_cdf(x, rs, NystromGrid(lower=0.0, span=20.0, n=80))
-        for row, r, fine in zip(parse_csv(out)[2], rs, doubled):
+        for row, r, fine in zip(parse_csv(out)[2], rs, refined(x, rs)):
             value = float(row["value"])
             if r < -10.0:
-                assert abs(value - fine) < 1e-90
+                assert abs(value - fine) < 1e-13 and value < 1e-100
             else:
                 assert value == halfflat_limit_cdf(x, r)
 
     @pytest.mark.parametrize("argv", [
         ["--x=nan"],
         ["--x=-inf"],
-        ["--span", "nan"],
-        ["--span", "inf"],
-        ["--span", "6"],
-        ["--r", "0", "--grid-n", "100000000"],
-    ], ids=["x-nan", "x-inf", "span-nan", "span-inf", "span-short", "grid-past-budget"])
+        ["--x="],
+    ], ids=["x-nan", "x-inf", "x-empty"])
     def test_unusable_x_or_grid_exits_two(self, argv, capsys):
+        # the grid is sized from x and r, so x is the only other input to refuse
         code, out, err = run_cli(["airy21", *argv], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_huge_span_prints_one(self, capsys):
-        code, out, _ = run_cli(["airy21", "--x=-2,0,2", "--span", "1e300"], capsys)
-        assert code == 0
-        assert [float(row["value"]) for row in parse_csv(out)[2]] == [1.0, 1.0, 1.0]
+    def test_grid_options_are_gone(self, tmp_path, capsys):
+        for flag in ("--span", "--grid-n"):
+            code, out, _ = run_cli(["airy21", flag, "40"], capsys)
+            assert code == 2 and out == ""
+        config = tmp_path / "grid.cfg"
+        config.write_text("span = 20\n")
+        code, _, err = run_cli(["airy21", "--config", str(config)], capsys)
+        assert code == 2 and "unknown config key" in err
+        code, out, _ = run_cli(["airy21", "--x=0", "--r=0"], capsys)
+        assert code == 0 and parse_csv(out)[0].split() == ["#", f"version={asep_exact.__version__}"]
 
     def test_ray_options_are_gone(self, tmp_path, capsys):
         for flag in ("--ray-length", "--ray-nodes"):
@@ -560,13 +564,13 @@ class TestConfigFile:
         assert float(rows[0]["value"]) == pytest.approx(0.5 ** 4, abs=1e-9)
 
     def test_dash_and_underscore_keys_match(self, tmp_path, capsys):
-        config = tmp_path / "grid.cfg"
-        config.write_text("grid-n = 32\nspan = 12\n")
-        code, out, _ = run_cli(["airy21", "--config", str(config)], capsys)
+        config = tmp_path / "scale.cfg"
+        config.write_text("tol-scale = 10\nsuite = airy\n")
+        code, out, _ = run_cli(["verify", "--config", str(config)], capsys)
         assert code == 0
         header, _, _ = parse_csv(out)
-        assert "grid_n=32" in header
-        assert "span=12" in header
+        assert "tol_scale=10" in header
+        assert "suite=airy" in header
 
     def test_unknown_key_is_refused(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -695,9 +699,11 @@ class TestVerifyCommand:
         assert all(r["status"] == "pass" for r in rows)
 
     def test_negative_tolerance_scale_is_refused(self, capsys):
-        code, _, err = run_cli(["verify", "--tol-scale", "-1"], capsys)
-        assert code == 2
-        assert "tol-scale" in err
+        # inf passed every check and nan failed every one; both are refused
+        for scale in ("-1", "inf", "nan"):
+            code, out, err = run_cli(["verify", "--tol-scale", scale], capsys)
+            assert code == 2 and out == ""
+            assert "tol-scale" in err
 
 
 class TestArgumentErrors:

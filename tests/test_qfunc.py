@@ -171,7 +171,7 @@ class TestQFactorialBinomial:
         q=st.sampled_from([0.2, 0.5, 0.9]),
         data=st.data(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_binomial_pascal_recursion(self, n, q, data):
         k = data.draw(st.integers(min_value=1, max_value=n))
         lhs = q_binomial(n, k, q)
@@ -306,7 +306,7 @@ class TestGermH:
         n1=st.integers(1, 6),
         n2=st.integers(1, 6),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_symmetry(self, re1, im1, re2, im2, n1, n2):
         # The table form is symmetric in (n1, n2), so it must equal the
         # product form with the orders swapped.
