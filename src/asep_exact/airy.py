@@ -203,10 +203,11 @@ def _y_axes(starts: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     Counts are floats, so a budget check sees an infinite one before any
     integer is made of it.
     """
-    length = np.maximum(AI_TAIL - starts, 0.0)
-    if a != 0.0:
-        length = np.minimum(length, EXP_TAIL / (2.0 * abs(a)))
-    phase = length * np.sqrt(np.maximum(length - starts, 0.0))
+    with np.errstate(over="ignore"):
+        length = np.maximum(AI_TAIL - starts, 0.0)
+        if a != 0.0:
+            length = np.minimum(length, EXP_TAIL / (2.0 * abs(a)))
+        phase = length * np.sqrt(np.maximum(length - starts, 0.0))
     count = np.where(length > 0.0, Y_NODES + np.ceil(Y_DENSITY * phase), 0.0)
     return length, count
 

@@ -32,7 +32,7 @@ import warnings as _warnings
 
 import numpy as np
 
-from .exact import compositions
+from .exact import multiplicity, partitions_of
 from .qfunc import DomainError, PoleError
 from .quad import (
     Axis,
@@ -201,7 +201,7 @@ def delta_bose_moment(
         n = zb.shape[1]
         return toeplitz(diff / (diff - 1.0), n) * hankel((total - 1.0) / total, n)
 
-    return tensor_result([(1.0, axes, diag, pair)], "tilted_lines")
+    return tensor_result([(1.0, axes, diag, pair)])
 
 
 def narrow_wedge_moment(xs, t: float, nodes: int = 64) -> MomentResult:
@@ -218,7 +218,7 @@ def narrow_wedge_moment(xs, t: float, nodes: int = 64) -> MomentResult:
     def diag(a, z):
         return np.exp(0.5 * t * z * z + z * xs[a])
 
-    return tensor_result([(1.0, axes, diag, _free_pair)], "free_lines")
+    return tensor_result([(1.0, axes, diag, _free_pair)])
 
 
 def _free_pair(a, b, za, zb):
@@ -239,9 +239,10 @@ def _free_axes(k: int, t: float, x_scale: float, nodes: int) -> list[Axis]:
 
 
 def _collapsed_term(parts, x, t, theta, alpha, nodes):
-    """One string composition's term over equal-abscissa lines, weighted 2^k k! / ell!.
+    """One multiset of string lengths over equal-abscissa lines, weighted by its orderings.
 
-    k = sum(parts) and ell = len(parts); the empty composition is the zeroth moment, 1.
+    The weight is 2^k k! / ell! times the ell! / multiplicity(parts) orderings of the
+    strings, k = sum(parts) and ell = len(parts); the empty multiset is the zeroth moment, 1.
     """
     k, ell = sum(parts), len(parts)
     # Distances from the numerator Gamma arguments of each pair, real parts
@@ -288,7 +289,7 @@ def _collapsed_term(parts, x, t, theta, alpha, nodes):
         ) * rgamma(base - s)
         return toeplitz(cross, wb.shape[1]) * hankel(ratio, wb.shape[1])
 
-    return 2.0**k * math.factorial(k) / math.factorial(ell), axes, diag, pair
+    return 2.0**k * math.factorial(k) / multiplicity(parts), axes, diag, pair
 
 
 def she_halfflat_moment_collapsed(
@@ -302,11 +303,13 @@ def she_halfflat_moment_collapsed(
     """Equal-point moments via the string expansion on one common abscissa alpha > 0.
 
     2^k k! sum over string counts ell and compositions of k into ell
-    positive strings, each contributing an ell-fold equal-abscissa line
-    integral of a Cauchy-type determinant, cubic-in-string-length
-    exponential weights, per-string Gamma ratios, and pairwise Gamma
-    crossover products.  At theta = 0 these are the one-sided-step moments
-    of the multiplicative-noise heat equation.
+    positive strings, each an ell-fold equal-abscissa line integral of a
+    Cauchy-type determinant, cubic-in-string-length exponential weights,
+    per-string Gamma ratios, and pairwise Gamma crossover products.  The
+    integral does not depend on the order of the strings, so the sum takes
+    one term per multiset of string lengths, weighted by its orderings.  At
+    theta = 0 these are the one-sided-step moments of the multiplicative-noise
+    heat equation.
     """
     if k < 0 or k > 3:
         raise DomainError(f"need 0 <= k <= 3, got {k}")
@@ -315,9 +318,8 @@ def she_halfflat_moment_collapsed(
         raise DomainError(f"need theta >= 0, got {theta}")
     if not (alpha >= LADDER_MARGIN):
         raise DomainError(f"need alpha > 0, got {alpha}")
-    strings = (parts for ell in range(k + 1) for parts in compositions(k, ell))
-    terms = (_collapsed_term(parts, x, t, theta, alpha, nodes) for parts in strings)
-    return tensor_result(terms, "collapsed_strings")
+    strings = (parts for ell in range(k + 1) for parts in partitions_of(k, ell))
+    return tensor_result(_collapsed_term(parts, x, t, theta, alpha, nodes) for parts in strings)
 
 
 # ---------------------------------------------------------------------------

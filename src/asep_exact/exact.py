@@ -5,13 +5,16 @@ cross-verifiable against each other and against the simulators:
 
 - ordered-site product moments of tau^(N_{x-1}) eta_x on a circle around 1;
 - single-site moments of tau^(k N_x) on k nested two-piece contours;
-- the same moments as a partition-indexed sum over geometric strings on one
-  shared contour around -tau and 0;
-- the same moments as a composition-indexed sum with q-Pochhammer pair
-  weights on a contour around -1 and 0;
+- the same moments as a sum over geometric strings on one shared contour
+  around -tau and 0;
+- the same moments as a string sum with q-Pochhammer pair weights on a
+  contour around -1 and 0;
 - the q-deformed Laplace transform of tau^(N_x), both as a moment series
   and as a Mellin-Barnes double integral;
 - brute-force identity checks (moment duality, symmetrization sums).
+
+Both string sums, and the Laplace orders built on the second, take one term
+per multiset of string lengths, weighted by its orderings.
 
 A recurring subtlety: summing the ordered geometric series
 sum_{x_1<...<x_l<=x} prod_a xi_a^(x_a - 1) = prod_a xi_a^x / (xi_1...xi_a - 1)
@@ -23,7 +26,6 @@ and the independent simulators pin this normalization.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, count, permutations
@@ -61,8 +63,8 @@ from .quad import (
 __all__ = [
     "EvalParams",
     "AnsatzReport",
-    "compositions",
     "partitions_of",
+    "multiplicity",
     "eps",
     "eps_tilde",
     "eps_hat",
@@ -78,43 +80,31 @@ __all__ = [
     "symmetrization_checks",
 ]
 
-def compositions(m: int, k: int) -> list[tuple[int, ...]]:
-    """All ordered k-tuples of positive integers summing to m, lexicographic."""
+
+def partitions_of(m: int, k: int) -> list[tuple[int, ...]]:
+    """The partitions of m into exactly k nonincreasing parts, lexicographically descending."""
     if m < 0 or k < 0:
-        raise DomainError("need m, k >= 0")
-    if k == 0:
-        return [()] if m == 0 else []
+        raise DomainError(f"need m, k >= 0, got m={m}, k={k}")
     out: list[tuple[int, ...]] = []
 
-    def rec(prefix: tuple[int, ...], rest: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (rest,))
+    def rec(prefix: tuple[int, ...], rest: int, slots: int, cap: int) -> None:
+        if slots == 0:
+            if rest == 0:
+                out.append(prefix)
             return
-        for first in range(1, rest - slots + 2):
-            rec(prefix + (first,), rest - first, slots - 1)
+        # From the largest part that leaves each later slot 1 down to ceil(rest / slots):
+        # every branch completes, so the work is that of the partitions listed.
+        for first in range(min(cap, rest - slots + 1), -(-rest // slots) - 1, -1):
+            rec(prefix + (first,), rest - first, slots - 1, first)
 
-    if m >= k:
-        rec((), m, k)
+    if k <= m:  # parts are positive
+        rec((), m, k, m)
     return out
 
 
-def partitions_of(k: int) -> list[tuple[int, ...]]:
-    """All partitions of k, parts nonincreasing, lexicographically descending."""
-    if k < 0:
-        raise DomainError("need k >= 0")
-    if k == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], rest: int, cap: int) -> None:
-        if rest == 0:
-            out.append(prefix)
-            return
-        for first in range(min(cap, rest), 0, -1):
-            rec(prefix + (first,), rest - first, first)
-
-    rec((), k, k)
-    return out
+def multiplicity(parts) -> int:
+    """prod_j m_j!, m_j the count of part size j: the orderings of parts number len(parts)! / it."""
+    return math.prod(math.factorial(parts.count(j)) for j in set(parts))
 
 
 @dataclass(frozen=True)
@@ -186,7 +176,7 @@ def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
         return (za - zb) / (za - tau * zb) * (1.0 - za * zb) / (1.0 - tau * za * zb)
 
     prefactor = tau ** (len(xs) * (len(xs) - 1) / 2.0)
-    return tensor_result([(prefactor, axes, diag, pair)], "c1_tensor")
+    return tensor_result([(prefactor, axes, diag, pair)])
 
 
 def qtilde_moments(xs, t: float, ev: EvalParams) -> MomentResult:
@@ -220,7 +210,6 @@ class AnsatzReport:
     ode_residual: float
     boundary_residuals: tuple[float, ...]
     initial_gap: float
-    value: complex
 
 
 def verify_ansatz(xs, t: float, ev: EvalParams) -> AnsatzReport:
@@ -272,7 +261,6 @@ def verify_ansatz(xs, t: float, ev: EvalParams) -> AnsatzReport:
         ode_residual=float(ode_residual),
         boundary_residuals=tuple(float(b) for b in boundary),
         initial_gap=float(initial_gap),
-        value=u,
     )
 
 
@@ -295,7 +283,7 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     params = ev.params
     tau = params.tau
     if k == 0:
-        return MomentResult(1.0 + 0j, 0.0, "nested_tensor", ())
+        return MomentResult(1.0 + 0j, 0.0, ())
     tol = ev.tol
     floor = ev.nodes
     r, s = nested_radii(k, params)
@@ -314,15 +302,15 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
         return (ya - yb) / (ya - tau * yb) * (1.0 - ya * yb / tau**2) / (1.0 - ya * yb / tau)
 
     prefactor = tau ** (k * (k - 1) / 2.0)
-    return tensor_result([(prefactor, axes, diag, pair)], "nested_tensor")
+    return tensor_result([(prefactor, axes, diag, pair)])
 
 
 # ---------------------------------------------------------------------------
-# Partition-indexed moments on the shared contour around -tau and 0.
+# Geometric-string moments on the shared contour around -tau and 0.
 
 
 def _string_pair(parts, tables, tau: float):
-    """Pair factor of strings (or composition parts) n_a, n_b on one N-node circle about 0.
+    """Pair factor of strings n_a, n_b of either string route on one N-node circle about 0.
 
     The cross factor (u_a - u_b)(w_b - w_a) / ((u_a - w_b)(u_b - w_a)), u_a = tau^{n_a} w_a,
     is a function of r = w_a / w_b, which depends on (i - j) mod N: one row over
@@ -364,10 +352,7 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     tables = cache(lambda: poch_table(axis.z[0] * axis.z / tau**2, tau, k))
 
     terms = []
-    for parts in partitions_of(k):
-        mult_factor = 1.0
-        for m_a in Counter(parts).values():
-            mult_factor *= math.factorial(m_a)
+    for parts in [p for ell in range(k + 1) for p in partitions_of(k, ell)]:
 
         def diag(a, w, parts=parts):
             la = parts[a]
@@ -381,22 +366,17 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
             return out
 
         pair = _string_pair(parts, tables, tau)
-        terms.append((kfact * (1.0 - tau) ** k / mult_factor, [axis] * len(parts), diag, pair))
-    return tensor_result(terms, "partition_tensor")
+        weight = kfact * (1.0 - tau) ** k / multiplicity(parts)
+        terms.append((weight, [axis] * len(parts), diag, pair))
+    return tensor_result(terms)
 
 
 # ---------------------------------------------------------------------------
-# Composition-indexed moments on the contour around -1 and 0.
-
-
-def _dedup_compositions(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
-    """Composition multisets with their permutation counts."""
-    groups = Counter(tuple(sorted(comp, reverse=True)) for comp in compositions(m, k))
-    return sorted(groups.items(), reverse=True)
+# String moments with q-Pochhammer pair weights on the contour around -1 and 0.
 
 
 def _nu_axis(k: int, ev: EvalParams) -> Axis:
-    """The circle of the order-k composition terms: |w| = (1 + tau^(-1/2)) / 2."""
+    """The circle of the order-k string terms: |w| = (1 + tau^(-1/2)) / 2."""
     tau = ev.params.tau
     tol = ev.tol if k <= 3 else max(ev.tol, 1e-8)
     radius = 0.5 * (1.0 + tau**-0.5)
@@ -407,9 +387,9 @@ def _nu_axis(k: int, ev: EvalParams) -> Axis:
 def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
     """Order-k terms (k <= m) of scale E[tau^(m N_x)] / m_tau! for each (m, scale) of orders.
 
-    One term per composition multiset of m into k parts, weighted by its
-    permutation count over k!; order 0 is the empty product iff m = 0.  The
-    circle depends only on k, so all orders share one set of prefix tables.
+    One term per multiset of string lengths, a partition of m into k parts,
+    weighted by its orderings over k!; order 0 is the empty product iff m = 0.
+    The circle depends only on k, so all orders share one set of prefix tables.
     """
     tau = ev.params.tau
     axis = _nu_axis(k, ev) if k else None
@@ -422,7 +402,7 @@ def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
     tables = cache(lambda: poch_table(axis.z[0] * axis.z, tau, top))
 
     for m, scale in orders:
-        for parts, perms in _dedup_compositions(m, k):
+        for parts in partitions_of(m, k):
 
             def diag(a, w, parts=parts):
                 na = parts[a]
@@ -430,18 +410,19 @@ def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
                 return germ_f(w, na, site, t, ev.params) * g * (-1.0 / (w * (tau**na - 1.0)))
 
             pair = _string_pair(parts, tables, tau)
+            perms = math.factorial(k) // multiplicity(parts)
             yield scale * perms / math.factorial(k), [axis] * k, diag, pair
 
 
 def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
-    """Expected tau^(m N_x) at time t via the composition expansion."""
+    """Expected tau^(m N_x) at time t via the string expansion around -1 and 0."""
     if m < 0 or m > 4:
         raise DomainError(f"need 0 <= m <= 4, got {m}")
     if not (0 <= t < math.inf):
         raise DomainError(f"need t >= 0, got {t}")
     mfact = q_factorial(m, ev.params.tau)
     terms = (term for k in range(m + 1) for term in _nu_terms(k, [(m, mfact)], x, t, ev))
-    return tensor_result(terms, "gamma_tensor")
+    return tensor_result(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +477,7 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
         raise DomainError(f"need t >= 0, got {t}")
     kept = _laplace_orders(zeta, m_max, range(5), ev)
     terms = (term for k, orders in kept.items() for term in _nu_terms(k, orders, x, t, ev))
-    return tensor_result(terms, "laplace_series").value
+    return tensor_result(terms).value
 
 
 def _mb_trapezoid(zeta: complex, w_axis: Axis, ev: EvalParams, tol: float) -> Axis:
@@ -625,7 +606,7 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
     if k_max >= 2:
         total += _mb_order2(zeta, x, t, ev, line, w_axis)
     terms = (term for k in range(k_max + 1, 5) for term in _nu_terms(k, kept[k], x, t, ev))
-    return total + tensor_result(terms, "laplace_residues").value
+    return total + tensor_result(terms).value
 
 
 # ---------------------------------------------------------------------------

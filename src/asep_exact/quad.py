@@ -84,7 +84,6 @@ class MomentResult:
 
     value: complex
     err_estimate: float
-    method: str
     node_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -274,7 +273,7 @@ def _grid_eval(axes, diag_fn, pair_fn) -> tuple[complex, complex]:
     return full, half
 
 
-def tensor_result(terms, method: str) -> MomentResult:
+def tensor_result(terms) -> MomentResult:
     """MomentResult of (weight, axes, diag_fn, pair_fn) terms, evaluated one at a time.
 
     diag_fn(a, z) is the 1-D factor on axis a, pair_fn(a, b, za, zb) the 2-D factor on the
@@ -306,12 +305,7 @@ def tensor_result(terms, method: str) -> MomentResult:
         gap += weight * full - weight * half
         if len(axes) > len(node_counts):
             node_counts = tuple(axis.z.size for axis in axes)
-    return MomentResult(
-        value=value,
-        err_estimate=abs(gap),
-        method=method,
-        node_counts=node_counts,
-    )
+    return MomentResult(value=value, err_estimate=abs(gap), node_counts=node_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ def route_terms(monkeypatch, call) -> list:
     """The (weight, axes, diag, pair) terms an evaluator hands to tensor_result."""
     seen = []
 
-    def record(terms, method):
+    def record(terms):
         terms = list(terms)
         seen.extend(terms)
-        return tensor_result(terms, method)
+        return tensor_result(terms)
 
     monkeypatch.setattr(bose, "tensor_result", record)
     call()
@@ -248,9 +248,18 @@ class TestCollapsedMoment:
         sep = bose.delta_bose_moment((0.2, 0.2 + 1e-9), 0.7, 1.3)
         assert abs(col.value - sep.value) < 1e-6
 
+    def test_one_term_per_multiset_of_string_lengths(self, monkeypatch):
+        # k = 3 has the multisets (3), (2, 1) and (1, 1, 1): 3 tensor terms, weighted
+        # 2^3 3! / multiplicity, where the compositions (3), (1, 2), (2, 1), (1, 1, 1)
+        # would be 4.  (1, 2) and (2, 1) give the same value (next test).
+        terms = route_terms(monkeypatch,
+                            lambda: bose.she_halfflat_moment_collapsed(3, 0.3, 0.6, 0.0))
+        assert [len(axes) for _, axes, _, _ in terms] == [1, 2, 3]
+        assert [w for w, _, _, _ in terms] == [48.0, 48.0, 8.0]
+
     def test_string_order_invariance(self):
-        a = tensor_result([bose._collapsed_term((1, 2), 0.3, 0.6, 0.0, 0.5, 64)], "probe")
-        b = tensor_result([bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, 64)], "probe")
+        a = tensor_result([bose._collapsed_term((1, 2), 0.3, 0.6, 0.0, 0.5, 64)])
+        b = tensor_result([bose._collapsed_term((2, 1), 0.3, 0.6, 0.0, 0.5, 64)])
         assert abs(a.value - b.value) < 1e-12
 
     @pytest.mark.parametrize("parts,alpha", [((1, 1), 0.5), ((1, 2), 0.5), ((2, 1), 0.7),

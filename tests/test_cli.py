@@ -445,13 +445,19 @@ class TestAiry21Command:
         ["--x=0", "--r=-300"],
         ["--x=4", "--r=-20,0"],
         ["--x=0", "--r="],
-    ], ids=["nan", "inf", "nan-in-row", "past-budget", "unresolved", "empty"])
+        ["--x=0", "--r=-1e300"],
+    ], ids=["nan", "inf", "nan-in-row", "past-budget", "unresolved", "empty", "overflowing"])
+    @pytest.mark.filterwarnings("error")
     def test_unusable_r_exits_two(self, argv, capsys):
-        # no row is printed: a NaN or inf r, tables past the budget, a value
-        # no digit of which survives in double precision, and no r at all
+        # no row is printed and no warning raised: a NaN or inf r, tables past the
+        # budget (counts that overflow to inf included), a value no digit of which
+        # survives in double precision, and no r at all
         code, out, err = run_cli(["airy21", *argv], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:")
+        if argv[1] == "--r=-1e300":
+            assert err == ("error: kernel tables of inf entries (2.99e+150 grid nodes, "
+                           "inf y-nodes) exceed budget 4194304\n")
 
     @pytest.mark.parametrize("x, rs", [(-8.0, (-120.0, 0.0)), (0.0, (-20.0,)),
                                        (-8.0, (-1000.0,)), (8.0, (-20.0, -7.0))],

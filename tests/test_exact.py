@@ -96,33 +96,45 @@ class TestRates:
 
 
 class TestEnumeration:
-    def test_compositions_lexicographic(self):
-        assert ex.compositions(4, 2) == [(1, 3), (2, 2), (3, 1)]
-
     def test_composition_counts(self):
-        for m in range(1, 8):
-            for k in range(1, m + 1):
-                assert len(ex.compositions(m, k)) == math.comb(m - 1, k - 1)
-
-    def test_compositions_degenerate(self):
-        assert ex.compositions(0, 0) == [()]
-        assert ex.compositions(3, 0) == []
-        assert ex.compositions(2, 3) == []
+        # The k! / multiplicity orderings of the partitions of m into k parts add up
+        # to the C(m - 1, k - 1) compositions of m into k parts: each counted once.
+        for m in range(9):
+            for k in range(m + 1):
+                got = ex.partitions_of(m, k)
+                orderings = sum(math.factorial(k) // ex.multiplicity(p) for p in got)
+                assert orderings == (math.comb(m - 1, k - 1) if k else int(m == 0))
+                assert all(len(p) == k and sum(p) == m for p in got)
 
     def test_partitions_descending(self):
-        got = ex.partitions_of(5)
-        assert got[0] == (5,)
-        assert got[-1] == (1, 1, 1, 1, 1)
-        assert len(got) == 7
-        assert all(sum(p) == 5 for p in got)
-        assert got == sorted(got, reverse=True)
+        for m in range(9):
+            for k in range(m + 1):
+                got = ex.partitions_of(m, k)
+                assert all(list(p) == sorted(p, reverse=True) for p in got)
+                assert got == sorted(got, reverse=True) and len(set(got)) == len(got)
+
+    def test_partitions_into_k_parts(self):
+        assert ex.partitions_of(6, 3) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
+        assert [ex.multiplicity(p) for p in ex.partitions_of(6, 3)] == [2, 1, 6]
 
     def test_partitions_of_zero(self):
-        assert ex.partitions_of(0) == [()]
+        assert ex.partitions_of(0, 0) == [()]
+        assert ex.partitions_of(0, 1) == []
+        assert ex.multiplicity(()) == 1
+
+    def test_partitions_degenerate(self):
+        assert ex.partitions_of(3, 0) == []
+        assert ex.partitions_of(2, 3) == []
+
+    def test_one_part_is_made_directly(self):
+        # The order-1 Laplace residues list m up to MAX_TERMS / 2 + 1 = 2049, where
+        # filtering all p(m) partitions of m by length could never finish.
+        assert ex.partitions_of(qfunc.MAX_TERMS // 2 + 1, 1) == [(2049,)]
 
     def test_invalid_parts_rejected(self):
-        with pytest.raises(DomainError):
-            ex.compositions(-1, 2)
+        for m, k in [(-1, 2), (2, -1)]:
+            with pytest.raises(DomainError):
+                ex.partitions_of(m, k)
 
 
 class TestQtildeMoments:
@@ -327,16 +339,15 @@ class TestStringPair:
         tau = 0.3
         if route == "composition":
             moment, reference = ex.halfflat_moment, composition_pair_factor
-            parts = [p for k in range(4) for p, _ in ex._dedup_compositions(3, k)]
         else:
             moment, reference = ex.partition_moment, string_pair_factor
-            parts = ex.partitions_of(3)
+        parts = [p for k in range(4) for p in ex.partitions_of(3, k)]
         terms = []
         real = ex.tensor_result
 
-        def record(evaluated, method):
+        def record(evaluated):
             terms.extend(evaluated := list(evaluated))
-            return real(evaluated, method)
+            return real(evaluated)
 
         monkeypatch.setattr(ex, "tensor_result", record)
         moment(3, 3, 0.7, make_ev(tau))
@@ -531,9 +542,9 @@ class TestTauLaplace:
         # prefix tables serves them all; the sum must be that of separate calls.
         ev = make_ev(0.3)
         orders = [(m, (-0.7) ** m) for m in range(k, 12)]
-        shared = quad.tensor_result(ex._nu_terms(k, orders, 0, 0.5, ev), "shared").value
+        shared = quad.tensor_result(ex._nu_terms(k, orders, 0, 0.5, ev)).value
         alone = sum(
-            quad.tensor_result(ex._nu_terms(k, [order], 0, 0.5, ev), "alone").value
+            quad.tensor_result(ex._nu_terms(k, [order], 0, 0.5, ev)).value
             for order in orders
         )
         assert abs(shared - alone) <= 1e-15 * abs(alone)

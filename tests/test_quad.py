@@ -39,7 +39,7 @@ def ones(a, b, za, zb):
 
 def contour_sum(f, axis) -> complex:
     """(1/2 pi i) times the integral of f over one axis, through the engine."""
-    return tensor_result([(1.0, [axis], lambda a, z: f(z), ones)], "probe").value
+    return tensor_result([(1.0, [axis], lambda a, z: f(z), ones)]).value
 
 
 def clearance(trace, points) -> float:
@@ -219,7 +219,7 @@ class TestPathQuadrature:
             return np.exp(0.7 * (1.0 - z) / (1.0 - 0.5 * z)) / (z - 1.0)
 
         axis = circle_axis([(1.0, rho, 64)])
-        coarse = tensor_result([(1.0, [axis], lambda a, z: f(z), ones)], "probe")
+        coarse = tensor_result([(1.0, [axis], lambda a, z: f(z), ones)])
         fine = contour_sum(f, circle_axis([(1.0, rho, 128)]))
         assert abs(fine - coarse.value) < 10.0 * coarse.err_estimate + 1e-14
 
@@ -246,19 +246,17 @@ class TestPairViews:
 
 class TestTensorProduct:
     def test_double_pole_product(self):
-        res = tensor_result([(1.0, [UNIT] * 2, lambda a, z: 1.0 / z, ones)], "probe")
+        res = tensor_result([(1.0, [UNIT] * 2, lambda a, z: 1.0 / z, ones)])
         assert res.value == pytest.approx(1.0, abs=1e-13)
         assert res.node_counts == (64, 64)
 
     def test_antisymmetric_vanishes(self):
-        res = tensor_result(
-            [(1.0, [UNIT] * 2, lambda a, z: z**-2.0, lambda a, b, za, zb: za - zb)], "probe"
-        )
+        res = tensor_result([(1.0, [UNIT] * 2, lambda a, z: z**-2.0, lambda a, b, za, zb: za - zb)])
         assert abs(res.value) < 1e-13
 
     def test_triple_separable(self):
         axis = circle_axis([(0j, 1.0, 32)])
-        res = tensor_result([(1.0, [axis] * 3, lambda a, z: 1.0 / z, ones)], "probe")
+        res = tensor_result([(1.0, [axis] * 3, lambda a, z: 1.0 / z, ones)])
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_permutation_consistency(self):
@@ -273,8 +271,8 @@ class TestTensorProduct:
         def diag(a, y):
             return 1.0 / y
 
-        direct = tensor_result([(1.0, [c1, c2], diag, lambda a, b, ya, yb: cross(ya, yb))], "probe")
-        swapped = tensor_result([(1.0, [c2, c1], diag, lambda a, b, ya, yb: cross(yb, ya))], "probe")
+        direct = tensor_result([(1.0, [c1, c2], diag, lambda a, b, ya, yb: cross(ya, yb))])
+        swapped = tensor_result([(1.0, [c2, c1], diag, lambda a, b, ya, yb: cross(yb, ya))])
         assert abs(direct.value - swapped.value) < 1e-13
 
     def test_weighted_terms(self):
@@ -291,8 +289,7 @@ class TestTensorProduct:
         one_axis = [circle_axis([(0j, 1.0, 8)])]
         two_axes = [circle_axis([(0j, 1.0, 12)])] * 2
         res = tensor_result(
-            [(2.0, one_axis, diag, ones), (-0.5j, two_axes, diag, ones), (3.0, [], diag, ones)],
-            "probe",
+            [(2.0, one_axis, diag, ones), (-0.5j, two_axes, diag, ones), (3.0, [], diag, ones)]
         )
         full = 2.0 * exact(8, 1) - 0.5j * exact(12, 2) + 3.0
         gap = 2.0 * (exact(8, 1) - exact(4, 1)) - 0.5j * (exact(12, 2) - exact(6, 2))
@@ -302,7 +299,7 @@ class TestTensorProduct:
         assert res.node_counts == (12, 12)
 
     def test_term_without_axes_contributes_its_weight(self):
-        res = tensor_result([(0.25 - 2j, [], None, None)], "probe")
+        res = tensor_result([(0.25 - 2j, [], None, None)])
         assert res.value == 0.25 - 2j
         assert res.err_estimate == 0.0
         assert res.node_counts == ()
@@ -363,7 +360,7 @@ class TestTensorProduct:
             return ones(a, b, za, zb)
 
         axes = [circle_axis([(0j, 1.0, n)]) for n in (8, 10, 12)]
-        tensor_result([(1.0, axes, diag, pair), (2.0, axes[:2], diag, pair)], "probe")
+        tensor_result([(1.0, axes, diag, pair), (2.0, axes[:2], diag, pair)])
         assert calls == [
             ("diag", 0, 8), ("diag", 1, 10), ("diag", 2, 12),
             ("pair", 0, 1, 8, 10), ("pair", 0, 2, 8, 12), ("pair", 1, 2, 10, 12),
@@ -373,13 +370,13 @@ class TestTensorProduct:
     def test_rejects_large_order(self):
         axis = circle_axis([(0j, 1.0, 8)])
         with pytest.raises(CostGuardError):
-            tensor_result([(1.0, [axis] * 6, lambda a, z: 1.0 / z, ones)], "probe")
+            tensor_result([(1.0, [axis] * 6, lambda a, z: 1.0 / z, ones)])
 
     def test_rejects_oversized_grid(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_POINTS", 1 << 20)
         axis = circle_axis([(0j, 1.0, 512)])
         with pytest.raises(CostGuardError) as err:
-            tensor_result([(1.0, [axis] * 4, lambda a, z: 1.0 / z, ones)], "probe")
+            tensor_result([(1.0, [axis] * 4, lambda a, z: 1.0 / z, ones)])
         assert "budget" in str(err.value)
 
     def test_rejects_oversized_pair_matrix(self, monkeypatch):
@@ -387,9 +384,9 @@ class TestTensorProduct:
         monkeypatch.setattr(quad, "MAX_LINE_NODES", 16)
         axes = [circle_axis([(0j, 1.0, n)]) for n in (8, 16, 18)]
         with pytest.raises(CostGuardError, match=r"pair matrix of 288 entries"):
-            tensor_result([(1.0, axes, lambda a, z: 1.0 / z, ones)], "probe")
-        tensor_result([(1.0, axes[:2], lambda a, z: 1.0 / z, ones)], "probe")
-        tensor_result([(1.0, axes[2:], lambda a, z: 1.0 / z, ones)], "probe")
+            tensor_result([(1.0, axes, lambda a, z: 1.0 / z, ones)])
+        tensor_result([(1.0, axes[:2], lambda a, z: 1.0 / z, ones)])
+        tensor_result([(1.0, axes[2:], lambda a, z: 1.0 / z, ones)])
 
     def test_err_estimate_tracks_node_doubling(self):
         params = ModelParams.from_tau(0.5)
@@ -403,8 +400,8 @@ class TestTensorProduct:
         def pair(a, b, za, zb):
             return (za - zb) / (za - params.tau * zb)
 
-        res = tensor_result([(1.0, [circle_axis([(1.0, rho, 96)])] * 2, diag, pair)], "probe")
-        fine = tensor_result([(1.0, [circle_axis([(1.0, rho, 192)])] * 2, diag, pair)], "probe")
+        res = tensor_result([(1.0, [circle_axis([(1.0, rho, 96)])] * 2, diag, pair)])
+        fine = tensor_result([(1.0, [circle_axis([(1.0, rho, 192)])] * 2, diag, pair)])
         assert abs(fine.value - res.value) < 10.0 * res.err_estimate + 1e-14
 
 
@@ -614,3 +611,32 @@ class TestLayerScope:
         trees, defs = _package_defs(layer)
         private = [n for n in defs if n.startswith("_")]
         assert _unused(private, layer, trees, defs) == []
+
+    def test_every_record_field_is_read(self):
+        # A field of a dataclass or NamedTuple in src/ that no attribute read in src/,
+        # tests/ or bench/ names is written for nobody.  Reads are matched by name only,
+        # so a field is missed when a field of another record shares its name: value on
+        # a report that nothing reads passes because MomentResult.value is read.
+        package = Path(asep_exact.__file__).parent
+        root = Path(__file__).resolve().parents[1]
+        files = [*package.glob("*.py"), *(root / "tests").glob("*.py"),
+                 *(root / "bench").glob("*.py")]
+        trees = {p: ast.parse(p.read_text()) for p in files}
+        read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        fields = [
+            f"{cls.name}.{stmt.target.id}"
+            for path, tree in trees.items() if path.parent == package
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_record(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+        assert fields
+        assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether cls is decorated as a dataclass or derives from NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list] + cls.bases
+    return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
+               for m in marks)
