@@ -84,7 +84,7 @@ import math
 import numpy as np
 
 from .qfunc import DomainError
-from .quad import CostGuardError, _leggauss
+from .quad import CostGuardError, gauss_legendre
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 INV_CBRT2 = 2.0 ** (-1.0 / 3.0)
@@ -190,13 +190,6 @@ def _grid(lowers):
     return spans, counts
 
 
-def _nodes(lowers, spans, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Gauss-Legendre nodes and weights on [l, l + span] for each lower end l, as (..., n)."""
-    base, weights = _leggauss(n)
-    half = 0.5 * np.asarray(spans)[..., None]
-    return np.asarray(lowers)[..., None] + half * (base + 1.0), half * weights
-
-
 def _y_axes(starts: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Length Y and node count of the y-axis for each start l_min of the decaying Ai.
 
@@ -232,7 +225,7 @@ def _kernel_stack(lam: np.ndarray, x: float, lengths: np.ndarray,
         y, wy = np.zeros((lam.shape[0], width)), np.zeros((lam.shape[0], width))
         for count in np.unique(counts[counts > 0]):
             rows = counts == count
-            y[rows, :count], w = _nodes(0.0, lengths[rows], int(count))
+            y[rows, :count], w = gauss_legendre(0.0, lengths[rows], int(count))
             wy[rows, :count] = sigma * w * np.exp(-2.0 * abs(a) * y[rows, :count])
         live = np.broadcast_to((np.arange(width) < counts[:, None])[:, None, :], hat.shape + (width,))
         left, right = np.zeros(live.shape), np.zeros(live.shape)
@@ -282,7 +275,7 @@ def _cdf_on_grids(x: float, lowers: np.ndarray, spans, counts) -> np.ndarray:
     for count in np.unique(counts):
         rows = np.flatnonzero(counts == count)
         for b in np.split(rows, range(R_BLOCK, rows.size, R_BLOCK)):
-            lam, w = _nodes(lowers[b], spans[b], int(count))
+            lam, w = gauss_legendre(lowers[b], spans[b], int(count))
             out[b] = _nystrom_det(_kernel_stack(lam, x, lengths[b], y_counts[b].astype(int)), w)
     return out
 
@@ -309,7 +302,7 @@ def airy_oracles(s: float) -> tuple[float, float]:
     if not -10.0 <= s <= 6.0:
         raise DomainError("oracle endpoint outside [-10, 6]")
     span, n = _grid(np.float64(s))
-    xi, w = _nodes(s, span, int(n))
+    xi, w = gauss_legendre(s, span, int(n))
     airy2 = _nystrom_det(_airy_kernel(xi), w)
     airy1 = _nystrom_det(airy_ai(xi[:, None] + xi[None, :]), w)
     return airy2, airy1

@@ -20,8 +20,8 @@ line, by _lines; the ladder by _validate_ladder; alpha > 0 where it is read.
 Every vertical line is a trapezoid rule (see _lines), truncated where the
 Gaussian factor has decayed below TAIL_CUT.  The lines of one term share
 their step, so every pair factor, a function of z_a - z_b and z_a + z_b, is
-one N x N product of quad.toeplitz and quad.hankel views of two O(N) tables
-(_differences, _sums).  Gamma ratios are assembled in log space from
+one N x N product of quad.toeplitz and quad.hankel views of the two O(N)
+tables of quad.line_tables.  Gamma ratios are assembled in log space from
 scipy.special.loggamma so that only exp() of differences is ever taken.
 """
 
@@ -33,13 +33,14 @@ import warnings as _warnings
 import numpy as np
 
 from .exact import multiplicity, partitions_of
-from .qfunc import DomainError, PoleError
+from .qfunc import DomainError, PoleError, check_time
 from .quad import (
     Axis,
     MomentResult,
-    gl_panels,
+    gauss_legendre,
     hankel,
     line_axes,
+    line_tables,
     tensor_result,
     toeplitz,
 )
@@ -124,24 +125,9 @@ def _lines(lines, poles: float, theta: float, nodes: int) -> list[Axis]:
     return line_axes(pieces, d, TAIL_CUT * math.exp(-excess), nodes)
 
 
-def _differences(za, zb) -> np.ndarray:
-    """z_a - z_b by i - j on lines of one step: entry i - j + N_b - 1 (quad.toeplitz)."""
-    return np.concatenate([za[0, 0] - zb[0, ::-1], za[1:, 0] - zb[0, 0]])
-
-
-def _sums(za, zb) -> np.ndarray:
-    """z_a + z_b by i + j on lines of one step: entry i + j (quad.hankel)."""
-    return np.concatenate([za[0, 0] + zb[0], za[1:, 0] + zb[0, -1]])
-
-
 def _pair_pole_distance(ladder) -> float:
     """Distance from the ladder's lines to the pair poles z_a - z_b = 1."""
     return min((a - b - 1.0 for a, b in zip(ladder, ladder[1:])), default=math.inf)
-
-
-def _check_time(t: float) -> None:
-    if not (0 < t < math.inf):
-        raise DomainError(f"need t > 0, got {t}")
 
 
 def _check_points(xs) -> tuple[float, ...]:
@@ -175,7 +161,7 @@ def delta_bose_moment(
     """
     xs = _check_points(xs)
     k = len(xs)
-    _check_time(t)
+    check_time(t, positive=True)
     if not (theta >= 0):
         raise DomainError(f"need theta >= 0, got {theta}")
     ladder = default_ladder(k, theta) if ladder is None else ladder
@@ -197,7 +183,7 @@ def delta_bose_moment(
         return np.exp(0.5 * t * (z - theta) ** 2 + (z - theta) * xs[a]) / z
 
     def pair(a, b, za, zb):
-        diff, total = _differences(za, zb), _sums(za, zb)
+        diff, total = line_tables(za, zb)
         n = zb.shape[1]
         return toeplitz(diff / (diff - 1.0), n) * hankel((total - 1.0) / total, n)
 
@@ -212,7 +198,7 @@ def narrow_wedge_moment(xs, t: float, nodes: int = 64) -> MomentResult:
     """
     xs = _check_points(xs)
     k = len(xs)
-    _check_time(t)
+    check_time(t, positive=True)
     axes = _free_axes(k, t, max(abs(v) for v in xs), nodes)
 
     def diag(a, z):
@@ -223,7 +209,7 @@ def narrow_wedge_moment(xs, t: float, nodes: int = 64) -> MomentResult:
 
 def _free_pair(a, b, za, zb):
     """(z_a - z_b) / (z_a - z_b - 1) as a fresh N_a x N_b array."""
-    diff = _differences(za, zb)
+    diff, _ = line_tables(za, zb)
     return np.ascontiguousarray(toeplitz(diff / (diff - 1.0), zb.shape[1]))
 
 
@@ -282,7 +268,7 @@ def _collapsed_term(parts, x, t, theta, alpha, nodes):
         # imported here, not at module top: scipy.special slows every CLI start-up
         from scipy.special import rgamma
 
-        diff, base = _differences(wa, wb), _sums(wa, wb)
+        diff, base = line_tables(wa, wb)
         cross = (diff + d) * (d - diff) / ((diff + s) * (s - diff))
         ratio = np.exp(
             log_gamma(base + d) + log_gamma(base - d) - log_gamma(base + s)
@@ -313,7 +299,7 @@ def she_halfflat_moment_collapsed(
     """
     if k < 0 or k > 3:
         raise DomainError(f"need 0 <= k <= 3, got {k}")
-    _check_time(t)
+    check_time(t, positive=True)
     if not (theta >= 0):
         raise DomainError(f"need theta >= 0, got {theta}")
     if not (alpha >= LADDER_MARGIN):
@@ -326,11 +312,6 @@ def she_halfflat_moment_collapsed(
 # Ordered-chamber linearity check.
 
 
-def _chamber_grid(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [lo, hi], ~1.5-unit panels."""
-    return gl_panels(lo, hi, max(3, math.ceil((hi - lo) / 1.5)))
-
-
 def weyl_linearity_check(
     k: int, x: float, t: float, theta: float, nodes: int = 64
 ) -> float:
@@ -340,20 +321,22 @@ def weyl_linearity_check(
     prod_a e^{-theta (x - y_a)} over the truncated ordered chamber
     {y_1 < ... < y_k <= x, y_a > lo = x - Y} and compares with
     she_halfflat_moment_collapsed(k, x, t, theta).  The outer y_k axis is
-    Gauss-Legendre on [lo, x]; for k = 2 the inner y_1 integral of
-    e^{-theta (x - y_1)} e^{y_1 z_1} over [lo, y_2] is taken in closed form,
-    with divisor z_1 + theta != 0 because Re z_1 > 0 and theta >= 0.
+    16-point Gauss-Legendre on panels of about 1.5 units over [lo, x]; for
+    k = 2 the inner y_1 integral of e^{-theta (x - y_1)} e^{y_1 z_1} over
+    [lo, y_2] is taken in closed form, with divisor z_1 + theta != 0 because
+    Re z_1 > 0 and theta >= 0.
     """
     if k not in (1, 2):
         raise DomainError(f"need k in {{1, 2}}, got {k}")
-    _check_time(t)
+    check_time(t, positive=True)
     if not (theta >= 0):
         raise DomainError(f"need theta >= 0, got {theta}")
     collapsed = she_halfflat_moment_collapsed(k, x, t, theta, nodes=nodes).value
     depth = math.sqrt(2.0 * t * math.log(1e8)) + abs(x) + 4.0 * math.sqrt(t) + 4.0
     lo = x - depth
     axes = _free_axes(k, t, max(abs(x), abs(lo)), nodes)
-    y, wy = _chamber_grid(lo, x)
+    edges = np.linspace(lo, x, max(3, math.ceil((x - lo) / 1.5)) + 1)
+    y, wy = (v.ravel() for v in gauss_legendre(edges[:-1], np.diff(edges), 16))
     if k == 1:
         z = axes[0].z
         wz = axes[0].w * np.exp(0.5 * t * z * z)

@@ -39,6 +39,7 @@ from .qfunc import (
     DomainError,
     ModelParams,
     PoleError,
+    check_time,
     germ_f,
     germ_g,
     poch_inf,
@@ -55,6 +56,7 @@ from .quad import (
     circle_nodes,
     hankel,
     line_axes,
+    line_tables,
     nested_radii,
     tensor_result,
     toeplitz,
@@ -158,6 +160,16 @@ def eps_hat(y, params: ModelParams):
 # Ordered-site product moments (circle around 1).
 
 
+def _ordered_sites(xs, k_max: int) -> tuple[int, ...]:
+    """xs as a tuple of 1 to k_max strictly increasing integer sites."""
+    xs = tuple(int(v) for v in xs)
+    if not xs or len(xs) > k_max:
+        raise DomainError(f"need 1 <= k <= {k_max} sites, got {len(xs)}")
+    if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
+        raise DomainError(f"sites must be strictly increasing, got {xs}")
+    return xs
+
+
 def _qtilde_value(xs, t: float, ev: EvalParams) -> MomentResult:
     params = ev.params
     tau = params.tau
@@ -184,13 +196,8 @@ def qtilde_moments(xs, t: float, ev: EvalParams) -> MomentResult:
 
     Strictly increasing integer sites, at most four of them.
     """
-    xs = tuple(int(v) for v in xs)
-    if not xs or len(xs) > 4:
-        raise DomainError(f"need 1 <= k <= 4 sites, got {len(xs)}")
-    if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-        raise DomainError(f"sites must be strictly increasing, got {xs}")
-    if not (0 <= t < math.inf):
-        raise DomainError(f"need t >= 0, got {t}")
+    xs = _ordered_sites(xs, 4)
+    check_time(t)
     return _qtilde_value(xs, t, ev)
 
 
@@ -220,13 +227,8 @@ def verify_ansatz(xs, t: float, ev: EvalParams) -> AnsatzReport:
     extrapolated centered differences; (b) at adjacent pairs x_{l+1}=x_l+1,
     p u(x_{l+1} down) + q u(x_l up) = u; (c) the time-zero value.
     """
-    xs = tuple(int(v) for v in xs)
-    if not xs or len(xs) > 3:
-        raise DomainError(f"need 1 <= k <= 3 sites, got {len(xs)}")
-    if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-        raise DomainError(f"sites must be strictly increasing, got {xs}")
-    if not (0 < t < math.inf):
-        raise DomainError(f"need t > 0, got {t}")
+    xs = _ordered_sites(xs, 3)
+    check_time(t, positive=True)
     params = ev.params
     u = _qtilde_value(xs, t, ev).value
 
@@ -278,8 +280,7 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     """Expected tau^(k N_x) at time t via k nested two-piece contours."""
     if k < 0 or k > 3:
         raise DomainError(f"need 0 <= k <= 3, got {k}")
-    if not (0 <= t < math.inf):
-        raise DomainError(f"need t >= 0, got {t}")
+    check_time(t)
     params = ev.params
     tau = params.tau
     if k == 0:
@@ -309,6 +310,11 @@ def nested_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 # Geometric-string moments on the shared contour around -tau and 0.
 
 
+def _string_tol(k: int, ev: EvalParams) -> float:
+    """Node target of the order-k string circles: ev.tol, but at most 1e-8 from k = 4 on."""
+    return ev.tol if k <= 3 else max(ev.tol, 1e-8)
+
+
 def _string_pair(parts, tables, tau: float):
     """Pair factor of strings n_a, n_b of either string route on one N-node circle about 0.
 
@@ -335,11 +341,10 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     """Expected tau^(k N_x) as a partition sum over geometric strings."""
     if k < 0 or k > 5:
         raise DomainError(f"need 0 <= k <= 5, got {k}")
-    if not (0 <= t < math.inf):
-        raise DomainError(f"need t >= 0, got {t}")
+    check_time(t)
     params = ev.params
     tau = params.tau
-    tol = ev.tol if k <= 3 else max(ev.tol, 1e-8)
+    tol = _string_tol(k, ev)
     radius = tau**0.75
     site = x + 1
     amp_res = t * params.q * tau * (1.0 - tau)
@@ -347,27 +352,29 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     axis = circle_axis([(0j, radius, n)])
     kfact = q_factorial(k, tau)
     # Strings pair through the prefix table of u = w_a w_b / tau^2 on the N products
-    # w_0 w_m (_string_pair), built on first use: after the engine has sized every
-    # term, so a refused sum builds none.
+    # w_0 w_m (_string_pair), and a string of length la has one 1-D factor on the
+    # circle, self-pair included, that every term holding it reads.  Both are built
+    # on first use: after the engine has sized every term, so a refused sum builds none.
     tables = cache(lambda: poch_table(axis.z[0] * axis.z / tau**2, tau, k))
+
+    @cache
+    def factor(la):
+        w = axis.z
+        out = -1.0 / (w * (tau**la - 1.0))
+        for j in range(la):
+            out = out * _nested_weight(tau**j * w, site, t, params)
+        for i in range(la):
+            for j in range(i + 1, la):
+                z = tau ** (i + j) * w * w
+                out = out * (1.0 - z / tau**2) / (1.0 - z / tau)
+        return out
 
     terms = []
     for parts in [p for ell in range(k + 1) for p in partitions_of(k, ell)]:
-
-        def diag(a, w, parts=parts):
-            la = parts[a]
-            out = -1.0 / (w * (tau**la - 1.0))
-            for j in range(la):
-                out = out * _nested_weight(tau**j * w, site, t, params)
-            for i in range(la):
-                for j in range(i + 1, la):
-                    z = tau ** (i + j) * w * w
-                    out = out * (1.0 - z / tau**2) / (1.0 - z / tau)
-            return out
-
         pair = _string_pair(parts, tables, tau)
         weight = kfact * (1.0 - tau) ** k / multiplicity(parts)
-        terms.append((weight, [axis] * len(parts), diag, pair))
+        terms.append((weight, [axis] * len(parts), lambda a, w, parts=parts: factor(parts[a]),
+                      pair))
     return tensor_result(terms)
 
 
@@ -378,7 +385,7 @@ def partition_moment(k: int, x: int, t: float, ev: EvalParams) -> MomentResult:
 def _nu_axis(k: int, ev: EvalParams) -> Axis:
     """The circle of the order-k string terms: |w| = (1 + tau^(-1/2)) / 2."""
     tau = ev.params.tau
-    tol = ev.tol if k <= 3 else max(ev.tol, 1e-8)
+    tol = _string_tol(k, ev)
     radius = 0.5 * (1.0 + tau**-0.5)
     ratios = (1.0 / radius, radius * tau**0.5, radius * radius * tau)
     return circle_axis([(0j, radius, circle_nodes(tol, ev.nodes, ratios))])
@@ -396,30 +403,30 @@ def _nu_terms(k: int, orders, x: int, t: float, ev: EvalParams):
     site = x + 1
     top = max((m for m, _ in orders), default=0)
     # germ_g at integer order n is (-w;tau)_n (w^2;tau)_n / (w^2;tau)_{2n}.  The pairs
-    # read the table of u = w_a w_b on the N products w_0 w_m (_string_pair).
+    # read the table of u = w_a w_b on the N products w_0 w_m (_string_pair).  A
+    # string's 1-D factor on the circle is built once per length: every term reads it.
     neg = cache(lambda: poch_table(-axis.z, tau, top))
     sq = cache(lambda: poch_table(axis.z * axis.z, tau, 2 * top))
     tables = cache(lambda: poch_table(axis.z[0] * axis.z, tau, top))
 
+    @cache
+    def factor(n):
+        g = neg()[n] * sq()[n] / sq()[2 * n]
+        return germ_f(axis.z, n, site, t, ev.params) * g * (-1.0 / (axis.z * (tau**n - 1.0)))
+
     for m, scale in orders:
         for parts in partitions_of(m, k):
-
-            def diag(a, w, parts=parts):
-                na = parts[a]
-                g = neg()[na] * sq()[na] / sq()[2 * na]
-                return germ_f(w, na, site, t, ev.params) * g * (-1.0 / (w * (tau**na - 1.0)))
-
             pair = _string_pair(parts, tables, tau)
             perms = math.factorial(k) // multiplicity(parts)
-            yield scale * perms / math.factorial(k), [axis] * k, diag, pair
+            yield (scale * perms / math.factorial(k), [axis] * k,
+                   lambda a, w, parts=parts: factor(parts[a]), pair)
 
 
 def halfflat_moment(m: int, x: int, t: float, ev: EvalParams) -> MomentResult:
     """Expected tau^(m N_x) at time t via the string expansion around -1 and 0."""
     if m < 0 or m > 4:
         raise DomainError(f"need 0 <= m <= 4, got {m}")
-    if not (0 <= t < math.inf):
-        raise DomainError(f"need t >= 0, got {t}")
+    check_time(t)
     mfact = q_factorial(m, ev.params.tau)
     terms = (term for k in range(m + 1) for term in _nu_terms(k, [(m, mfact)], x, t, ev))
     return tensor_result(terms)
@@ -473,8 +480,7 @@ def tau_laplace_series(zeta: complex, x: int, t: float, m_max: int, ev: EvalPara
         raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if m_max < 8:
         raise DomainError(f"need m_max >= 8, got {m_max}")
-    if not (0 <= t < math.inf):
-        raise DomainError(f"need t >= 0, got {t}")
+    check_time(t)
     kept = _laplace_orders(zeta, m_max, range(5), ev)
     terms = (term for k, orders in kept.items() for term in _nu_terms(k, orders, x, t, ev))
     return tensor_result(terms).value
@@ -532,7 +538,7 @@ def _mb_order2(zeta, x, t, ev, line, w_axis) -> complex:
     w = w_axis.z
     a_s = np.exp(s_nodes * math.log(tau))
     # a_k = tau^(s_i + s_j) for k = i + j.
-    a_k = np.exp(np.concatenate([s_nodes + s_nodes[0], s_nodes[1:] + s_nodes[-1]]) * math.log(tau))
+    a_k = np.exp(line_tables(s_nodes, s_nodes)[1] * math.log(tau))
     # On the trapezoid circle w_x w_y = w_0 w_r, r = x + y mod n_w: each q-product is a table row.
     z = w[0] * w
     pochs = poch_inf(z[:, None] * a_s, tau, ev.tol)
@@ -575,8 +581,7 @@ def tau_laplace_mb(zeta: complex, x: int, t: float, k_max: int, ev: EvalParams) 
         raise DomainError(f"need |zeta| < 1, got {abs(zeta)}")
     if k_max < 0 or k_max > 2:
         raise DomainError(f"need 0 <= k_max <= 2, got {k_max}")
-    if not (0 <= t < math.inf):
-        raise DomainError(f"need t >= 0, got {t}")
+    check_time(t)
     # Residue orders from 2 on, which --k-max 1 would need, are sized even when k_max is 2.
     # The k_max = 0 order-1 tail holds tables of 2m factors: capped like any q-product,
     # and listed only one order past the cap, since it grows without bound as tau -> 0.

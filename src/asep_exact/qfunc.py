@@ -18,6 +18,7 @@ __all__ = [
     "DomainError",
     "PoleError",
     "ModelParams",
+    "check_time",
     "DEFAULT_TOL",
     "MAX_TERMS",
     "poch_inf",
@@ -73,6 +74,12 @@ class ModelParams:
     @property
     def gamma(self) -> float:
         return self.q - self.p
+
+
+def check_time(t: float, positive: bool = False) -> None:
+    """Refuse a time t unless it is finite and t >= 0 (t > 0 with positive); NaN fails both."""
+    if not (0.0 < t < math.inf if positive else 0.0 <= t < math.inf):
+        raise DomainError(f"need finite t {'>' if positive else '>='} 0, got {t}")
 
 
 # Target error of node counts (quad.circle_nodes), Laplace series and q-products.

@@ -5,8 +5,8 @@ integrands analytic about the contour: circles sized by circle_nodes from
 the poles and essential singularities of the integrand, and vertical lines
 (line_axes) stepped from the strip of analyticity about them.  An Axis is
 its nodes and weights; its half grid, every other node with twice the
-weight, gives the error estimate.  Gauss-Legendre panels (gl_panels) serve
-the delta-Bose chamber check, outside the engine.
+weight, gives the error estimate.  Outside the engine, gauss_legendre gives
+the crossover kernel's grids and, on panel edges, the chamber check's axis.
 
 Each value is a weighted sum of k-fold integrals of prod_a d_a(z_a)
 prod_{a<b} P_ab(z_a, z_b) over such axes, and tensor_result, the one engine,
@@ -16,15 +16,15 @@ grid.  Each term is contracted with BLAS matrix products: k = 2 is
 d_0 P_01 d_1, k = 3 one GEMM per ROW_BLOCK rows of axis 0, and k >= 4
 loops over the nodes of one axis down to k = 3.  On N nodes per axis that
 is O(N^k) flops; beside the pair matrices, k = 3 holds ROW_BLOCK x N
-temporaries and k >= 4 adds k - 1 folded N x N arrays, so no N^3
+temporaries and k >= 4 adds k - 1 folded rows per level, so no N^3
 intermediate is ever built.  Every grid is sized against MAX_POINTS, and
 its largest pair matrix against MAX_LINE_NODES^2, before any is evaluated.
 
 On two lines of one step, z_a[i] - z_b[j] depends on i - j alone and
-z_a[i] + z_b[j] on i + j; on one N-node trapezoid circle about 0, w_i / w_j
-depends on (i - j) mod N and w_i w_j on (i + j) mod N.  The evaluators build
-a pair factor of such arguments from O(N) tables through the read-only
-toeplitz and hankel views, with one N x N product.
+z_a[i] + z_b[j] on i + j (line_tables); on one N-node trapezoid circle about
+0, w_i / w_j depends on (i - j) mod N and w_i w_j on (i + j) mod N.  The
+evaluators build a pair factor of such arguments from O(N) tables through
+the read-only toeplitz and hankel views, with one N x N product.
 
 Axis weights carry the Cauchy normalization: sum f(z) w approximates
 (1/2 pi i) times the contour integral of f.
@@ -52,7 +52,8 @@ __all__ = [
     "circle_nodes",
     "circle_axis",
     "line_axes",
-    "gl_panels",
+    "gauss_legendre",
+    "line_tables",
     "toeplitz",
     "hankel",
     "tensor_result",
@@ -175,19 +176,22 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gl_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre nodes and weights on [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    gx, gw = _leggauss(16)
-    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return x, w
+def gauss_legendre(lowers, spans, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [l, l + span] for each lower end l, as (..., n)."""
+    base, weights = _leggauss(n)
+    half = 0.5 * np.asarray(spans)[..., None]
+    return np.asarray(lowers)[..., None] + half * (base + 1.0), half * weights
 
 
 # ---------------------------------------------------------------------------
 # Pair factors from index tables.
+
+
+def line_tables(za, zb) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of z_a - z_b by i - j + N_b - 1 (toeplitz) and z_a + z_b by i + j (hankel)."""
+    za, zb = np.ravel(za), np.ravel(zb)
+    return (np.concatenate([za[0] - zb[::-1], za[1:] - zb[0]]),
+            np.concatenate([za[0] + zb, za[1:] + zb[-1]]))
 
 
 def toeplitz(table, n_cols: int, wrap: bool = False) -> np.ndarray:
@@ -227,10 +231,10 @@ def _contract(d, pairs) -> complex:
     k = 2 is two matrix-vector products.  k = 3 takes ROW_BLOCK rows i of
     axis 0 at a time: y = (pairs[0, 1][i] d[1]) @ pairs[1, 2], times
     pairs[0, 2][i], summed against d[2] and d[0][i], so its temporaries are
-    ROW_BLOCK x N.  k >= 4 loops over the nodes of axis 0, folds row i of
+    ROW_BLOCK x N.  k >= 4 loops over the nodes i of axis 0, folds row i of
     each pairs[0, a] into d[a], and recurses on the rest, so N^k
     multiply-adds run as N^(k-3) k = 3 contractions beside k - 1 folded
-    N x N arrays.
+    rows.
     """
     k = len(d)
     if k == 0:
@@ -247,11 +251,10 @@ def _contract(d, pairs) -> complex:
             y *= pairs[0, 2][rows]
             total += d[0][rows] @ (y @ d[2])
         return total
-    folded = [d[a] * pairs[0, a] for a in range(1, k)]
     rest = {(a - 1, b - 1): p for (a, b), p in pairs.items() if a > 0}
     total = 0j
     for i in range(d[0].size):
-        total += d[0][i] * _contract([f[i] for f in folded], rest)
+        total += d[0][i] * _contract([d[a] * pairs[0, a][i] for a in range(1, k)], rest)
     return total
 
 

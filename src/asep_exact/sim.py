@@ -23,10 +23,10 @@ Two independent evaluators of the same dynamics:
   only the right-hop pattern A stored, as int32 CSR.  Its Poisson weights
   start from a left truncation point, so large lambda t neither underflows
   nor loses mass, and fix the step count N up front.  Each hop changes the
-  L1 distance from the start by one, so A is built only on the light cone,
-  the states within N hops, and step n multiplies only the rows within n
-  hops: about 20 bytes per state of the window and about 100 per kept
-  state at peak.
+  L1 distance from the start by one, so only the light cone, the states
+  within N hops, is kept; A holds the hops between kept states, and step n
+  multiplies only the rows within n hops: about 20 bytes per state of the
+  window and about 100 per kept state at peak.
 
 Both serve as ground truth for the contour-integral formulas in the exact
 module.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qfunc import DomainError, ModelParams, q_exp
+from .qfunc import DomainError, ModelParams, check_time, q_exp
 
 __all__ = [
     "Observable",
@@ -115,14 +115,9 @@ def _check_observable_window(obs: Observable, left: int, right: int) -> None:
             raise DomainError(f"observable site {x} outside window [{left}, {right}]")
 
 
-def _check_time(t: float) -> None:
-    if not (0.0 <= t < math.inf):
-        raise DomainError(f"need finite t >= 0, got {t}")
-
-
 def default_window(obs: Observable, t: float) -> tuple[int, int]:
     """Window wide enough that boundary effects are negligible at time t."""
-    _check_time(t)
+    check_time(t)
     w = math.ceil(4.0 * t) + 32
     lo = min(min(obs.sites()), 0)
     hi = max(max(obs.sites()), 0)
@@ -228,7 +223,7 @@ def mc_expectation(
     """
     if samples < 100:
         raise DomainError(f"need samples >= 100, got {samples}")
-    _check_time(t)
+    check_time(t)
     if window is None:
         window = default_window(obs, t)
     _check_observable_window(obs, window[0], window[1])
@@ -310,29 +305,28 @@ def _light_cone(configs: np.ndarray, init_sites: np.ndarray, n_max: int):
     return keep[np.argsort(dist, kind="stable")], shells
 
 
-def _right_hops(states, ranks, table, init_sites, edge: int, p: float, q: float):
-    """The right-hop pattern A of the ball as int32 CSR (indptr, indices), and the diagonal.
+def _right_hops(states, ranks, table, p: float, q: float):
+    """The right-hop pattern A of the kept states as int32 CSR (indptr, indices), and the diagonal.
 
     Row i is the state states[i], of colex rank ranks[i], and lists the rows
     it reaches by one right hop, particle by particle; moving particle j
-    from c to c + 1 raises the colex rank by C(c, j).  Rows from edge on make
-    up the outer shell; their hops away from the start leave the ball and
-    are dropped, since the distribution is zero there whenever such a row is
-    stepped.  p and q are the per-step probabilities of a right and a left
-    hop, and the diagonal is 1 - (the probability of the free hops), added
-    right then left for each particle.
+    from c to c + 1 raises the colex rank by C(c, j).  A hop to a rank that
+    is not in ranks is dropped.  p and q are the per-step probabilities of a
+    right and a left hop, and the diagonal is 1 - (the probability of the
+    free hops), added right then left for each particle.
     """
     size, n_part = states.shape
     n_sites = table.shape[0] - 2  # _comb_table has rows 0..n_sites + 1
-    index = np.empty(table[n_sites, n_part], dtype=np.int32)
+    index = np.full(table[n_sites, n_part], -1, dtype=np.int32)
     index[ranks] = np.arange(size, dtype=np.int32)
     indptr = np.zeros(size + 1, dtype=np.int32)
     diag = np.empty(size)
-    chunks = []
+    # Hops go straight into one buffer of n_part per row; its unwritten tail is never touched.
+    indices = np.empty(size * n_part, dtype=np.int32)
+    nnz = 0
     # Row blocks keep the masks and gathers small; a block holds one column per particle.
     for lo in range(0, size, _KERNEL_BLOCK):
         sub, base = states[lo : lo + _KERNEL_BLOCK], ranks[lo : lo + _KERNEL_BLOCK]
-        outer = np.arange(lo, lo + base.size) >= edge
         targets = np.full(sub.shape, -1, dtype=np.int32)
         leave = np.zeros(base.size)
         for j in range(n_part):
@@ -340,14 +334,16 @@ def _right_hops(states, ranks, table, init_sites, edge: int, p: float, q: float)
             right = c < n_sites - 1 if j + 1 == n_part else sub[:, j + 1] - c > 1
             leave += np.where(right, p, 0.0)
             leave += np.where(c > 0 if j == 0 else c - sub[:, j - 1] > 1, q, 0.0)
-            rows = np.flatnonzero(right & ~(outer & (c >= init_sites[j])))
+            rows = np.flatnonzero(right)
             targets[rows, j] = index[base[rows] + table[c[rows], j]]
         kept = targets >= 0
         indptr[lo + 1 : lo + 1 + base.size] = kept.sum(axis=1)
-        chunks.append(targets[kept])
+        hops = targets[kept]
+        indices[nnz : nnz + hops.size] = hops
+        nnz += hops.size
         diag[lo : lo + base.size] = 1.0 - leave
     np.cumsum(indptr, out=indptr)
-    return indptr, np.concatenate(chunks), diag
+    return indptr, indices[:nnz], diag
 
 
 def _uniformized_sum(indptr, indices, diag, coefs, v, first, weights, shells, values) -> float:
@@ -407,14 +403,16 @@ def ctmc_exact_expectation(
     the transpose of the uniformized kernel P = I + Q/lam on those states,
     K^T = (q/lam) A + (p/lam) A^T + D, since y -> x is a right hop exactly
     when x -> y is a left hop of the same particle.  Only the right-hop
-    pattern A (_right_hops, int32 CSR) and the diagonal D of P are stored,
-    and _uniformized_sum steps them on row prefixes.  The observable is
+    pattern A between kept states (_right_hops, int32 CSR) and the diagonal
+    D of P are stored, and _uniformized_sum steps them on row prefixes: a
+    hop out of the cone starts at d = N, where the distribution is zero
+    whenever that row is stepped.  The observable is
     evaluated on the kept states alone.  At peak this takes about 20 bytes
     per state of the window, for the table and the distances, and about 100
     per kept state: 12 per entry of A, with its data array, and 8 for each
     of D, the values and the two vectors.  Deterministic.
     """
-    _check_time(t)
+    check_time(t)
     left, right = int(window[0]), int(window[1])
     _check_observable_window(obs, left, right)
     n_sites = right - left + 1
@@ -443,8 +441,7 @@ def ctmc_exact_expectation(
     # the pattern, its data array, the diagonal, the values and two vectors.
     del configs
     values = _observable_values(obs, states, params, origin=left)
-    edge = int(shells[-2]) if n_max > 0 else 0
-    indptr, indices, diag = _right_hops(states, ranks, table, init_sites, edge, p / lam, q / lam)
+    indptr, indices, diag = _right_hops(states, ranks, table, p / lam, q / lam)
     del states, ranks
     start = np.zeros(values.size)
     start[0] = 1.0

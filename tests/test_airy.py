@@ -30,7 +30,7 @@ from scipy.special import airy as scipy_airy
 
 from asep_exact import airy as am
 from asep_exact.qfunc import DomainError
-from asep_exact.quad import CostGuardError, gl_panels
+from asep_exact.quad import CostGuardError, gauss_legendre
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -101,6 +101,13 @@ def scipy_airy1_det(s: float) -> float:
     return scipy_det(s, lambda xi: scipy_airy(xi[:, None] + xi[None, :])[0])
 
 
+def gl_panels(a: float, b: float, panels: int):
+    """Composite 16-point Gauss-Legendre nodes and weights on [a, b], flattened."""
+    edges = np.linspace(a, b, panels + 1)
+    x, w = gauss_legendre(edges[:-1], np.diff(edges), 16)
+    return x.ravel(), w.ravel()
+
+
 def wedge_axis(base: float, angle: float, length: float, panels: int):
     """Two rays of 16-point Gauss-Legendre panels through base, traversed upward.
 
@@ -136,7 +143,7 @@ def contour_det(x: float, r: float) -> float:
     v, wv = wedge_axis(b, 2.0 * math.pi / 3.0, 10.0, 20)
     lower = CBRT2 * r
     span, n = am._grid(np.float64(lower))
-    lam, w = am._nodes(lower, span, int(n))
+    lam, w = gauss_legendre(lower, span, int(n))
     shifted = lam - (a * a if x <= 0.0 else 0.0)
     left = np.exp(np.outer(-shifted, u) + u**3 / 3.0 + a * u**2) * wu
     right = np.exp(np.outer(v, shifted) + (-(v**3) / 3.0 - a * v**2)[:, None]) * wv[:, None]
@@ -166,7 +173,7 @@ def refined(x: float, rs) -> np.ndarray:
 
 
 # a fixed grid for kernel-level tests: 40 nodes on [0, 10]
-OFFSETS = am._nodes(0.0, 10.0, 40)[0]
+OFFSETS = gauss_legendre(0.0, 10.0, 40)[0]
 
 
 class TestWedgeAiry:
@@ -209,11 +216,11 @@ class TestSpecValidation:
                 am.halfflat_limit_cdf(0.0, empty)
 
     def test_grid_nodes_cover_interval(self):
-        xi, w = am._nodes(-1.0, 9.0, 32)
+        xi, w = gauss_legendre(-1.0, 9.0, 32)
         assert xi.shape == w.shape == (32,)
         assert -1.0 < xi[0] < xi[-1] < 8.0
         assert abs(np.sum(w) - 9.0) < 1e-12
-        rows, weights = am._nodes(np.array([-1.0, 2.0]), np.array([9.0, 4.0]), 32)
+        rows, weights = gauss_legendre(np.array([-1.0, 2.0]), np.array([9.0, 4.0]), 32)
         assert rows.shape == weights.shape == (2, 32)
         assert np.array_equal(rows[0], xi) and np.allclose(weights.sum(axis=1), [9.0, 4.0])
 
@@ -418,10 +425,10 @@ class TestKernelStack:
             am.halfflat_limit_cdf(0.0, [[0.0, 1.0]])
 
     def test_tables_past_the_budget_are_refused_before_any_node(self, monkeypatch):
-        def no_nodes(n):
+        def no_nodes(lowers, spans, n):
             raise AssertionError(f"{n} Gauss-Legendre nodes built before the budget check")
 
-        monkeypatch.setattr(am, "_leggauss", no_nodes)
+        monkeypatch.setattr(am, "gauss_legendre", no_nodes)
         # 16 x 1e6 x 1e6 grid entries
         with pytest.raises(CostGuardError, match="budget"):
             am._cdf_on_grids(0.0, np.array([0.0, 1.0]), 10.0, 10**6)
@@ -486,7 +493,7 @@ class TestFredholmDet:
 
     def test_nan_determinant_in_a_stack_raises(self):
         # abs(nan) >= tol is False: the check must be written so that NaN fails it
-        xi, w = am._nodes(0.0, 10.0, 40)
+        xi, w = gauss_legendre(0.0, 10.0, 40)
         good = np.exp(-((xi[:, None] + xi[None, :]) ** 2))
         stack = np.stack([good, good, np.full_like(good, math.nan)])
         assert am._nystrom_det(stack[:2], w).shape == (2,)

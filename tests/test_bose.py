@@ -19,6 +19,7 @@ import pytest
 from asep_exact import bose
 from asep_exact.qfunc import DomainError, PoleError
 from asep_exact.quad import CostGuardError, tensor_result
+from test_airy import gl_panels
 
 
 def phi(x: float, t: float) -> float:
@@ -323,6 +324,11 @@ class TestCollapsedMoment:
             bose.she_halfflat_moment_collapsed(2, 0.0, 1.0, -0.5)
 
 
+def chamber_grid(lo: float, hi: float):
+    """The chamber check's panels on [lo, hi]: 16 Gauss-Legendre nodes per ~1.5 units."""
+    return gl_panels(lo, hi, max(3, math.ceil((hi - lo) / 1.5)))
+
+
 def nested_chamber_k2(x: float, t: float, theta: float) -> complex:
     """The k = 2 chamber sum with the inner y_1 axis on Gauss-Legendre panels too.
 
@@ -336,11 +342,11 @@ def nested_chamber_k2(x: float, t: float, theta: float) -> complex:
     kernel = bose._free_pair(0, 1, z1[:, None], z2[None, :])
     kernel *= (axes[0].w * np.exp(0.5 * t * z1 * z1))[:, None]
     kernel *= axes[1].w * np.exp(0.5 * t * z2 * z2)
-    y2, wy2 = bose._chamber_grid(lo, x)
+    y2, wy2 = chamber_grid(lo, x)
     glue = kernel @ np.exp(np.outer(z2, y2))
     chamber = 0j
     for j in range(y2.size):
-        y1, wy1 = bose._chamber_grid(lo, y2[j])
+        y1, wy1 = chamber_grid(lo, y2[j])
         vals = np.exp(np.outer(y1, z1)) @ glue[:, j]
         inner = np.sum(wy1 * np.exp(-theta * (x - y1)) * vals)
         chamber += wy2[j] * math.exp(-theta * (x - y2[j])) * inner

@@ -165,14 +165,14 @@ class TestMomentCommand:
         code, out, err = run_cli(
             ["moment", "--tau", "0.5", "--x", "0", "--t", "nan", "--method", method], capsys)
         assert code == 2 and out == ""
-        assert err == "error: need t >= 0, got nan\n"
+        assert err == "error: need finite t >= 0, got nan\n"
 
     @pytest.mark.parametrize("method", ["nested", "halfflat", "partition"])
     def test_infinite_time_is_refused_by_name(self, method, capsys):
         code, out, err = run_cli(
             ["moment", "--tau", "0.5", "--x", "0", "--t", "inf", "--method", method], capsys)
         assert code == 2 and out == ""
-        assert err == "error: need t >= 0, got inf\n"
+        assert err == "error: need finite t >= 0, got inf\n"
 
 
 class TestSimulateCommand:
@@ -374,7 +374,7 @@ class TestBoseCommand:
         assert f"does not read {option}" in err
 
     @pytest.mark.parametrize("argv,message", [
-        (["--x", "0", "--t", "nan"], "need t > 0, got nan"),
+        (["--x", "0", "--t", "nan"], "need finite t > 0, got nan"),
         (["--x", "0", "--theta", "nan"], "need theta >= 0, got nan"),
         (["--x", "0", "--ladder", "nan"], "ladder must end positive, got (nan,)"),
         (["--kind", "halfflat-collapsed", "--k", "2", "--x", "0", "--alpha", "nan"],
@@ -389,7 +389,7 @@ class TestBoseCommand:
     def test_infinite_time_is_refused_by_name(self, capsys):
         code, out, err = run_cli(["bose", "--x", "0", "--t", "inf"], capsys)
         assert code == 2 and out == ""
-        assert err == "error: need t > 0, got inf\n"
+        assert err == "error: need finite t > 0, got inf\n"
 
     def test_alpha_reaches_the_collapsed_formula(self, capsys):
         # An omitted --alpha is the library default, 0.5; a given one is passed on.

@@ -254,6 +254,13 @@ class TestPartitionMoment:
         val = ex.partition_moment(4, 2, 0.0, make_ev(0.3))
         assert abs(val.value - 0.3**4) < 1e-6
 
+    def test_each_string_length_is_built_once(self, monkeypatch):
+        # The five partitions of 4 hold 20 string points; a string of length la takes
+        # la _nested_weight calls, and each length 1-4 is built once: 1 + 2 + 3 + 4.
+        calls = count_calls(monkeypatch, "_nested_weight")
+        ex.partition_moment(4, 2, 0.0, make_ev(0.3))
+        assert len(calls) == 10
+
     def test_depth_five_with_raised_budget(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_POINTS", 1 << 33)
         ev = ex.EvalParams(params=ModelParams.from_tau(0.2), tol=1e-6)
@@ -374,6 +381,13 @@ class TestHalfflatMoments:
     def test_fourth_moment_time_zero(self):
         val = ex.halfflat_moment(4, 2, 0.0, make_ev(0.3))
         assert abs(val.value - 0.3**4) < 1e-6
+
+    def test_each_string_length_is_built_once_per_circle(self, monkeypatch):
+        # m = 4 has 12 strings on the circles of k = 1..4 strings; each circle builds one
+        # germ_f factor per length its terms hold: {4}, {3, 2, 1}, {2, 1} and {1}.
+        calls = count_calls(monkeypatch, "germ_f")
+        ex.halfflat_moment(4, 2, 0.0, make_ev(0.3))
+        assert len(calls) == 7
 
     @pytest.mark.parametrize("k,tau,x,t", [(2, 0.6, 1, 0.5), (3, 0.3, 3, 1.0)])
     def test_three_routes_agree(self, k, tau, x, t):

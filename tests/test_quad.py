@@ -6,6 +6,7 @@ import ast
 import importlib
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,11 @@ from asep_exact.quad import (
     c1_rho_radius,
     circle_axis,
     circle_nodes,
-    gl_panels,
+    gauss_legendre,
     nested_radii,
     tensor_result,
 )
-from test_airy import wedge_axis
+from test_airy import gl_panels, wedge_axis
 
 UNIT = circle_axis([(0j, 1.0, 64)])
 EV = ex.EvalParams(params=ModelParams.from_tau(0.5))
@@ -224,9 +225,10 @@ class TestPathQuadrature:
         assert abs(fine - coarse.value) < 10.0 * coarse.err_estimate + 1e-14
 
     def test_panels_integrate_polynomials_exactly(self):
-        x, w = gl_panels(-1.0, 2.0, 3)
-        assert x.size == 48
-        assert np.all(np.diff(x) > 0)
+        edges = np.linspace(-1.0, 2.0, 4)
+        x, w = gauss_legendre(edges[:-1], np.diff(edges), 16)
+        assert x.shape == w.shape == (3, 16)
+        assert np.all(np.diff(x.ravel()) > 0)
         assert np.sum(w * x**31) == pytest.approx((2.0**32 - 1.0) / 32.0, rel=1e-13)
 
 
@@ -297,6 +299,27 @@ class TestTensorProduct:
         assert res.err_estimate == pytest.approx(abs(gap), rel=1e-12)
         # The middle term has the most axes and sets node_counts.
         assert res.node_counts == (12, 12)
+
+    def test_k4_contraction_folds_one_row_at_a_time(self, monkeypatch):
+        # At each node i of axis 0, row i of each pairs[0, a] is folded into d[a]: beside
+        # its inputs the contraction holds rows and k = 3 block temporaries, not the
+        # k - 1 = 3 folded N x N arrays of 230 kB, each as large as the bound.
+        monkeypatch.setattr(quad, "ROW_BLOCK", 16)
+        n = 120
+        rng = np.random.default_rng(4)
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        d = [draw(n) for _ in range(4)]
+        pairs = {(a, b): draw(n, n) for a in range(4) for b in range(a + 1, 4)}
+        tracemalloc.start()
+        try:
+            quad._contract(d, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16
 
     def test_term_without_axes_contributes_its_weight(self):
         res = tensor_result([(0.25 - 2j, [], None, None)])
@@ -590,6 +613,8 @@ class TestLayerScope:
     # eps, the jump-rate symbol itself, is the reference that test_exact
     # compares eps_tilde and eps_hat against; the evaluators use those two.
     EXEMPT = {"exact": {"eps"}}
+    # cli's verify grid-stability row evaluates airy._cdf_on_grids on refined grids.
+    PRIVATE_IMPORTS = {"cli": {"_cdf_on_grids"}}
 
     @pytest.mark.parametrize("layer", ["qfunc", "quad", "exact", "bose", "airy", "sim"])
     def test_every_export_has_a_production_user(self, layer):
@@ -611,6 +636,22 @@ class TestLayerScope:
         trees, defs = _package_defs(layer)
         private = [n for n in defs if n.startswith("_")]
         assert _unused(private, layer, trees, defs) == []
+
+    def test_shared_rules_have_one_home(self):
+        # Gauss-Legendre nodes come from quad alone, and no module imports another's
+        # private names: a rule that two modules need is public in the module that owns it.
+        trees, _ = _package_defs("quad")
+        leggauss = [mod for mod, tree in trees.items()
+                    if mod != "quad" and "leggauss" in dict(_uses(tree))]
+        private = [
+            (mod, alias.name) for mod, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")
+            and alias.name not in self.PRIVATE_IMPORTS.get(mod, ())
+        ]
+        assert leggauss == []
+        assert private == []
 
     def test_every_record_field_is_read(self):
         # A field of a dataclass or NamedTuple in src/ that no attribute read in src/,

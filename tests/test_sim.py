@@ -337,6 +337,41 @@ class TestColexTable:
 class TestRightHopKernel:
     """The stored right-hop pattern A and diagonal D against an itertools brute force."""
 
+    def test_lists_every_free_hop_between_kept_states(self):
+        # Loop over the full state table of (-4, 5): every free right hop from a state
+        # within n_max = 3 hops of the start to another such state is a CSR entry, in
+        # particle order, and no other; hops out of the cone are dropped by rank alone.
+        left, right, n_max = -4, 5, 3
+        n_sites = right - left + 1
+        init = np.arange(2 - left, right + 1 - left, 2)
+        n_part = init.size
+        p, q = 0.11, 0.07
+        table = _comb_table(n_sites, n_part)
+        configs = _colex_table(n_sites, n_part, table)
+        ranks, _ = _light_cone(configs, init, n_max)
+        indptr, indices, diag = _right_hops(configs[ranks], ranks, table, p, q)
+
+        rank_of = {tuple(c): r for r, c in enumerate(configs.tolist())}
+        row_of = {r: i for i, r in enumerate(ranks.tolist())}
+        hops, leaves = {}, {}
+        for rank, c in enumerate(configs.tolist()):
+            if rank not in row_of:
+                continue
+            row, leave = [], 0.0
+            for j, y in enumerate(c):
+                if y + 1 < n_sites and y + 1 not in c:
+                    leave += p
+                    target = rank_of[tuple(c[:j] + [y + 1] + c[j + 1 :])]
+                    if target in row_of:
+                        row.append(row_of[target])
+                if y > 0 and y - 1 not in c:
+                    leave += q
+            hops[row_of[rank]], leaves[row_of[rank]] = row, 1.0 - leave
+        assert 0 < len(hops) < len(configs)
+        assert [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(len(hops))] == \
+            [hops[i] for i in range(len(hops))]
+        assert diag.tolist() == [leaves[i] for i in range(len(hops))]
+
     @pytest.mark.parametrize("window, n_max", [
         ((-3, 4), 2), ((-5, 6), 3), ((-4, 7), 5), ((-5, 6), 40),
     ], ids=["two-particles", "three-particles", "four-particles", "whole-window"])
@@ -355,7 +390,7 @@ class TestRightHopKernel:
         table = _comb_table(n_sites, n_part)
         ranks, shells = _light_cone(_colex_table(n_sites, n_part, table), init, n_max)
         states = _colex_table(n_sites, n_part, table)[ranks]
-        indptr, indices, diag = _right_hops(states, ranks, table, init, int(shells[-2]), p, q)
+        indptr, indices, diag = _right_hops(states, ranks, table, p, q)
 
         every = list(itertools.combinations(range(n_sites), n_part))
         dist = {c: sum(abs(a - b) for a, b in zip(c, init.tolist())) for c in every}
